@@ -15,7 +15,6 @@ from .errors import (
     NotInvertibleAtZero,
     NotSelfMap,
     OutsideConvergence,
-    PhiVanishes,
     RealPoint,
     SingularDenominator,
     SingularPoint,
@@ -57,19 +56,15 @@ from .moebius import (
     FunctionExpr,
     Identity,
     Moebius,
-    MoebiusMap,
     SeriesFunc,
     StarInv,
     StarMul,
     Sum,
     blaschke_to_expr,
     dieudonne_det,
-    expr_conjugate,
-    expr_eval,
     expr_from_json,
     expr_to_series,
     moebius_classical_eval,
-    moebius_regular_eval,
 )
 from .quaternion import (
     ImDecomposition,

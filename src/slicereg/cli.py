@@ -27,7 +27,7 @@ from .interpolation import (
 )
 from .moebius import FunctionExpr, expr_from_json
 from .quaternion import Quaternion
-from .verify import SamplerConfig, run_suite
+from .verify import SamplerConfig, crosscheck, run_suite
 
 __all__ = ["main"]
 
@@ -66,16 +66,12 @@ def _parse_h(raw):
 
 
 def cmd_interpolate(args) -> int:
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        nodes = data["nodes"]
-        values = [Quaternion.from_iter(v) for v in data["values"]]
-        h = _parse_h(args.h if args.h is not None else data.get("h"))
-        prob = InterpolationProblem(nodes, values)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: malformed problem input: {exc}", file=sys.stderr)
-        return 1
+    with open(args.file, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    nodes = data["nodes"]
+    values = [Quaternion.from_iter(v) for v in data["values"]]
+    h = _parse_h(args.h if args.h is not None else data.get("h"))
+    prob = InterpolationProblem(nodes, values)
     table = build_q_table(prob)
     pick = pick_matrix(list(prob.nodes), list(prob.values))
     _, min_eig = psd_check(pick)
@@ -106,31 +102,18 @@ def cmd_interpolate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        f = _load_expr_arg(args.f)
-        cfg = SamplerConfig(seed=args.seed, count=args.count,
-                            radius_cap=args.radius_cap)
-    except (OSError, ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        report = run_suite(args.suite, f, cfg)
-    except SliceRegError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    f = _load_expr_arg(args.f)
+    cfg = SamplerConfig(seed=args.seed, count=args.count,
+                        radius_cap=args.radius_cap)
+    report = run_suite(args.suite, f, cfg)
     print(_dump(report.to_json()))
     return 0 if report.passed else 4
 
 
 def cmd_crosscheck(args) -> int:
-    try:
-        f = _load_expr_arg(args.f)
-        cfg = SamplerConfig(seed=args.seed, count=args.count,
-                            radius_cap=args.radius_cap)
-    except (OSError, ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    from .verify import crosscheck
+    f = _load_expr_arg(args.f)
+    cfg = SamplerConfig(seed=args.seed, count=args.count,
+                        radius_cap=args.radius_cap)
     report = crosscheck(f, cfg, order=args.order)
     print(_dump(report.to_json()))
     return 0 if report.passed else 4
@@ -149,15 +132,11 @@ def _parse_slice(spec: str) -> Quaternion:
 
 
 def cmd_grid(args) -> int:
-    try:
-        f = _load_expr_arg(args.f)
-        axis = _parse_slice(args.slice)
-        res = args.res
-        if not 1 <= res <= 2048:
-            raise ValueError("resolution must be in [1, 2048]")
-    except (OSError, ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    f = _load_expr_arg(args.f)
+    axis = _parse_slice(args.slice)
+    res = args.res
+    if not 1 <= res <= 2048:
+        raise ValueError("resolution must be in [1, 2048]")
     # inscribed square of the radius-0.95 slice disk, row-major
     half = 0.95 / math.sqrt(2.0)
     coords = np.linspace(-half, half, res) if res > 1 else np.array([0.0])
@@ -195,7 +174,8 @@ def main(argv=None) -> int:
     p_int.add_argument("file")
     p_int.add_argument("--h", default=None,
                        help="parameter h: JSON expr, quaternion, or file")
-    p_int.set_defaults(func=cmd_interpolate)
+    p_int.set_defaults(func=cmd_interpolate,
+                       error_prefix="malformed problem input: ")
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("--suite", required=True,
@@ -222,7 +202,13 @@ def main(argv=None) -> int:
     p_grid.set_defaults(func=cmd_grid)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, KeyError, TypeError, SliceRegError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        print(f"error: {getattr(args, 'error_prefix', '')}{detail}",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -26,15 +26,11 @@ class InconsistentDivision(SliceRegError):
 
 
 class SingularDenominator(SliceRegError):
-    """Classical Moebius denominator 1 - q*conj(p) numerically vanishes."""
+    """A Moebius or bullet denominator 1 - q*conj(p) numerically vanishes."""
 
 
 class SingularPoint(SliceRegError):
     """Evaluation hit the singular sphere of a *-inverse node."""
-
-
-class PhiVanishes(SliceRegError):
-    """The conjugation factor phi(q) of a bullet action vanished."""
 
 
 class NotHermitian(SliceRegError):

@@ -1,21 +1,25 @@
 """Regular Moebius transformations, Blaschke products and expression trees.
 
-Two evaluation backends live here.  The exact backend walks an expression
-tree and applies the pointwise evaluation rules of the *-calculus (products
-and inverses evaluate through inner rotations q -> v^{-1} q v, the bullet
-action through its conjugation factor phi).  The series backend lowers the
-same tree to a :class:`~slicereg.series.TaylorSeries`.  Tests require the
-two to agree within the certified truncation tail.
+Two evaluation backends live here.  The exact backend evaluates a tree
+through its stem function F: C -> H(x)C, where f(x + Iy) = Re F(x + iy) +
+I Im F(x + iy) and the complex unit i commutes with H.  On stems the
+*-product, the regular conjugate and the *-inverse act pointwise, so every
+node has a one-line stem rule and one evaluation visits each node once
+(:func:`slicereg.qarray.on_slices` reads the values off the stem).  The
+series backend lowers the same tree to a
+:class:`~slicereg.series.TaylorSeries`.  Tests require the two to agree
+within the certified truncation tail.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from . import qarray, series as se
-from .errors import PhiVanishes, SingularDenominator, SingularPoint
+from .errors import SingularDenominator, SingularPoint
 from .quaternion import Quaternion
 from .series import TaylorSeries
 
@@ -30,12 +34,8 @@ __all__ = [
     "Bullet",
     "Sum",
     "SeriesFunc",
-    "MoebiusMap",
     "BlaschkeProduct",
     "moebius_classical_eval",
-    "moebius_regular_eval",
-    "expr_eval",
-    "expr_conjugate",
     "expr_to_series",
     "blaschke_to_expr",
     "dieudonne_det",
@@ -65,27 +65,46 @@ def moebius_classical_eval(p: Quaternion, q: Quaternion) -> Quaternion:
     return den.inverse() * (q - p)
 
 
+# -- stem rules -------------------------------------------------------
+
+
+def _stem_rule(rule):
+    """Build a node's ``eval_many`` from its stem rule ``rule(self, z)``.
+
+    Complex points z return the stem values F(z), a complex (..., 4)
+    array; quaternion points q return f(q).  Rules call their children
+    through ``eval_many`` on complex points.
+    """
+    @functools.wraps(rule)
+    def eval_many(self, points):
+        if np.iscomplexobj(points):
+            return rule(self, np.asarray(points))
+        return qarray.on_slices(points, lambda z: rule(self, z))
+    return eval_many
+
+
+def _scalar_stem(z) -> np.ndarray:
+    """The stem value z * 1."""
+    out = np.zeros(np.shape(z) + (4,), dtype=complex)
+    out[..., 0] = z
+    return out
+
+
+def _stem_inverse(F, error, node) -> np.ndarray:
+    """F^{-1} = F^c / n(F), raising ``error`` where n(F) = F F^c vanishes."""
+    if np.any(np.abs(qarray.qnorm2(F)) <= _SING_TOL):
+        raise error(f"{node!r} is singular on a sample")
+    return qarray.qinv(F)
+
+
 class FunctionExpr:
     """Base node of the expression language; immutable after construction."""
 
-    __slots__ = ("_conj_cache",)
-
-    def __init__(self):
-        object.__setattr__(self, "_conj_cache", None)
-
-    # -- conjugation (memoized, involutive) ---------------------------
+    __slots__ = ()
 
     def conjugate(self) -> "FunctionExpr":
-        cached = self._conj_cache
-        if cached is None:
-            cached = self._build_conjugate()
-            object.__setattr__(self, "_conj_cache", cached)
-            if cached._conj_cache is None:
-                object.__setattr__(cached, "_conj_cache", self)
-        return cached
-
-    def _build_conjugate(self) -> "FunctionExpr":
-        raise NotImplementedError
+        """Regular conjugate f^c."""
+        return Conj(self)
 
     # -- evaluation ---------------------------------------------------
 
@@ -110,16 +129,13 @@ class Const(FunctionExpr):
     __slots__ = ("value",)
 
     def __init__(self, value: Quaternion):
-        super().__init__()
         if isinstance(value, (int, float)):
             value = Quaternion(value)
         object.__setattr__(self, "value", value)
 
-    def _build_conjugate(self):
-        return Const(self.value.conj())
-
-    def eval_many(self, points):
-        return qarray.from_quaternion(self.value, points.shape[:-1])
+    @_stem_rule
+    def eval_many(self, z):
+        return np.full(z.shape + (4,), self.value.components(), dtype=complex)
 
     def to_series(self, order=se.DEFAULT_ORDER):
         return TaylorSeries.constant(self.value)
@@ -134,11 +150,9 @@ class Const(FunctionExpr):
 class Identity(FunctionExpr):
     __slots__ = ()
 
-    def _build_conjugate(self):
-        return self
-
-    def eval_many(self, points):
-        return np.asarray(points, dtype=float)
+    @_stem_rule
+    def eval_many(self, z):
+        return _scalar_stem(z)
 
     def to_series(self, order=se.DEFAULT_ORDER):
         return TaylorSeries.identity()
@@ -156,7 +170,6 @@ class Moebius(FunctionExpr):
     __slots__ = ("p", "u")
 
     def __init__(self, p: Quaternion, u: Quaternion = Quaternion(1.0)):
-        super().__init__()
         if isinstance(p, (int, float)):
             p = Quaternion(p)
         if isinstance(u, (int, float)):
@@ -166,27 +179,15 @@ class Moebius(FunctionExpr):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "u", u)
 
-    def _build_conjugate(self):
-        if self.p.is_real() and self.u.is_real():
-            return self
-        # (M_p u)^c = conj(u) * M_{conj(p)} as a *-product
-        return StarMul(Const(self.u.conj()), Moebius(self.p.conj()))
-
-    def eval_many(self, points):
-        q = qarray.as_qarray(points)
-        p = self.p
-        if not p.is_real():
-            # inner rotation T_p(q) = (1 - q p)^{-1} q (1 - q p)
-            den = qarray.one_like(q) - qarray.qmul(q, qarray.from_quaternion(p))
-            q = qarray.qrotate(q, den)
-        pbar = qarray.from_quaternion(p.conj())
-        den = qarray.one_like(q) - qarray.qmul(q, pbar)
-        if np.any(qarray.qnorm(den) <= _SING_TOL):
-            raise SingularDenominator("1 - q conj(p) vanishes on a sample")
-        out = qarray.qmul(qarray.qinv(den), q - qarray.from_quaternion(p))
-        if self.u != Quaternion(1.0):
-            out = qarray.qmul(out, qarray.from_quaternion(self.u))
-        return out
+    @_stem_rule
+    def eval_many(self, z):
+        # (1 - z conj(p))^{-1} (z - p) u
+        p = qarray.from_quaternion(self.p)
+        den = -z[..., None] * qarray.qconj(p)
+        den[..., 0] += 1.0
+        out = qarray.qmul(_stem_inverse(den, SingularDenominator, self),
+                          _scalar_stem(z) - p)
+        return qarray.qmul(out, qarray.from_quaternion(self.u))
 
     def to_series(self, order=se.DEFAULT_ORDER):
         p, u = self.p, self.u
@@ -211,20 +212,17 @@ class Moebius(FunctionExpr):
 
 
 class Sum(FunctionExpr):
-    """Pointwise sum; needed by the conjugation rewrites of bullet nodes."""
+    """Pointwise sum."""
 
     __slots__ = ("left", "right")
 
     def __init__(self, left: FunctionExpr, right: FunctionExpr):
-        super().__init__()
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
 
-    def _build_conjugate(self):
-        return Sum(self.left.conjugate(), self.right.conjugate())
-
-    def eval_many(self, points):
-        return self.left.eval_many(points) + self.right.eval_many(points)
+    @_stem_rule
+    def eval_many(self, z):
+        return self.left.eval_many(z) + self.right.eval_many(z)
 
     def to_series(self, order=se.DEFAULT_ORDER):
         return se.series_add(self.left.to_series(order), self.right.to_series(order))
@@ -247,25 +245,12 @@ class StarMul(FunctionExpr):
     __slots__ = ("left", "right")
 
     def __init__(self, left: FunctionExpr, right: FunctionExpr):
-        super().__init__()
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
 
-    def _build_conjugate(self):
-        return StarMul(self.right.conjugate(), self.left.conjugate())
-
-    def eval_many(self, points):
-        # (f*g)(q) = f(q) g(f(q)^{-1} q f(q)), and 0 where f(q) = 0
-        q = qarray.as_qarray(points)
-        vf = self.left.eval_many(q)
-        nonzero = qarray.qnorm2(vf) > 0.0
-        rot = np.array(q, copy=True)
-        if np.any(nonzero):
-            rot[nonzero] = qarray.qrotate(q[nonzero], vf[nonzero])
-        vg = self.right.eval_many(rot)
-        out = qarray.qmul(vf, vg)
-        out[~nonzero] = 0.0
-        return out
+    @_stem_rule
+    def eval_many(self, z):
+        return qarray.qmul(self.left.eval_many(z), self.right.eval_many(z))
 
     def to_series(self, order=se.DEFAULT_ORDER):
         return se.star_mul(self.left.to_series(order), self.right.to_series(order))
@@ -282,24 +267,11 @@ class StarInv(FunctionExpr):
     __slots__ = ("inner",)
 
     def __init__(self, inner: FunctionExpr):
-        super().__init__()
         object.__setattr__(self, "inner", inner)
 
-    def _build_conjugate(self):
-        return StarInv(self.inner.conjugate())
-
-    def eval_many(self, points):
-        # h^{-*}(q) = h(h^c(q)^{-1} q h^c(q))^{-1}
-        q = qarray.as_qarray(points)
-        hc = self.inner.conjugate()
-        c = hc.eval_many(q)
-        if np.any(qarray.qnorm2(c) == 0.0):
-            raise SingularPoint(f"conjugate of {self.inner!r} vanishes on a sample")
-        rot = qarray.qrotate(q, c)
-        v = self.inner.eval_many(rot)
-        if np.any(qarray.qnorm(v) <= _SING_TOL):
-            raise SingularPoint(f"sample lies on the singular sphere of {self!r}")
-        return qarray.qinv(v)
+    @_stem_rule
+    def eval_many(self, z):
+        return _stem_inverse(self.inner.eval_many(z), SingularPoint, self)
 
     def to_series(self, order=se.DEFAULT_ORDER):
         return se.star_inverse(self.inner.to_series(order))
@@ -312,25 +284,19 @@ class StarInv(FunctionExpr):
 
 
 class Conj(FunctionExpr):
-    """Explicit regular-conjugate node; evaluates via the rewritten tree.
+    """Regular conjugate; its stem is the quaternion conjugate of F."""
 
-    The rewrite of the inner conjugate is resolved at construction time:
-    resolving it lazily could hand back this very node through the
-    memoized involution back-pointer and loop forever.
-    """
-
-    __slots__ = ("inner", "_rewritten")
+    __slots__ = ("inner",)
 
     def __init__(self, inner: FunctionExpr):
-        super().__init__()
         object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "_rewritten", inner.conjugate())
 
-    def _build_conjugate(self):
+    def conjugate(self):
         return self.inner
 
-    def eval_many(self, points):
-        return self._rewritten.eval_many(points)
+    @_stem_rule
+    def eval_many(self, z):
+        return qarray.qconj(self.inner.eval_many(z))
 
     def to_series(self, order=se.DEFAULT_ORDER):
         return se.conjugate(self.inner.to_series(order))
@@ -348,40 +314,20 @@ class Bullet(FunctionExpr):
     __slots__ = ("p", "inner")
 
     def __init__(self, p: Quaternion, inner: FunctionExpr):
-        super().__init__()
         if isinstance(p, (int, float)):
             p = Quaternion(p)
         _check_ball(p)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "inner", inner)
 
-    def _build_conjugate(self):
-        if self.p == Quaternion(0.0):
-            return self.inner.conjugate()
-        fc = self.inner.conjugate()
-        num = Sum(fc, Const(-self.p.conj()))
-        den = Sum(Const(Quaternion(1.0)), neg(StarMul(fc, Const(self.p))))
-        return StarMul(StarInv(den), num)
-
-    def eval_many(self, points):
-        # (M_p . f)(q) = M_p(f(T~(q))), T~(q) = phi^{-1} q phi,
-        # phi(q) = 1 - p f^c(p^{-1} q p)
-        q = qarray.as_qarray(points)
-        p = self.p
-        if p == Quaternion(0.0):
-            return self.inner.eval_many(q)
-        rot1 = q if p.is_real() else qarray.qrotate(q, qarray.from_quaternion(p))
-        fc_vals = self.inner.conjugate().eval_many(rot1)
-        phi = qarray.one_like(q) - qarray.qmul(qarray.from_quaternion(p), fc_vals)
-        if np.any(qarray.qnorm(phi) <= _SING_TOL):
-            raise PhiVanishes(f"phi vanishes on a sample of {self!r}")
-        tq = qarray.qrotate(q, phi)
-        vf = self.inner.eval_many(tq)
-        pbar = qarray.from_quaternion(p.conj())
-        den = qarray.one_like(q) - qarray.qmul(vf, pbar)
-        if np.any(qarray.qnorm(den) <= _SING_TOL):
-            raise SingularDenominator(f"bullet denominator vanishes in {self!r}")
-        return qarray.qmul(qarray.qinv(den), vf - qarray.from_quaternion(p))
+    @_stem_rule
+    def eval_many(self, z):
+        # (F - p) (1 - conj(p) F)^{-1}
+        f = self.inner.eval_many(z)
+        p = qarray.from_quaternion(self.p)
+        den = -qarray.qmul(qarray.qconj(p), f)
+        den[..., 0] += 1.0
+        return qarray.qmul(f - p, _stem_inverse(den, SingularDenominator, self))
 
     def to_series(self, order=se.DEFAULT_ORDER):
         fs = self.inner.to_series(order)
@@ -404,16 +350,12 @@ class SeriesFunc(FunctionExpr):
     __slots__ = ("series", "r_max")
 
     def __init__(self, series: TaylorSeries, r_max=0.95):
-        super().__init__()
         object.__setattr__(self, "series", series)
         object.__setattr__(self, "r_max", float(r_max))
 
-    def _build_conjugate(self):
-        return SeriesFunc(se.conjugate(self.series), self.r_max)
-
-    def eval_many(self, points):
-        vals, _ = se.evaluate_many(self.series, points, r_max=self.r_max)
-        return vals
+    @_stem_rule
+    def eval_many(self, z):
+        return se.stem(self.series, z, r_max=self.r_max)
 
     def to_series(self, order=se.DEFAULT_ORDER):
         return self.series
@@ -423,17 +365,6 @@ class SeriesFunc(FunctionExpr):
 
     def __repr__(self):
         return f"SeriesFunc({self.series!r})"
-
-
-# -- module-level operation wrappers ----------------------------------
-
-
-def expr_eval(e: FunctionExpr, q: Quaternion) -> Quaternion:
-    return e.eval(q)
-
-
-def expr_conjugate(e: FunctionExpr) -> FunctionExpr:
-    return e.conjugate()
 
 
 def expr_to_series(e: FunctionExpr, order=None, r_max=0.95,
@@ -452,42 +383,8 @@ def expr_to_series(e: FunctionExpr, order=None, r_max=0.95,
 # -- Moebius maps and Blaschke products -------------------------------
 
 
-class MoebiusMap:
-    """Parameter form (p, u) of a regular Moebius transformation."""
-
-    __slots__ = ("p", "u")
-
-    def __init__(self, p: Quaternion, u: Quaternion = Quaternion(1.0)):
-        if isinstance(p, (int, float)):
-            p = Quaternion(p)
-        if isinstance(u, (int, float)):
-            u = Quaternion(u)
-        _check_ball(p)
-        _check_unimodular(u)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "u", u)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MoebiusMap is immutable")
-
-    def to_expr(self) -> Moebius:
-        return Moebius(self.p, self.u)
-
-    def __repr__(self):
-        return f"MoebiusMap({self.p!r}, {self.u!r})"
-
-
-def moebius_regular_eval(m: MoebiusMap, q: Quaternion) -> Quaternion:
-    """Evaluate the regular map: M_p(T_p(q)) u with T_p the inner rotation."""
-    p = m.p
-    if not p.is_real():
-        den = Quaternion(1.0) - q * p
-        q = den.inverse() * q * den
-    return moebius_classical_eval(p, q) * m.u
-
-
-def moebius_regular_inverse_image(m: MoebiusMap, t: Quaternion) -> Quaternion:
-    """Solve M_p-regular(q) u = t for q, via T_p^{-1} = T_{conj(p)}."""
+def moebius_regular_inverse_image(m: Moebius, t: Quaternion) -> Quaternion:
+    """Solve m(q) = t for q, via T_p^{-1} = T_{conj(p)}."""
     s = t * m.u.conj()
     p = m.p
     # classical inverse M_{-p}

@@ -2,7 +2,10 @@
 
 Arrays of quaternions are plain float64 ndarrays whose last axis has length
 4 (components w, x, y, z).  All sampling suites run through these helpers so
-that 1e4+ point checks stay fast.
+that 1e4+ point checks stay fast.  The arithmetic helpers keep the dtype of
+their input, so complex (..., 4) arrays work too: they hold values in
+H(x)C, whose complex unit commutes with H, such as the stem functions that
+:func:`on_slices` turns into values of slice functions.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ __all__ = [
     "qnorm2",
     "qinv",
     "qrotate",
+    "on_slices",
     "classical_moebius",
     "uniform_ball",
 ]
@@ -48,8 +52,8 @@ def to_quaternion(a) -> Quaternion:
 
 def qmul(a, b) -> np.ndarray:
     """Hamilton product, broadcasting over leading axes."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a = np.asarray(a)
+    b = np.asarray(b)
     aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
     bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
     return np.stack(
@@ -64,14 +68,14 @@ def qmul(a, b) -> np.ndarray:
 
 
 def qconj(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    out = a.copy()
+    out = np.array(a)
     out[..., 1:] = -out[..., 1:]
     return out
 
 
 def qnorm2(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
+    """Sum of squared components: |a|^2, or the complex scalar a a^c in H(x)C."""
+    a = np.asarray(a)
     return np.sum(a * a, axis=-1)
 
 
@@ -80,9 +84,7 @@ def qnorm(a) -> np.ndarray:
 
 
 def qinv(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    n2 = qnorm2(a)[..., None]
-    return qconj(a) / n2
+    return qconj(a) / qnorm2(a)[..., None]
 
 
 def qrotate(q, v) -> np.ndarray:
@@ -95,6 +97,21 @@ def one_like(a) -> np.ndarray:
     out = np.zeros_like(a)
     out[..., 0] = 1.0
     return out
+
+
+def on_slices(points, stem) -> np.ndarray:
+    """Values at quaternion points of the slice function with stem ``stem``.
+
+    ``stem`` maps complex points z to stem values F(z), complex (..., 4)
+    arrays.  At q = x + v, v imaginary, the value is
+    f(q) = Re F(z) + v Im F(z) / |v| with z = x + i|v|; at real q, v = 0.
+    """
+    q = as_qarray(points)
+    r = np.sqrt(qnorm2(q[..., 1:]))
+    F = stem(q[..., 0] + 1j * r)
+    v = q.copy()
+    v[..., 0] = 0.0
+    return F.real + qmul(v, F.imag / np.where(r > 0.0, r, 1.0)[..., None])
 
 
 def classical_moebius(p, q) -> np.ndarray:

@@ -17,8 +17,6 @@ __all__ = [
     "I",
     "J",
     "K",
-    "qmul",
-    "qinv",
     "im_decompose",
     "same_sphere",
     "ImDecomposition",
@@ -26,8 +24,7 @@ __all__ = [
 ]
 
 DEFAULT_SPHERE_TOL = 1e-9
-# below this relative size the imaginary part is treated as zero; keeps the
-# axis I of im_decompose well conditioned
+# default relative size below which is_real treats the imaginary part as zero
 REAL_THRESHOLD = 1e-13
 
 
@@ -58,11 +55,6 @@ class Quaternion:
     def from_iter(cls, it) -> "Quaternion":
         w, x, y, z = it
         return cls(w, x, y, z)
-
-    @classmethod
-    def from_complex(cls, c: complex, axis: "Quaternion") -> "Quaternion":
-        """Embed x + y*1j as x + y*axis for an imaginary unit ``axis``."""
-        return cls(c.real, 0.0, 0.0, 0.0) + axis * c.imag
 
     # -- views --------------------------------------------------------
 
@@ -172,21 +164,11 @@ J = Quaternion(0.0, 0.0, 1.0)
 K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
-def qmul(a: Quaternion, b: Quaternion) -> Quaternion:
-    """Hamilton product of two quaternions."""
-    return a * b
-
-
-def qinv(a: Quaternion) -> Quaternion:
-    """Multiplicative inverse conj(a)/|a|^2; raises ZeroDivisionError at 0."""
-    return a.inverse()
-
-
 @dataclass(frozen=True)
 class ImDecomposition:
     """Writing q = x + y*I with x real, y >= 0 and I an imaginary unit.
 
-    ``axis`` is None for (numerically) real q.
+    ``axis`` is None for real q.
     """
 
     x: float
@@ -202,7 +184,7 @@ class ImDecomposition:
 def im_decompose(q: Quaternion) -> ImDecomposition:
     """Split q into real part, imaginary magnitude and imaginary unit."""
     y = q.im_norm()
-    if y <= REAL_THRESHOLD * max(1.0, abs(q)):
+    if y == 0.0:
         return ImDecomposition(q.w, 0.0, None)
     return ImDecomposition(q.w, y, Quaternion(0.0, q.x / y, q.y / y, q.z / y))
 

@@ -30,6 +30,7 @@ __all__ = [
     "conjugate",
     "symmetrize",
     "star_inverse",
+    "stem",
     "evaluate",
     "evaluate_many",
     "cullen_derivative",
@@ -38,7 +39,6 @@ __all__ = [
     "series_add",
     "series_sub",
     "left_const_mul",
-    "right_const_mul",
     "shift_up",
 ]
 
@@ -257,33 +257,40 @@ def star_inverse(f: TaylorSeries, order=None) -> TaylorSeries:
     return TaylorSeries(coeffs)
 
 
-def evaluate(f: TaylorSeries, q: Quaternion, r_max=0.95):
-    """Horner evaluation with left powers; returns (value, tail bound)."""
-    aq = abs(q)
-    if (not f.exact and f.growth_rate * aq >= 1.0) or aq > r_max + 1e-12:
+def stem(f: TaylorSeries, z, r_max=0.95) -> np.ndarray:
+    """Stem F(z) = sum z^m a_m at complex points z, by complex Horner.
+
+    Raises OutsideConvergence unless every |z| is at most r_max and, for a
+    truncated series, inside the certified radius 1/g.
+    """
+    az = np.abs(z)
+    if np.any(az > r_max + 1e-12) or (
+            not f.exact and np.any(f.growth_rate * az >= 1.0)):
         raise OutsideConvergence(
-            f"|q| = {aq:.6g} outside certified radius (g = {f.growth_rate:.6g})")
-    acc = f.coefficient(f.order)
-    for m in range(f.order - 1, -1, -1):
-        acc = q * acc + f.coefficient(m)
-    return acc, f.tail_bound(aq)
+            f"|q| = {az.max():.6g} outside certified radius "
+            f"(g = {f.growth_rate:.6g})")
+    zc = np.asarray(z)[..., None]
+    acc = np.zeros(zc.shape[:-1] + (4,), dtype=complex) + f.coeffs[f.order]
+    for a in f.coeffs[-2::-1]:
+        acc *= zc
+        acc += a
+    return acc
+
+
+def evaluate(f: TaylorSeries, q: Quaternion, r_max=0.95):
+    """Evaluation at one point; returns (value, tail bound)."""
+    vals, tails = evaluate_many(f, qarray.from_quaternion(q, (1,)), r_max)
+    return qarray.to_quaternion(vals[0]), float(tails[0])
 
 
 def evaluate_many(f: TaylorSeries, points: np.ndarray, r_max=0.95):
-    """Batched Horner evaluation; points is an (M, 4) array."""
+    """Evaluation at an (M, 4) array of points; returns (values, tails)."""
     points = qarray.as_qarray(points)
-    norms = qarray.qnorm(points)
-    if np.any(norms > r_max + 1e-12) or (
-            not f.exact and np.any(f.growth_rate * norms >= 1.0)):
-        raise OutsideConvergence("some points outside certified radius")
-    acc = np.broadcast_to(f.coeffs[f.order], points.shape).copy()
-    for m in range(f.order - 1, -1, -1):
-        acc = qarray.qmul(points, acc) + f.coeffs[m]
+    vals = qarray.on_slices(points, lambda z: stem(f, z, r_max))
     if f.exact:
-        return acc, np.zeros(points.shape[:-1])
-    t = f.growth_rate * norms
-    tails = np.where(t < 1.0, f.coeff_bound * t ** (f.order + 1) / (1.0 - t), np.inf)
-    return acc, tails
+        return vals, np.zeros(points.shape[:-1])
+    t = f.growth_rate * qarray.qnorm(points)
+    return vals, f.coeff_bound * t ** (f.order + 1) / (1.0 - t)
 
 
 def cullen_derivative(f: TaylorSeries) -> TaylorSeries:
@@ -360,12 +367,6 @@ def left_const_mul(c: Quaternion, f: TaylorSeries) -> TaylorSeries:
     """Coefficients c * a_m, i.e. the *-product Const(c) * f."""
     carr = qarray.from_quaternion(c)
     return TaylorSeries(qarray.qmul(carr, f.coeffs), exact=f.exact)
-
-
-def right_const_mul(f: TaylorSeries, c: Quaternion) -> TaylorSeries:
-    """Coefficients a_m * c, i.e. the *-product f * Const(c)."""
-    carr = qarray.from_quaternion(c)
-    return TaylorSeries(qarray.qmul(f.coeffs, carr), exact=f.exact)
 
 
 def shift_up(f: TaylorSeries) -> TaylorSeries:

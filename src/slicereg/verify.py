@@ -72,13 +72,10 @@ class SamplerConfig:
     seed: int = 0
     count: int = 1000
     radius_cap: float = 0.95
-    distribution: str = "uniform-ball"  # or "slice-grid"
 
     def __post_init__(self):
         if not 0.0 < self.radius_cap <= 0.95:
             raise ValueError("radius_cap must be in (0, 0.95]")
-        if self.distribution not in ("uniform-ball", "slice-grid"):
-            raise ValueError("unknown distribution tag")
 
 
 @dataclass(frozen=True)
@@ -112,18 +109,7 @@ def _report(suite, cfg, max_violation, worst_input, tol=None):
 
 def sample_points(cfg: SamplerConfig) -> np.ndarray:
     rng = np.random.default_rng(cfg.seed)
-    if cfg.distribution == "uniform-ball":
-        return qarray.uniform_ball(rng, cfg.count, cfg.radius_cap)
-    # slice-grid: points x + y*I on random slices, on a polar grid
-    axes = rng.standard_normal((cfg.count, 3))
-    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-    k = int(np.ceil(np.sqrt(cfg.count)))
-    radii = cfg.radius_cap * (np.arange(cfg.count) % k + 1) / k
-    angles = 2.0 * np.pi * (np.arange(cfg.count) // k) / k
-    out = np.zeros((cfg.count, 4))
-    out[:, 0] = radii * np.cos(angles)
-    out[:, 1:] = axes * (radii * np.sin(angles))[:, None]
-    return out
+    return qarray.uniform_ball(rng, cfg.count, cfg.radius_cap)
 
 
 def check_self_map(f: FunctionExpr, cfg: SamplerConfig = None):

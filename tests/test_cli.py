@@ -9,6 +9,13 @@ from slicereg.quaternion import Quaternion
 Q2_EXPR = {"kind": "star_mul",
            "left": {"kind": "identity"},
            "right": {"kind": "identity"}}
+# *-inverse of q: no constant term, singular at 0
+INV_ID = json.dumps({"kind": "star_inv", "inner": {"kind": "identity"}})
+
+
+def one_line_error(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("error: ") and err.count("\n") == 1
 
 
 def write_problem(tmp_path, nodes, values, h=None, name="prob.json"):
@@ -74,6 +81,12 @@ class TestInterpolate:
     def test_invalid_nodes(self, tmp_path, capsys):
         path = write_problem(tmp_path, [1.5], [[0, 0, 0, 0]])
         assert cli.main(["interpolate", path]) == 1
+
+    def test_h_not_a_self_map(self, tmp_path, capsys):
+        path = write_problem(tmp_path, [0.0, -0.5, 0.5],
+                             [[0, 0, 0, 0], [0, 0.2, 0, 0], [0, 0, 0.25, 0]])
+        assert cli.main(["interpolate", path, "--h", "[2,0,0,0]"]) == 1
+        assert one_line_error(capsys)
 
     def test_single_node(self, tmp_path, capsys):
         path = write_problem(tmp_path, [0.3], [[0.1, 0.2, 0, 0]])
@@ -145,6 +158,12 @@ class TestVerify:
                        "--count", "50"])
         assert rc == 1
 
+    def test_missing_kind(self, capsys):
+        rc = cli.main(["verify", "--suite", "spl", "--f",
+                       '{"p":[0.1,0,0,0]}'])
+        assert rc == 1
+        assert one_line_error(capsys)
+
 
 class TestCrosscheck:
     def test_moebius_backends_agree(self, capsys):
@@ -153,6 +172,10 @@ class TestCrosscheck:
                        "--count", "200"])
         report = json.loads(capsys.readouterr().out)
         assert rc == 0 and report["pass"] is True
+
+    def test_not_invertible_at_zero(self, capsys):
+        assert cli.main(["crosscheck", "--f", INV_ID]) == 1
+        assert one_line_error(capsys)
 
 
 class TestGrid:
@@ -181,6 +204,10 @@ class TestGrid:
     def test_bad_resolution(self, capsys):
         assert cli.main(["grid", "--f", json.dumps(Q2_EXPR),
                          "--res", "5000"]) == 1
+
+    def test_singular_sample(self, capsys):
+        assert cli.main(["grid", "--f", INV_ID, "--res", "1"]) == 1
+        assert one_line_error(capsys)
 
     def test_custom_axis(self, capsys):
         rc = cli.main(["grid", "--f", json.dumps(Q2_EXPR),

@@ -6,25 +6,28 @@ import pytest
 from slicereg import moebius as mo
 from slicereg import series as se
 from slicereg.errors import SingularDenominator, SingularPoint
+from slicereg.interpolation import (
+    InterpolationProblem,
+    build_q_table,
+    build_solution,
+    classify,
+)
 from slicereg.moebius import (
     BlaschkeProduct,
     Bullet,
+    Conj,
     Const,
     Identity,
     Moebius,
-    MoebiusMap,
     SeriesFunc,
     StarInv,
     StarMul,
     Sum,
     blaschke_to_expr,
     dieudonne_det,
-    expr_conjugate,
-    expr_eval,
     expr_from_json,
     expr_to_series,
     moebius_classical_eval,
-    moebius_regular_eval,
     moebius_regular_inverse_image,
     neg,
 )
@@ -70,22 +73,20 @@ class TestClassicalMoebius:
 class TestRegularMoebius:
     def test_vanishes_at_parameter(self):
         p = Quaternion(0.2, 0.1, -0.3, 0.2)
-        m = MoebiusMap(p)
-        assert abs(moebius_regular_eval(m, p)) <= 1e-14
+        assert abs(Moebius(p).eval(p)) <= 1e-14
 
     def test_real_parameter_matches_classical(self, rng):
-        m = MoebiusMap(Quaternion(-0.5))
+        m = Moebius(Quaternion(-0.5))
         for _ in range(50):
             q = rand_q(rng, 0.9)
-            a = moebius_regular_eval(m, q)
+            a = m.eval(q)
             b = moebius_classical_eval(Quaternion(-0.5), q)
             assert abs(a - b) <= 1e-13
 
     def test_i_half_at_j(self):
         # the intertwining rotation sends j to 0.8 i + 0.6 j, and the
         # classical map returns it to j
-        m = MoebiusMap(I * 0.5)
-        v = moebius_regular_eval(m, J)
+        v = Moebius(I * 0.5).eval(J)
         assert v.isclose(J, 1e-13)
 
     def test_series_backend_agrees(self, rng):
@@ -121,17 +122,17 @@ class TestRegularMoebius:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            MoebiusMap(Quaternion(1.0))
+            Moebius(Quaternion(1.0))
         with pytest.raises(ValueError):
-            MoebiusMap(Quaternion(0.5), Quaternion(0.5))  # u not unimodular
+            Moebius(Quaternion(0.5), Quaternion(0.5))  # u not unimodular
         with pytest.raises(ValueError):
             Moebius(Quaternion(0.0, 1.2))
 
     def test_bijectivity_inverse_image(self, rng):
-        m = MoebiusMap(Quaternion(0.3, 0.2, -0.1, 0.25), u=J)
+        m = Moebius(Quaternion(0.3, 0.2, -0.1, 0.25), u=J)
         for _ in range(40):
             q = rand_q(rng, 0.9)
-            t = moebius_regular_eval(m, q)
+            t = m.eval(q)
             back = moebius_regular_inverse_image(m, t)
             assert abs(back - q) <= 1e-10
 
@@ -171,6 +172,11 @@ class TestExpressions:
         with pytest.raises(SingularPoint):
             e.eval(p)
 
+    def test_bullet_singular_denominator(self):
+        # 1 - conj(p) f = 1 - 0.5 * 2 vanishes everywhere
+        with pytest.raises(SingularDenominator):
+            Bullet(0.5, Const(2.0)).eval(Quaternion(0.1, 0.2))
+
     def test_bullet_inverse_cancellation(self, rng):
         p = Quaternion(0.2, 0.1, -0.15, 0.05)
         f = Moebius(Quaternion(0.3, -0.1, 0.2, 0.0))
@@ -180,15 +186,39 @@ class TestExpressions:
             assert abs(e.eval(q) - f.eval(q)) <= 1e-10
 
 
+def _node_count(e):
+    children = [getattr(e, a) for a in ("left", "right", "inner")
+                if hasattr(e, a)]
+    return 1 + sum(_node_count(c) for c in children)
+
+
+class TestStemEvaluation:
+    def test_each_node_evaluated_once(self, monkeypatch):
+        nodes = list(np.linspace(-0.6, 0.6, 12))
+        values = [(I * 0.4 + J * 0.2) * r for r in nodes]
+        table = build_q_table(InterpolationProblem(nodes, values))
+        f = build_solution(table, classify(table))
+        calls = []
+        for cls in (Const, Identity, Moebius, Sum, StarMul, StarInv, Conj,
+                    Bullet, SeriesFunc):
+            def counted(self, points, orig=cls.eval_many):
+                calls.append(self)
+                return orig(self, points)
+            monkeypatch.setattr(cls, "eval_many", counted)
+        v = f.eval(Quaternion(0.1, 0.2, -0.1, 0.3))
+        assert abs(v) < 1.0
+        assert len(calls) == _node_count(f) == 3 * 12 + 1
+
+
 class TestConjugation:
     def test_const_and_identity(self):
-        assert expr_conjugate(Const(I)).eval(ZERO) == -I
+        assert Const(I).conjugate().eval(ZERO) == -I
         q = Quaternion(0.2, 0.3, 0.1, -0.1)
-        assert expr_conjugate(Identity()).eval(q) == q
+        assert Identity().conjugate().eval(q) == q
 
     def test_involution_returns_same_object(self):
         e = StarMul(Moebius(Quaternion(0.2, 0.1)), Const(J))
-        assert expr_conjugate(expr_conjugate(e)) is e
+        assert e.conjugate().conjugate() is e
 
     def test_matches_coefficient_conjugation(self, rng):
         trees = [
@@ -200,12 +230,13 @@ class TestConjugation:
             StarInv(Sum(Const(ONE),
                         neg(StarMul(Identity(), Const(J * 0.4))))),
         ]
+        pts = np.array([rand_q(rng, 0.6).components() for _ in range(40)])
         for e in trees:
-            fs = expr_to_series(e, order=64)
-            lhs = expr_to_series(expr_conjugate(e), order=64)
-            rhs = se.conjugate(fs)
-            n = min(lhs.order, rhs.order) + 1
-            assert np.abs(lhs.coeffs[:n] - rhs.coeffs[:n]).max() <= 1e-10
+            exact = Conj(e).eval_many(pts)
+            approx, tails = se.evaluate_many(
+                se.conjugate(expr_to_series(e, order=64)), pts)
+            assert np.all(np.linalg.norm(exact - approx, axis=1)
+                          <= tails + 1e-10)
 
 
 class TestSeriesLowering:
