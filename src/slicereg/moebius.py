@@ -190,19 +190,19 @@ class Moebius(FunctionExpr):
         return qarray.qmul(out, qarray.from_quaternion(self.u))
 
     def to_series(self, order=se.DEFAULT_ORDER):
-        p, u = self.p, self.u
-        ap = abs(p)
-        coeffs = [(-p) * u]
-        pbar_pow = Quaternion(1.0)
+        # a_0 = -p u and a_m = (1 - |p|^2) conj(p)^{m-1} u for m >= 1
+        p = qarray.from_quaternion(self.p)
+        ap = abs(self.p)
         scale = 1.0 - ap * ap
-        for _ in range(order):
-            coeffs.append(pbar_pow * scale * u)
-            pbar_pow = pbar_pow * p.conj()
+        coeffs = np.empty((order + 1, 4))
+        coeffs[0] = -p
+        coeffs[1:] = qarray.powers(qarray.qconj(p), order) * scale
+        coeffs = qarray.qmul(coeffs, qarray.from_quaternion(self.u))
         if ap > 0.0:
             cert = (max(ap, scale / ap), ap)
         else:
             cert = (2.0, 0.5)
-        return TaylorSeries.from_quaternions(coeffs, *cert)
+        return TaylorSeries(coeffs, *cert)
 
     def to_json(self):
         return {"kind": "moebius", "p": self.p.to_json(), "u": self.u.to_json()}
@@ -274,7 +274,7 @@ class StarInv(FunctionExpr):
         return _stem_inverse(self.inner.eval_many(z), SingularPoint, self)
 
     def to_series(self, order=se.DEFAULT_ORDER):
-        return se.star_inverse(self.inner.to_series(order))
+        return se.star_inverse(self.inner.to_series(order), order=order)
 
     def to_json(self):
         return {"kind": "star_inv", "inner": self.inner.to_json()}
@@ -334,7 +334,7 @@ class Bullet(FunctionExpr):
         num = se.series_sub(fs, TaylorSeries.constant(self.p))
         den = se.series_sub(TaylorSeries.constant(Quaternion(1.0)),
                             se.left_const_mul(self.p.conj(), fs))
-        return se.star_mul(num, se.star_inverse(den))
+        return se.star_mul(num, se.star_inverse(den, order=order))
 
     def to_json(self):
         return {"kind": "bullet", "p": self.p.to_json(),

@@ -25,6 +25,7 @@ __all__ = [
     "qinv",
     "qrotate",
     "on_slices",
+    "powers",
     "classical_moebius",
     "uniform_ball",
 ]
@@ -112,6 +113,18 @@ def on_slices(points, stem) -> np.ndarray:
     v = q.copy()
     v[..., 0] = 0.0
     return F.real + qmul(v, F.imag / np.where(r > 0.0, r, 1.0)[..., None])
+
+
+def powers(q, n: int) -> np.ndarray:
+    """The powers q^0, ..., q^{n-1} of one quaternion q, as an (n, 4) array.
+
+    They are read off the slice of q: q^m = Re z^m + v Im z^m / |v|.
+    """
+    def stem(z):
+        out = np.zeros((n, 4), dtype=complex)
+        out[:, 0] = np.cumprod(np.concatenate(([1.0], np.full(n, z))))[:n]
+        return out
+    return on_slices(q, stem)
 
 
 def classical_moebius(p, q) -> np.ndarray:

@@ -57,7 +57,7 @@ def _fit_certificate(coeffs: np.ndarray):
     ms = ms[ms >= 1]
     if len(ms) == 0:
         return cmax * _SAFETY_C, 0.0
-    g = max((norms[m] / cmax) ** (1.0 / m) for m in ms)
+    g = float(np.max((norms[ms] / cmax) ** (1.0 / ms)))
     return cmax * _SAFETY_C, g * _SAFETY_G
 
 
@@ -161,22 +161,22 @@ class TaylorSeries:
 
 
 def _qconv(a: np.ndarray, b: np.ndarray, n_out: int) -> np.ndarray:
-    """First n_out+1 coefficients of the quaternion Cauchy convolution."""
-    aw, ax, ay, az = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
-    bw, bx, by, bz = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
+    """First n_out+1 coefficients of the quaternion Cauchy convolution.
+
+    With q = A + B j, A = w + x i and B = y + z i, the Hamilton product is
+    (A1 + B1 j)(A2 + B2 j) = (A1 A2 - B1 conj(B2)) + (A1 B2 + B1 conj(A2)) j,
+    so four complex convolutions do the work of sixteen real ones.
+    """
+    a, b = a[: n_out + 1], b[: n_out + 1]
+    a1, b1 = a[:, 0] + 1j * a[:, 1], a[:, 2] + 1j * a[:, 3]
+    a2, b2 = b[:, 0] + 1j * b[:, 1], b[:, 2] + 1j * b[:, 3]
 
     def cv(u, v):
         return np.convolve(u, v)[: n_out + 1]
 
-    return np.stack(
-        [
-            cv(aw, bw) - cv(ax, bx) - cv(ay, by) - cv(az, bz),
-            cv(aw, bx) + cv(ax, bw) + cv(ay, bz) - cv(az, by),
-            cv(aw, by) - cv(ax, bz) + cv(ay, bw) + cv(az, bx),
-            cv(aw, bz) + cv(ax, by) - cv(ay, bx) + cv(az, bw),
-        ],
-        axis=-1,
-    )
+    lo = cv(a1, a2) - cv(b1, b2.conj())
+    hi = cv(a1, b2) + cv(b1, a2.conj())
+    return np.stack([lo.real, lo.imag, hi.real, hi.imag], axis=-1)
 
 
 def _pad(arr: np.ndarray, n: int) -> np.ndarray:
@@ -235,30 +235,55 @@ def symmetrize(f: TaylorSeries, tol=1e-12) -> TaylorSeries:
 
 
 def star_inverse(f: TaylorSeries, order=None) -> TaylorSeries:
-    """*-inverse (f^s)^{-1} * f^c, defined when the constant term is nonzero."""
-    a0 = f.coefficient(0)
-    if abs(a0) <= 1e-13:
+    """*-inverse (f^s)^{-1} * f^c, defined when the constant term is nonzero.
+
+    The result has order ``order`` (default: twice the degree, at least
+    DEFAULT_ORDER, for a polynomial), but never more than a truncated f.
+    """
+    if np.linalg.norm(f.coeffs[0]) <= 1e-13:
         raise NotInvertibleAtZero("constant coefficient is numerically zero")
     fs = symmetrize(f)
-    if order is not None:
-        n = order
-    elif f.exact:
-        n = max(2 * f.order, DEFAULT_ORDER)
-    else:
-        n = f.order
+    if order is None:
+        order = max(2 * f.order, DEFAULT_ORDER) if f.exact else f.order
+    n = order if f.exact else min(order, f.order)
+    # real reciprocal b of f^s by Newton doubling: b <- b (2 - b f^s)
     s = _pad(fs.coeffs, n)[:, 0]
-    b = np.zeros(n + 1)
-    b[0] = 1.0 / s[0]
-    for m in range(1, n + 1):
-        b[m] = -b[0] * np.dot(s[1 : m + 1], b[m - 1 :: -1][: m])
+    b = np.array([1.0 / s[0]])
+    while len(b) < n + 1:
+        m = min(2 * len(b), n + 1)
+        t = -np.convolve(s[:m], b)[:m]
+        t[0] += 2.0
+        b = np.convolve(b, t)[:m]
     inv_fs = np.zeros((n + 1, 4))
     inv_fs[:, 0] = b
     coeffs = _qconv(inv_fs, conjugate(f).coeffs, n)
     return TaylorSeries(coeffs)
 
 
+_BLOCK = 32
+
+
+def _horner(coeffs: np.ndarray, z) -> np.ndarray:
+    """sum_m z^m a_m at complex points z, by Horner in z^K over blocks.
+
+    Each block of K coefficients is one matmul with the powers 1 ... z^{K-1}
+    shared by all blocks, so no (points x order) power matrix is built.
+    """
+    z = np.asarray(z)
+    k = min(_BLOCK, len(coeffs))
+    pw = z[..., None] ** np.arange(k)
+    zk = (z * pw[..., -1])[..., None]
+    nb = -(-len(coeffs) // k)
+    blocks = _pad(coeffs, nb * k - 1).reshape(nb, k, 4)
+    acc = pw @ blocks[-1]
+    for blk in blocks[-2::-1]:
+        acc *= zk
+        acc += pw @ blk
+    return acc
+
+
 def stem(f: TaylorSeries, z, r_max=0.95) -> np.ndarray:
-    """Stem F(z) = sum z^m a_m at complex points z, by complex Horner.
+    """Stem F(z) = sum z^m a_m at complex points z, by blocked Horner.
 
     Raises OutsideConvergence unless every |z| is at most r_max and, for a
     truncated series, inside the certified radius 1/g.
@@ -269,12 +294,7 @@ def stem(f: TaylorSeries, z, r_max=0.95) -> np.ndarray:
         raise OutsideConvergence(
             f"|q| = {az.max():.6g} outside certified radius "
             f"(g = {f.growth_rate:.6g})")
-    zc = np.asarray(z)[..., None]
-    acc = np.zeros(zc.shape[:-1] + (4,), dtype=complex) + f.coeffs[f.order]
-    for a in f.coeffs[-2::-1]:
-        acc *= zc
-        acc += a
-    return acc
+    return _horner(f.coeffs, z)
 
 
 def evaluate(f: TaylorSeries, q: Quaternion, r_max=0.95):
@@ -314,29 +334,25 @@ def spherical_derivative(f: TaylorSeries, p: Quaternion) -> Quaternion:
 def left_linear_divide(f: TaylorSeries, p: Quaternion, tol=1e-9) -> TaylorSeries:
     """Solve f - f(p) = (q - p) * g for g at coefficient level.
 
-    Uses the backward recurrence b_{m-1} = a_m + p b_m, which is stable for
-    |p| < 1.  The value of g at conj(p) is the spherical derivative of f
-    at p.
+    The backward recurrence b_{m-1} = a_m + p b_m, which is stable for
+    |p| < 1, unrolls to b_k = sum_j p^j a_{k+1+j}: one convolution of the
+    powers of p with the reversed coefficients.  The value of g at conj(p)
+    is the spherical derivative of f at p.
     """
     n = f.order
     if n == 0:
         return TaylorSeries.constant(Quaternion(0.0))
-    a = [f.coefficient(m) for m in range(n + 1)]
-    b = [Quaternion(0.0)] * n
-    b[n - 1] = a[n]
-    for m in range(n - 1, 0, -1):
-        b[m - 1] = a[m] + p * b[m]
+    parr = qarray.from_quaternion(p)
+    b = _qconv(qarray.powers(parr, n), f.coeffs[:0:-1], n - 1)[::-1]
     # consistency: the reconstructed constant a_0 + p b_0 must match the
-    # Horner value of f at p, i.e. |(a_0 - f(p)) + p b_0| must vanish
-    acc = a[n]
-    for m in range(n - 1, -1, -1):
-        acc = p * acc + a[m]
+    # value of the polynomial f at p
+    fp = qarray.on_slices(parr, lambda z: _horner(f.coeffs, z))
     scale = max(1.0, float(f.coefficient_norms().max()))
-    residual = abs(a[0] + p * b[0] - acc)
+    residual = float(qarray.qnorm(f.coeffs[0] + qarray.qmul(parr, b[0]) - fp))
     if residual > tol * scale:
         raise InconsistentDivision(
             f"division residual {residual:.3g} exceeds {tol * scale:.3g}")
-    return TaylorSeries.from_quaternions(b, exact=f.exact)
+    return TaylorSeries(b, exact=f.exact)
 
 
 # -- linear helpers used by the expression backend --------------------

@@ -110,6 +110,25 @@ class TestRegularMoebius:
             assert fs.coefficient(m).isclose(pw * factor * u, 1e-14)
             pw = pw * p.conj()
 
+    @pytest.mark.parametrize("order", [1, 64, 512])
+    @pytest.mark.parametrize("p", [
+        ZERO, Quaternion(-0.5),
+        Quaternion(0.3, 0.5, -0.6, 0.2) * (0.9 / math.sqrt(0.74))])
+    def test_coefficients_match_scalar_formula(self, p, order):
+        u = Quaternion(0.6, 0.0, 0.8, 0.0)
+        expect = [(-p) * u]
+        pw = ONE
+        for _ in range(order):
+            expect.append(pw * (1.0 - p.abs2()) * u)
+            pw = pw * p.conj()
+        expect = np.array([q.components() for q in expect])
+        fs = Moebius(p, u).to_series(order)
+        assert fs.coeffs.shape == expect.shape
+        assert np.abs(fs.coeffs - expect).max() <= 1e-14 * np.abs(expect).max()
+        ap = abs(p)
+        cert = (max(ap, (1.0 - ap * ap) / ap), ap) if ap > 0 else (2.0, 0.5)
+        assert (fs.coeff_bound, fs.growth_rate) == cert
+
     def test_multiply_by_denominator_gives_numerator(self):
         # (1 - q conj(p)) * M_p = (q - p) u
         p = Quaternion(0.2, -0.3, 0.1, 0.1)
@@ -243,6 +262,14 @@ class TestSeriesLowering:
     def test_identity(self):
         fs = Identity().to_series()
         assert fs.coefficient(0) == ZERO and fs.coefficient(1) == ONE
+
+    def test_requested_order_is_honoured(self):
+        # the *-inverse of an exact inner series is lowered to the order asked
+        bullet = Bullet(Quaternion(0.3, 0.1, 0.0, 0.0), Identity())
+        inv = StarInv(Sum(Const(ONE), Identity()))
+        for e in (bullet, inv):
+            assert e.to_series(256).order == 256
+        assert expr_to_series(bullet).tail_bound(0.9) <= 1e-9
 
     def test_adaptive_order_meets_tail_target(self):
         p = Quaternion(0.5, 0.3)

@@ -22,6 +22,32 @@ def poly(*qs):
     return TaylorSeries.from_quaternions(list(qs), exact=True)
 
 
+# Kernel reference points: zero, real, and |p| = 0.9 off the real axis.
+KERNEL_POINTS = [ZERO, Quaternion(0.5),
+                 Quaternion(0.3, 0.5, -0.6, 0.2) * (0.9 / math.sqrt(0.74))]
+KERNEL_ORDERS = [1, 64, 512]
+
+
+def scalar_fit(coeffs):
+    """The fitted certificate (C, g), one coefficient at a time."""
+    norms = [abs(Quaternion.from_iter(c)) for c in coeffs]
+    cmax = max(norms)
+    ms = [m for m in range(1, len(norms)) if norms[m] > cmax * 1e-250]
+    g = max((norms[m] / cmax) ** (1.0 / m) for m in ms) if ms else 0.0
+    return 4.0 * cmax, 1.01 * g
+
+
+def assert_kernel_matches(series, expect):
+    """Coefficients within 1e-14 of the largest; (C, g) to 1e-12 relative."""
+    expect = np.array([q.components() for q in expect])
+    assert series.coeffs.shape == expect.shape
+    scale = np.abs(expect).max()
+    assert np.abs(series.coeffs - expect).max() <= 1e-14 * scale
+    c, g = scalar_fit(expect)
+    assert series.coeff_bound == pytest.approx(c, rel=1e-12, abs=0.0)
+    assert series.growth_rate == pytest.approx(g, rel=1e-12, abs=0.0)
+
+
 class TestConstruction:
     def test_certificate_violation_rejected(self):
         with pytest.raises(ValueError):
@@ -128,9 +154,30 @@ class TestStarInverse:
             assert inv.coefficient(m).isclose(expect, 1e-13)
             expect = expect * p.conj()
 
+    def test_truncated_input_is_not_extended(self):
+        # f^s of a truncated f is known to f's order only
+        f = TaylorSeries(np.outer(0.5 ** np.arange(21), [1, 0.2, 0, 0]))
+        assert se.star_inverse(f, order=64).order == 20
+        assert se.star_inverse(f, order=8).order == 8
+
     def test_vanishing_constant_raises(self):
         with pytest.raises(NotInvertibleAtZero):
             se.star_inverse(TaylorSeries.identity())
+
+    @pytest.mark.parametrize("order", KERNEL_ORDERS)
+    @pytest.mark.parametrize("p", KERNEL_POINTS)
+    def test_matches_scalar_recurrence(self, p, order):
+        # f = 1 - q conj(p), f^s = 1 - 2 Re(p) q + |p|^2 q^2
+        f = poly(ONE, -p.conj())
+        s = [1.0, -2.0 * p.re, p.abs2()] + [0.0] * order
+        b = [1.0 / s[0]]
+        for m in range(1, order + 1):
+            b.append(-b[0] * sum(s[j] * b[m - j] for j in range(1, m + 1)))
+        fc = [ONE, -p]
+        expect = [Quaternion(b[m]) * fc[0] + (Quaternion(b[m - 1]) * fc[1]
+                                              if m >= 1 else ZERO)
+                  for m in range(order + 1)]
+        assert_kernel_matches(se.star_inverse(f, order=order), expect)
 
     def test_roundtrip_within_tail(self, rng):
         coeffs = rng.uniform(-0.3, 0.3, (40, 4)) * \
@@ -216,6 +263,25 @@ class TestLeftLinearDivide:
         val, _ = se.evaluate(g, p.conj())
         assert abs(val - Quaternion(2 * p.re)) <= 1e-14
         assert abs(val - se.spherical_derivative(q2, p)) <= 1e-14
+
+    @pytest.mark.parametrize("order", KERNEL_ORDERS)
+    @pytest.mark.parametrize("p", KERNEL_POINTS)
+    def test_matches_backward_recurrence(self, rng, p, order):
+        coeffs = rng.uniform(-1, 1, (order + 1, 4)) * \
+            (0.8 ** np.arange(order + 1))[:, None]
+        f = TaylorSeries(coeffs)
+        a = [Quaternion.from_iter(c) for c in coeffs]
+        b = [ZERO] * order
+        b[order - 1] = a[order]
+        for m in range(order - 1, 0, -1):
+            b[m - 1] = a[m] + p * b[m]
+        assert_kernel_matches(se.left_linear_divide(f, p), b)
+
+    def test_unstable_division_raises(self, rng):
+        # outside the ball the recurrence loses a_0 + p b_0 = f(p) to rounding
+        f = TaylorSeries(rng.uniform(-1, 1, (41, 4)), exact=True)
+        with pytest.raises(InconsistentDivision):
+            se.left_linear_divide(f, Quaternion(3.0, 2.0))
 
     def test_remultiplication_recovers(self, rng):
         f = TaylorSeries(rng.uniform(-0.5, 0.5, (10, 4)), exact=True)
