@@ -5,8 +5,10 @@ regular function f*_p with two equivalent descriptions: the exact
 expression M_p^{-*} * (M_{f(p)} . f) and, at series level, the product
 (1 - q conj(p)) * R_{f,p} * (1 - conj(f(p)) * f)^{-*} where R is obtained
 by left linear division.  The series form is the one used for evaluation
-at p itself (the removable singularity of the exact form), which defines
-the hyperbolic derivative f^h(p) = f*_p(p).
+on the sphere of p (the removable singularity of the exact form).  The
+hyperbolic derivative f^h(p) = f*_p(p) needs neither: the stem of f at
+the one complex point of p fixes f*_p on that whole sphere
+(:func:`quotient_on_sphere`).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qarray, series as se
-from .errors import DegenerateAtZero, SliceRegError
+from .errors import DegenerateAtZero, SingularDenominator, SliceRegError
 from .moebius import (
     Bullet,
     Const,
@@ -26,6 +28,8 @@ from .moebius import (
     SeriesFunc,
     StarInv,
     StarMul,
+    _stem_inverse,
+    expr_to_series,
     moebius_classical_eval,
 )
 from .quaternion import Quaternion
@@ -39,6 +43,9 @@ __all__ = [
     "HyperbolicQuotient",
     "hyperbolic_quotient",
     "hyperbolic_derivative",
+    "hyperbolic_derivative_many",
+    "quotient_on_sphere",
+    "quotient_chain",
     "iterated_quotient",
     "quotient_series",
     "dieudonne_rhs",
@@ -225,6 +232,7 @@ def hyperbolic_quotient(f, p: Quaternion) -> HyperbolicQuotient:
         series_base = f
         expr_f: FunctionExpr = SeriesFunc(f)
         fp, _ = se.evaluate(f, p, r_max=max(0.95, abs(p)))
+        u_in = detect_unimodular_constant(expr_f)
     elif isinstance(f, HyperbolicQuotient):
         if f.is_unimodular_constant:
             u = f.unimodular_value
@@ -235,10 +243,11 @@ def hyperbolic_quotient(f, p: Quaternion) -> HyperbolicQuotient:
         if isinstance(expr_f, SeriesFunc):
             series_base = expr_f.series
         fp = f.eval(p)  # falls back to the series at removable singularities
+        u_in = None  # f already found f.result not unimodular
     else:
         expr_f = f
         fp = f.eval(p)
-    u_in = detect_unimodular_constant(expr_f)
+        u_in = detect_unimodular_constant(expr_f)
     if u_in is not None:
         return HyperbolicQuotient(f, p, Const(u_in), u_in)
     if series_base is not None:
@@ -253,81 +262,169 @@ def hyperbolic_quotient(f, p: Quaternion) -> HyperbolicQuotient:
     return HyperbolicQuotient(f, p, result, u_out)
 
 
+def quotient_on_sphere(fs: TaylorSeries, points):
+    """f*_p(p) and f*_p(conj p) at every p of a (P, 4) array, in one stem pass.
+
+    For p = x + I y the stem of f*_p at z = x + iy is
+    Fh = [(1 - |p|^2) e F'(z) + (1 - z^2) ebar D] (1 - conj(f(p)) F(z))^{-1},
+    where F and F' are the stems of f and of its Cullen derivative and
+    D = Im F(z) / y is the spherical derivative (F'(x) at y = 0).  The
+    idempotents e = (1 - I i)/2 and ebar = (1 + I i)/2 split H(x)C into the
+    parts on which I acts as i and as -i: the factor R_{f,p} of the quotient
+    is e f'(p) + ebar d_S f(p), and (1 - z conj(p)) is 1 - |p|^2 on e and
+    1 - z^2 on ebar.  Then f*_p(p) = Re Fh + I Im Fh and
+    f*_p(conj p) = Re Fh - I Im Fh.  No series of the quotient is built, so
+    the accuracy is that of fs.
+    """
+    pts = qarray.as_qarray(points)
+    y = np.sqrt(qarray.qnorm2(pts[..., 1:]))
+    z = pts[..., 0] + 1j * y
+    F = se.stem(fs, z, r_max=max(0.95, float(np.abs(z).max(initial=0.0))))
+    # F' converges where F does; its own fitted g is not checked again
+    dF = se._horner(se.cullen_derivative(fs).coeffs, z)
+    # I = Im p / |Im p|; at real p any I will do, and I = 0 gives e = ebar
+    real = (y == 0.0)[..., None]
+    ys = np.where(real, 1.0, y[..., None])
+    unit = pts.copy()
+    unit[..., 0] = 0.0
+    unit /= ys
+    D = np.where(real, dF.real, F.imag / ys)
+    fp = F.real + qarray.qmul(unit, F.imag)
+    den = -qarray.qmul(qarray.qconj(fp), F)
+    den[..., 0] += 1.0
+    e = -0.5j * unit
+    e[..., 0] = 0.5
+    num = (1.0 - qarray.qnorm2(pts))[..., None] * qarray.qmul(e, dF) \
+        + (1.0 - z * z)[..., None] * qarray.qmul(qarray.qconj(e), D)
+    Fh = qarray.qmul(num, _stem_inverse(den, SingularDenominator,
+                                        "1 - conj(f(p)) f"))
+    turn = qarray.qmul(unit, Fh.imag)
+    return Fh.real + turn, Fh.real - turn
+
+
+def hyperbolic_derivative_many(fs: TaylorSeries, points) -> np.ndarray:
+    """f^h(p) = f*_p(p) at every p of a (P, 4) array; see quotient_on_sphere."""
+    return quotient_on_sphere(fs, points)[0]
+
+
 def hyperbolic_derivative(f, p: Quaternion, tail_target=1e-10,
                           max_order=512) -> Quaternion:
-    """f^h(p) = f*_p(p), evaluated through the series of the quotient."""
+    """f^h(p) = f*_p(p), read off the stem of f at p.
+
+    A HyperbolicQuotient stands for its own quotient: the result is the
+    hyperbolic derivative of its base at its point.  An expression is
+    lowered by doubling its order until the tail at |p| is within
+    ``tail_target`` or the order reaches ``max_order``.  A unimodular
+    constant u (or a unimodular quotient) gives u.
+    """
     if isinstance(p, (int, float)):
         p = Quaternion(p)
-    hq = f if isinstance(f, HyperbolicQuotient) else hyperbolic_quotient(f, p)
-    if hq.is_unimodular_constant:
-        return hq.unimodular_value
-    return hq.eval_series(hq.p, tail_target=tail_target, max_order=max_order)
+    if isinstance(f, HyperbolicQuotient):
+        if f.is_unimodular_constant:
+            return f.unimodular_value
+        f, p = f.base, f.p
+    fs = f if isinstance(f, TaylorSeries) else expr_to_series(
+        f, r_max=abs(p), tail_target=tail_target, max_order=max_order)
+    u = _series_unimodular_constant(fs)
+    if u is not None:
+        return u
+    return qarray.to_quaternion(
+        hyperbolic_derivative_many(fs, qarray.from_quaternion(p)))
+
+
+def quotient_chain(f, points) -> list:
+    """The quotients f^{1}, ..., f^{n} of the fold f^{k} = (f^{k-1})*_{p_k}."""
+    points = [Quaternion(p) if isinstance(p, (int, float)) else p
+              for p in points]
+    if not points:
+        raise ValueError("iterated_quotient needs at least one point")
+    chain = []
+    cur = f
+    for p in points:
+        if chain and chain[-1].is_unimodular_constant:
+            # further quotients of a unimodular constant stay that constant
+            hq = chain[-1]
+            chain.append(HyperbolicQuotient(cur, p, hq.result,
+                                            hq.unimodular_value))
+            continue
+        cur = hyperbolic_quotient(cur, p)
+        chain.append(cur)
+    return chain
 
 
 def iterated_quotient(f, points) -> HyperbolicQuotient:
     """Fold of hyperbolic quotients f^{n} = (f^{n-1})*_{p_n}."""
-    points = list(points)
-    if not points:
-        raise ValueError("iterated_quotient needs at least one point")
-    cur = f
-    hq = None
-    for p in points:
-        if hq is not None and hq.is_unimodular_constant:
-            # further quotients of a unimodular constant stay that constant
-            hq = HyperbolicQuotient(cur, Quaternion(p) if isinstance(
-                p, (int, float)) else p, hq.result, hq.unimodular_value)
-            continue
-        hq = hyperbolic_quotient(cur, p)
-        cur = hq
-    return hq
+    return quotient_chain(f, points)[-1]
 
 
 # -- closed-form bounds -----------------------------------------------
 
 
-def dieudonne_rhs(q0: Quaternion, fq0: Quaternion):
+def _scalar_or_array(x):
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _in_unit_interval(x, closed=False) -> bool:
+    x = np.asarray(x, dtype=float)
+    return bool(np.all((x >= 0.0) & ((x <= 1.0) if closed else (x < 1.0))))
+
+
+# Each bound takes scalars (Quaternion points, float moduli) or arrays of
+# samples, and then answers elementwise.
+
+
+def dieudonne_rhs(q0, fq0):
     """Euclidean disk guaranteed to contain f^h(q0) when f(0) = 0.
 
     Returns (center, radius) with center alpha^{-1} q0^{-1} f(q0) and
-    radius (|q0|^2 - |f(q0)|^2) / (|q0| (1 - |f(q0)|^2)).
+    radius (|q0|^2 - |f(q0)|^2) / (|q0| (1 - |f(q0)|^2)).  Quaternion
+    inputs give a Quaternion and a float; (..., 4) arrays give arrays.
     """
-    if abs(q0) <= 1e-13:
+    q, w = (qarray.from_quaternion(x) if isinstance(x, Quaternion)
+            else qarray.as_qarray(x) for x in (q0, fq0))
+    a0, b0 = qarray.qnorm(q), qarray.qnorm(w)
+    if np.any(a0 <= 1e-13):
         raise DegenerateAtZero("bound degenerates at q0 = 0")
-    if abs(q0) >= 1.0 or abs(fq0) >= 1.0:
+    if not (_in_unit_interval(a0) and _in_unit_interval(b0)):
         raise ValueError("q0 and f(q0) must lie inside the unit ball")
-    a0, b0 = abs(q0), abs(fq0)
     alpha = (1.0 - b0 * b0) / (1.0 - a0 * a0)
-    center = (q0.inverse() * fq0) / alpha
+    center = qarray.qmul(qarray.qinv(q), w) / np.asarray(alpha)[..., None]
     radius = (a0 * a0 - b0 * b0) / (a0 * (1.0 - b0 * b0))
+    if center.ndim == 1:
+        return qarray.to_quaternion(center), float(radius)
     return center, radius
 
 
-def dieudonne_sup_rhs(q0abs: float, alpha: float) -> float:
+def dieudonne_sup_rhs(q0abs, alpha):
     """Upper bound for |f^h(q0)|; branches at |q0| = sqrt(2) - 1."""
-    if not 0.0 <= q0abs < 1.0:
+    if not _in_unit_interval(q0abs):
         raise ValueError("q0abs must be in [0, 1)")
-    if alpha <= 0.0:
+    if not np.all(np.asarray(alpha) > 0.0):
         raise ValueError("alpha must be positive")
-    if q0abs <= math.sqrt(2.0) - 1.0:
-        return 1.0 / alpha
-    r2 = q0abs * q0abs
-    return (1.0 + r2) ** 2 / (4.0 * q0abs * (1.0 - r2)) / alpha
+    r = np.asarray(q0abs, dtype=float)
+    r2 = r * r
+    with np.errstate(divide="ignore"):
+        above = (1.0 + r2) ** 2 / (4.0 * r * (1.0 - r2))
+    return _scalar_or_array(
+        np.where(r <= math.sqrt(2.0) - 1.0, 1.0, above) / alpha)
 
 
-def goluzin_rhs(dc0: float, q0abs: float) -> float:
+def goluzin_rhs(dc0, q0abs):
     """Upper bound for |f^h(q0)| in terms of |d/dq f(0)| when f(0) = 0."""
-    if not 0.0 <= dc0 <= 1.0 or not 0.0 <= q0abs < 1.0:
+    if not (_in_unit_interval(dc0, closed=True)
+            and _in_unit_interval(q0abs)):
         raise ValueError("need dc0 in [0,1] and q0abs in [0,1)")
-    t = 2.0 * q0abs / (1.0 + q0abs * q0abs)
-    return (dc0 + t) / (1.0 + dc0 * t)
+    r = np.asarray(q0abs, dtype=float)
+    t = 2.0 * r / (1.0 + r * r)
+    return _scalar_or_array((dc0 + t) / (1.0 + dc0 * t))
 
 
-def balpha_bounds(alpha: float, qabs: float):
+def balpha_bounds(alpha, qabs):
     """(lo, hi) with lo <= Re f^h(q) and |f^h(q)| <= hi for f(0)=0,
     f'(0) = alpha in [0, 1); also valid for f*_q(conj q)."""
-    if not 0.0 <= alpha < 1.0 or not 0.0 <= qabs < 1.0:
+    if not (_in_unit_interval(alpha) and _in_unit_interval(qabs)):
         raise ValueError("need alpha in [0,1) and qabs in [0,1)")
-    r = qabs
+    r = np.asarray(qabs, dtype=float)
     lo = (alpha * r * r - 2.0 * r + alpha) / (r * r - 2.0 * alpha * r + 1.0)
     hi = (alpha * r * r + 2.0 * r + alpha) / (r * r + 2.0 * alpha * r + 1.0)
-    return lo, hi
+    return _scalar_or_array(lo), _scalar_or_array(hi)

@@ -369,15 +369,32 @@ class SeriesFunc(FunctionExpr):
 
 def expr_to_series(e: FunctionExpr, order=None, r_max=0.95,
                    tail_target=1e-12, max_order=512) -> TaylorSeries:
-    """Lower an expression to a series; adaptive order when none is given."""
+    """Lower an expression to a series; adaptive order when none is given.
+
+    The order doubles from DEFAULT_ORDER until the tail at r_max is within
+    tail_target or the order reaches max_order.  An order at which the
+    certificate (C, g) in hand still gives a tail C (g r)^{n+1} / (1 - g r)
+    above the target is skipped unlowered; every order that is lowered is
+    judged by its own certificate.
+    """
     if order is not None:
         return e.to_series(order)
     n = se.DEFAULT_ORDER
     s = e.to_series(n)
     while s.tail_bound(r_max) > tail_target and n < max_order:
         n *= 2
+        while n < max_order and _predicted_tail(s, n, r_max) > tail_target:
+            n *= 2
         s = e.to_series(n)
     return s
+
+
+def _predicted_tail(s: TaylorSeries, n: int, r: float) -> float:
+    """The tail at |q| <= r of order n that the certificate of s predicts."""
+    tail = s.tail_bound(r)  # C t^{N+1} / (1 - t) with t = g r < 1, or inf
+    if math.isinf(tail):
+        return tail
+    return tail * (s.growth_rate * r) ** max(n - s.order, 0)
 
 
 # -- Moebius maps and Blaschke products -------------------------------

@@ -21,9 +21,10 @@ from .hyperbolic import (
     dieudonne_rhs,
     dieudonne_sup_rhs,
     goluzin_rhs,
-    hyperbolic_derivative,
+    hyperbolic_derivative_many,
     hyperbolic_quotient,
-    iterated_quotient,
+    quotient_chain,
+    quotient_on_sphere,
 )
 from .moebius import (
     Bullet,
@@ -122,6 +123,8 @@ def check_self_map(f: FunctionExpr, cfg: SamplerConfig = None):
 
 
 def _worst(points, violations):
+    if len(violations) == 0:
+        return -np.inf, ((0, 0, 0, 0),)
     idx = int(np.argmax(violations))
     return violations[idx], (points[idx].tolist(),)
 
@@ -180,8 +183,8 @@ def suite_multi(f: FunctionExpr, cfg: SamplerConfig) -> VerificationReport:
     rng = np.random.default_rng(cfg.seed + 3)
     nodes = [qarray.to_quaternion(x) for x in qarray.uniform_ball(rng, 3, 0.6)]
     worst_v, worst_in = -np.inf, ((0, 0, 0, 0),)
-    for depth in (1, 2, 3):
-        hq = iterated_quotient(f, nodes[:depth])
+    # depths 1, 2 and 3 are the prefixes of one chain of quotients
+    for hq in quotient_chain(f, nodes):
         if hq.is_unimodular_constant:
             v = np.array([abs(abs(hq.unimodular_value) - 1.0)])
             pts = points[:1]
@@ -202,71 +205,56 @@ def _require_zero_at_origin(f: FunctionExpr):
         raise ValueError("this suite requires f(0) = 0")
 
 
-def _fh_samples(f: FunctionExpr, cfg: SamplerConfig, cap=0.9):
-    """Pairs (q0, f^h(q0)) on seeded samples, via the series backend."""
-    fs = expr_to_series(f)
+def _estimate_points(cfg: SamplerConfig, cap=0.9) -> np.ndarray:
+    """Seeded samples q0 of the estimate suites, with |q0| <= 0.9."""
     rng = np.random.default_rng(cfg.seed)
-    pts = qarray.uniform_ball(rng, cfg.count, min(cap, cfg.radius_cap))
-    out = []
-    for p_arr in pts:
-        q0 = qarray.to_quaternion(p_arr)
-        out.append((q0, hyperbolic_quotient(fs, q0)))
-    return fs, out
+    return qarray.uniform_ball(rng, cfg.count, min(cap, cfg.radius_cap))
 
 
 def suite_dieudonne(f: FunctionExpr, cfg: SamplerConfig) -> VerificationReport:
     check_self_map(f)
     _require_zero_at_origin(f)
-    fs, pairs = _fh_samples(f, cfg)
-    worst_v, worst_in = -np.inf, ((0, 0, 0, 0),)
-    for q0, hq in pairs:
-        if abs(q0) < 1e-3:
-            continue
-        fh = hyperbolic_derivative(hq, q0)
-        fq0 = f.eval(q0)
-        center, radius = dieudonne_rhs(q0, fq0)
-        alpha = (1.0 - abs(fq0) ** 2) / (1.0 - abs(q0) ** 2)
-        v = max(abs(fh - center) - radius,
-                abs(fh) - dieudonne_sup_rhs(abs(q0), alpha))
-        if v > worst_v:
-            worst_v, worst_in = v, (q0.to_json(),)
-    return _report("dieudonne", cfg, worst_v, worst_in)
+    pts = _estimate_points(cfg)
+    pts = pts[qarray.qnorm(pts) >= 1e-3]
+    fh = hyperbolic_derivative_many(expr_to_series(f), pts)
+    fq0 = f.eval_many(pts)
+    center, radius = dieudonne_rhs(pts, fq0)
+    r = qarray.qnorm(pts)
+    alpha = (1.0 - qarray.qnorm2(fq0)) / (1.0 - r * r)
+    v = np.maximum(qarray.qnorm(fh - center) - radius,
+                   qarray.qnorm(fh) - dieudonne_sup_rhs(r, alpha))
+    return _report("dieudonne", cfg, *_worst(pts, v))
 
 
 def suite_goluzin(f: FunctionExpr, cfg: SamplerConfig) -> VerificationReport:
     check_self_map(f)
     _require_zero_at_origin(f)
-    fs, pairs = _fh_samples(f, cfg)
+    fs = expr_to_series(f)
+    pts = _estimate_points(cfg)
     dc0 = abs(se.evaluate(se.cullen_derivative(fs), Quaternion(0.0))[0])
     dc0 = min(dc0, 1.0)
-    worst_v, worst_in = -np.inf, ((0, 0, 0, 0),)
-    for q0, hq in pairs:
-        fh = hyperbolic_derivative(hq, q0)
-        v = abs(fh) - goluzin_rhs(dc0, abs(q0))
-        if v > worst_v:
-            worst_v, worst_in = v, (q0.to_json(),)
-    return _report("goluzin", cfg, worst_v, worst_in)
+    fh = hyperbolic_derivative_many(fs, pts)
+    v = qarray.qnorm(fh) - goluzin_rhs(dc0, qarray.qnorm(pts))
+    return _report("goluzin", cfg, *_worst(pts, v))
 
 
 def suite_balpha(f: FunctionExpr, cfg: SamplerConfig) -> VerificationReport:
     check_self_map(f)
     _require_zero_at_origin(f)
-    fs, pairs = _fh_samples(f, cfg)
+    fs = expr_to_series(f)
+    pts = _estimate_points(cfg)
     a0 = se.evaluate(se.cullen_derivative(fs), Quaternion(0.0))[0]
     if not a0.is_real(1e-9) or not 0.0 <= a0.re < 1.0:
         raise ValueError("balpha suite requires real derivative at 0 in [0,1)")
     alpha = max(a0.re, 0.0)
-    worst_v, worst_in = -np.inf, ((0, 0, 0, 0),)
-    for q0, hq in pairs:
-        fh = hyperbolic_derivative(hq, q0)
-        lo, hi = balpha_bounds(alpha, abs(q0))
-        v = max(lo - fh.re, abs(fh) - hi)
-        if abs(q0) > 1e-3:
-            star = hq.eval_series(q0.conj())
-            v = max(v, lo - star.re, abs(star) - hi)
-        if v > worst_v:
-            worst_v, worst_in = v, (q0.to_json(),)
-    return _report("balpha", cfg, worst_v, worst_in)
+    # f^h(q0) = f*_q0(q0), and f*_q0(conj q0) where |q0| > 1e-3
+    fh, star = quotient_on_sphere(fs, pts)
+    r = qarray.qnorm(pts)
+    lo, hi = balpha_bounds(alpha, r)
+    v = np.maximum(lo - fh[:, 0], qarray.qnorm(fh) - hi)
+    v_star = np.maximum(lo - star[:, 0], qarray.qnorm(star) - hi)
+    v = np.where(r > 1e-3, np.maximum(v, v_star), v)
+    return _report("balpha", cfg, *_worst(pts, v))
 
 
 # -- backend cross-check ----------------------------------------------

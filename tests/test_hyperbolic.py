@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from slicereg import qarray, series as se
-from slicereg.errors import DegenerateAtZero
+from slicereg import hyperbolic
+from slicereg.errors import DegenerateAtZero, SingularDenominator
 from slicereg.hyperbolic import (
     BallSpec,
     balpha_bounds,
@@ -13,9 +14,12 @@ from slicereg.hyperbolic import (
     dieudonne_sup_rhs,
     goluzin_rhs,
     hyperbolic_derivative,
+    hyperbolic_derivative_many,
     hyperbolic_quotient,
     iterated_quotient,
     pseudo_ball_to_euclidean,
+    quotient_chain,
+    quotient_on_sphere,
     rho,
 )
 from slicereg.moebius import (
@@ -25,6 +29,7 @@ from slicereg.moebius import (
     SeriesFunc,
     expr_to_series,
 )
+from slicereg.verify import random_series_self_map
 from slicereg.quaternion import I, J, K, ONE, Quaternion, ZERO
 from slicereg.series import TaylorSeries
 
@@ -158,6 +163,132 @@ class TestQuotients:
         assert abs(got - expect) <= 1e-8
 
 
+def per_point_route(fs, points):
+    """f*_p(p) and f*_p(conj p) from one quotient series per point."""
+    at_p, at_conj = [], []
+    for row in points:
+        p = qarray.to_quaternion(row)
+        hq = hyperbolic_quotient(fs, p)
+        at_p.append(hq.eval_series(p).components())
+        at_conj.append(hq.eval_series(p.conj()).components())
+    return np.array(at_p), np.array(at_conj)
+
+
+def stem_test_maps():
+    """An exact order-12 series and an order-512 lowered Blaschke tree."""
+    rng = np.random.default_rng(7)
+    tree = BlaschkeProduct([Quaternion(0.3, 0.2),
+                            Quaternion(-0.2, 0.0, 0.3, 0.1),
+                            Quaternion(0.1, -0.4, 0.2, 0.0)],
+                           u=Quaternion(0.6, 0.0, 0.0, 0.8)).to_expr()
+    lowered = expr_to_series(tree)
+    assert lowered.order == 512 and not lowered.exact
+    return [random_series_self_map(rng, 12), lowered]
+
+
+class TestStemDerivative:
+    def test_matches_per_point_route(self):
+        rng = np.random.default_rng(8)
+        for fs in stem_test_maps():
+            pts = qarray.uniform_ball(rng, 25, 0.9)
+            got_p, got_conj = quotient_on_sphere(fs, pts)
+            want_p, want_conj = per_point_route(fs, pts)
+            assert np.abs(got_p - want_p).max() <= 1e-12
+            assert np.abs(got_conj - want_conj).max() <= 1e-12
+            assert np.array_equal(hyperbolic_derivative_many(fs, pts), got_p)
+
+    def test_origin_real_and_nearly_real_points(self):
+        pts = np.array([[0.0, 0.0, 0.0, 0.0],
+                        [0.45, 0.0, 0.0, 0.0],
+                        [-0.7, 0.0, 0.0, 0.0],
+                        [0.3, 1e-9, 0.0, 0.0],
+                        [-0.5, 0.0, -6e-10, 8e-10]])
+        for fs in stem_test_maps():
+            got_p, got_conj = quotient_on_sphere(fs, pts)
+            want_p, want_conj = per_point_route(fs, pts)
+            assert np.abs(got_p - want_p).max() <= 1e-12
+            assert np.abs(got_conj - want_conj).max() <= 1e-12
+            # at the origin f^h(0) = f'(0) / (1 - |f(0)|^2)
+            expect = fs.coefficient(1) / (1.0 - fs.coefficient(0).abs2())
+            assert np.abs(got_p[0] - expect.components()).max() <= 1e-12
+
+    def test_zero_of_f(self):
+        # when f(p) = 0: f*_p(conj p) = (1 - conj(p)^2) d_S f(p) and
+        # f*_p(p) = (1 - |p|^2) f'(p)
+        p = Quaternion(0.3, 0.2, -0.1, 0.25)
+        f = expr_to_series(Moebius(p), order=256)
+        got_p, got_conj = quotient_on_sphere(f, qarray.from_quaternion(p))
+        ds = se.spherical_derivative(f, p)
+        expect = (ONE - p.conj() * p.conj()) * ds
+        assert np.abs(got_conj - expect.components()).max() <= 1e-12
+        dc, _ = se.evaluate(se.cullen_derivative(f), p)
+        expect = dc * (1.0 - p.abs2())
+        assert np.abs(got_p - expect.components()).max() <= 1e-12
+
+    def test_scalar_form(self):
+        fs = stem_test_maps()[0]
+        p = Quaternion(0.2, -0.3, 0.1, 0.4)
+        many = hyperbolic_derivative_many(fs, qarray.from_quaternion(p, (1,)))
+        assert hyperbolic_derivative(fs, p).components() == \
+            tuple(many[0])
+        # a HyperbolicQuotient stands for its own point
+        hq = hyperbolic_quotient(fs, p)
+        assert hyperbolic_derivative(hq, ZERO) == hyperbolic_derivative(fs, p)
+
+    def test_unimodular_returns_u(self):
+        u = Quaternion(0.6, 0.0, 0.8, 0.0)
+        assert hyperbolic_derivative(TaylorSeries.constant(u),
+                                     Quaternion(0.2, 0.1)) == u
+        hq = hyperbolic_quotient(TaylorSeries.identity(), Quaternion(0.3, 0.2))
+        assert hq.is_unimodular_constant
+        assert hyperbolic_derivative(hq, Quaternion(0.3, 0.2)) == \
+            hq.unimodular_value
+
+    def test_singular_denominator(self):
+        with pytest.raises(SingularDenominator):
+            hyperbolic_derivative_many(TaylorSeries.constant(J),
+                                       np.zeros((3, 4)))
+
+
+class TestBoundArrays:
+    def test_array_forms_equal_scalar_forms(self):
+        rng = np.random.default_rng(9)
+        q0 = qarray.uniform_ball(rng, 50, 0.9)
+        fq0 = qarray.uniform_ball(rng, 50, 0.9)
+        r = qarray.qnorm(q0)
+        alpha = rng.uniform(0.1, 3.0, 50)
+        dc0 = rng.uniform(0.0, 1.0, 50)
+        a = rng.uniform(0.0, 0.99, 50)
+        center, radius = dieudonne_rhs(q0, fq0)
+        sup = dieudonne_sup_rhs(r, alpha)
+        gol = goluzin_rhs(dc0, r)
+        lo, hi = balpha_bounds(a, r)
+        for k in range(50):
+            c, rad = dieudonne_rhs(qarray.to_quaternion(q0[k]),
+                                   qarray.to_quaternion(fq0[k]))
+            assert c.components() == tuple(center[k]) and rad == radius[k]
+            assert dieudonne_sup_rhs(r[k], alpha[k]) == sup[k]
+            assert goluzin_rhs(dc0[k], r[k]) == gol[k]
+            assert balpha_bounds(a[k], r[k]) == (lo[k], hi[k])
+
+    def test_scalar_forms_return_floats(self):
+        c, rad = dieudonne_rhs(Quaternion(0.4), Quaternion(0.16))
+        assert isinstance(c, Quaternion) and type(rad) is float
+        assert type(dieudonne_sup_rhs(0.5, 1.0)) is float
+        assert type(goluzin_rhs(0.2, 0.5)) is float
+        assert all(type(x) is float for x in balpha_bounds(0.2, 0.5))
+
+    def test_arrays_are_validated(self):
+        with pytest.raises(DegenerateAtZero):
+            dieudonne_rhs(np.zeros((2, 4)), np.zeros((2, 4)))
+        with pytest.raises(ValueError):
+            dieudonne_sup_rhs(np.array([0.2, 1.0]), 1.0)
+        with pytest.raises(ValueError):
+            goluzin_rhs(np.array([0.2, 1.5]), 0.3)
+        with pytest.raises(ValueError):
+            balpha_bounds(0.2, np.array([0.2, -0.1]))
+
+
 class TestIterated:
     def test_square_twice_at_origin(self):
         hq = iterated_quotient(Q2, [ZERO, ZERO])
@@ -176,6 +307,27 @@ class TestIterated:
         hq = iterated_quotient(b, [p1, p2])
         assert hq.is_unimodular_constant
         assert abs(abs(hq.unimodular_value) - 1.0) <= 1e-9
+
+    def test_chain_prefixes_are_iterated_quotients(self, rng):
+        f = BlaschkeProduct([Quaternion(0.2, 0.1), Quaternion(-0.1, 0.0, 0.2),
+                             Quaternion(0.3)]).to_expr()
+        nodes = [Quaternion(0.1), Quaternion(0.2, 0.1), Quaternion(-0.15)]
+        pts = qarray.uniform_ball(rng, 20, 0.6)
+        for depth, hq in enumerate(quotient_chain(f, nodes), start=1):
+            ref = iterated_quotient(f, nodes[:depth])
+            assert np.array_equal(hq.eval_many(pts), ref.eval_many(pts))
+
+    def test_quotient_of_quotient_reuses_verdict(self, monkeypatch):
+        # the verdict on f.result is f's own; only the new result is probed
+        f = BlaschkeProduct([Quaternion(0.2, 0.1), Quaternion(0.3)]).to_expr()
+        hq = hyperbolic_quotient(f, Quaternion(0.1))
+        assert not hq.is_unimodular_constant
+        probed = []
+        detect = hyperbolic.detect_unimodular_constant
+        monkeypatch.setattr(hyperbolic, "detect_unimodular_constant",
+                            lambda e: probed.append(e) or detect(e))
+        hq2 = hyperbolic_quotient(hq, Quaternion(0.2, 0.1))
+        assert probed == [hq2.result]
 
     def test_extra_quotient_of_unimodular_stays_constant(self):
         hq = iterated_quotient(Q2, [ZERO, ZERO, Quaternion(0.4)])

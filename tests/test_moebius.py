@@ -276,6 +276,45 @@ class TestSeriesLowering:
         fs = expr_to_series(Moebius(p))
         assert fs.tail_bound(0.95) < 1e-10 or fs.exact
 
+    def test_skipping_orders_matches_plain_doubling(self):
+        # orders skipped on the certificate in hand change no result on the
+        # criterion-7 trees: same order, coefficients and (C, g)
+        from test_acceptance import _random_tree
+
+        def plain(e, r_max=0.95, tail_target=1e-12, max_order=512):
+            n = se.DEFAULT_ORDER
+            s = e.to_series(n)
+            while s.tail_bound(r_max) > tail_target and n < max_order:
+                n *= 2
+                s = e.to_series(n)
+            return s
+
+        rng = np.random.default_rng(55)
+        for _ in range(200):
+            tree = _random_tree(rng, int(rng.integers(1, 5)))
+            a, b = plain(tree), expr_to_series(tree)
+            assert a.order == b.order and a.exact == b.exact
+            assert np.array_equal(a.coeffs, b.coeffs)
+            assert (a.coeff_bound, a.growth_rate) == \
+                (b.coeff_bound, b.growth_rate)
+
+    def test_hopeless_orders_are_not_lowered(self):
+        # a Blaschke tree whose fitted g is 1.01 misses the 1e-12 target at
+        # r = 0.95 at every order below 512, so only 64 and 512 are lowered
+        tree = BlaschkeProduct([Quaternion(0.3, 0.2),
+                                Quaternion(-0.2, 0.0, 0.3, 0.1)]).to_expr()
+        assert tree.to_series(64).growth_rate >= 1.01
+        orders = []
+
+        class Recorded(mo.FunctionExpr):
+            def to_series(self, order=se.DEFAULT_ORDER):
+                orders.append(order)
+                return tree.to_series(order)
+
+        fs = expr_to_series(Recorded())
+        assert orders == [64, 512]
+        assert fs.order == 512
+
 
 class TestBlaschke:
     def test_degree_one_zero_factor_is_identity(self, rng):
