@@ -313,9 +313,10 @@ def hyperbolic_derivative(f, p: Quaternion, tail_target=1e-10,
 
     A HyperbolicQuotient stands for its own quotient: the result is the
     hyperbolic derivative of its base at its point.  An expression is
-    lowered by doubling its order until the tail at |p| is within
-    ``tail_target`` or the order reaches ``max_order``.  A unimodular
-    constant u (or a unimodular quotient) gives u.
+    lowered by :func:`~slicereg.moebius.expr_to_series` so that the tails
+    of f and of its derivative at |p| are within ``tail_target`` where
+    ``max_order`` allows.  A unimodular constant u (or a unimodular
+    quotient) gives u.
     """
     if isinstance(p, (int, float)):
         p = Quaternion(p)
@@ -323,8 +324,12 @@ def hyperbolic_derivative(f, p: Quaternion, tail_target=1e-10,
         if f.is_unimodular_constant:
             return f.unimodular_value
         f, p = f.base, f.p
+    # f^h reads F' at |p|: a tail within tail_target * (rho - |p|) on
+    # |q| <= rho has, by Cauchy, a derivative within tail_target at |p|
+    r = abs(p)
+    rho = 0.5 * (1.0 + r)
     fs = f if isinstance(f, TaylorSeries) else expr_to_series(
-        f, r_max=abs(p), tail_target=tail_target, max_order=max_order)
+        f, r_max=rho, tail_target=tail_target * (rho - r), max_order=max_order)
     u = _series_unimodular_constant(fs)
     if u is not None:
         return u

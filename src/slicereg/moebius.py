@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from . import qarray, series as se
-from .errors import SingularDenominator, SingularPoint
+from .errors import SingularDenominator, SingularPoint, SliceRegError
 from .quaternion import Quaternion
 from .series import TaylorSeries
 
@@ -367,18 +367,118 @@ class SeriesFunc(FunctionExpr):
         return f"SeriesFunc({self.series!r})"
 
 
+# Cauchy certificates: radii tried largest first, samples per circle, how
+# many Laurent coefficients c_{-1} ... c_{-K} must vanish relative to the
+# largest coefficient for F to count as analytic on the closed disc, and
+# the margin on the sampled maximum M (20x the largest gap to an
+# 8192-sample maximum seen on the criterion-7 and criterion-8 trees)
+_CAUCHY_RADII = (3.0, 2.0, 1.6, 1.35, 1.2, 1.1, 1.05)
+_CAUCHY_SAMPLES = 256
+_LAURENT_TERMS = 64
+_LAURENT_TOL = 1e-13
+_CAUCHY_SLACK = 0.05
+
+
+def _pole_radius(e: FunctionExpr):
+    """None when e has a node other than the rational ones (a series leaf);
+    else the smallest radius 1/|p| at which a Moebius factor M_p puts poles
+    on the stem of e, or inf.  Poles under a Bullet or StarInv are not
+    counted, since those nodes can cancel them; one counted here that a
+    product cancels only costs a smaller R.
+    """
+    if isinstance(e, (Const, Identity)):
+        return math.inf
+    if isinstance(e, Moebius):
+        return 1.0 / abs(e.p) if abs(e.p) > 0.0 else math.inf
+    if isinstance(e, (Sum, StarMul)):
+        left, right = _pole_radius(e.left), _pole_radius(e.right)
+        return None if left is None or right is None else min(left, right)
+    if isinstance(e, Conj):
+        return _pole_radius(e.inner)
+    if isinstance(e, (StarInv, Bullet)):
+        return None if _pole_radius(e.inner) is None else math.inf
+    return None
+
+
+def _cauchy_radius(e: FunctionExpr, poles, r_max):
+    """(R, M) for the largest ladder radius r_max < R < poles on which the
+    stem F of e is analytic, with M the largest |F| over the samples of
+    |z| = R.
+
+    A radius counts when F is finite at every sample, no sample is singular
+    and the Laurent part of F on the circle, read off its FFT, vanishes; a
+    singularity inside the circle, or aliasing of a slowly decaying series,
+    shows there.  Returns None when no radius counts.  M is a sampled
+    maximum, so the Cauchy estimate |a_m| <= M R^{-m} is a sampled one.
+    Stems satisfy F(conj z) = conj F(z), with conj the complex conjugate
+    of each component, so only the upper half circle is evaluated.
+    """
+    half = _CAUCHY_SAMPLES // 2
+    roots = np.exp(1j * np.pi * np.arange(half + 1) / half)
+    for radius in _CAUCHY_RADII:
+        if radius <= r_max:
+            break
+        if radius >= poles:
+            continue
+        try:
+            with np.errstate(all="ignore"):
+                F = e.eval_many(radius * roots)
+        except SliceRegError:
+            continue
+        if not np.all(np.isfinite(F)):
+            continue
+        c = np.linalg.norm(np.fft.fft(
+            np.concatenate([F, F[-2:0:-1].conj()]), axis=0), axis=1)
+        if np.all(c[-_LAURENT_TERMS:] <= _LAURENT_TOL * c.max()):
+            return radius, float(np.linalg.norm(F, axis=1).max())
+    return None
+
+
+def _cauchy_order(bound, radius, r, tail_target, max_order) -> int:
+    """Smallest order n >= 1 (at most max_order) whose tail at |q| <= r
+    under |a_m| <= bound R^{-m}, bound t^{n+1} / (1 - t) with t = r / R, is
+    within tail_target.  n = 1 when bound = 0 (F = 0) or r = 0.
+    """
+    t = r / radius
+    n = np.arange(1, max_order + 1)
+    ok = bound * t ** (n + 1) / (1.0 - t) <= tail_target
+    return int(n[ok.argmax()]) if ok.any() else max_order
+
+
 def expr_to_series(e: FunctionExpr, order=None, r_max=0.95,
                    tail_target=1e-12, max_order=512) -> TaylorSeries:
-    """Lower an expression to a series; adaptive order when none is given.
+    """Lower an expression to a series; the order is chosen when none is given.
 
-    The order doubles from DEFAULT_ORDER until the tail at r_max is within
-    tail_target or the order reaches max_order.  An order at which the
-    certificate (C, g) in hand still gives a tail C (g r)^{n+1} / (1 - g r)
-    above the target is skipped unlowered; every order that is lowered is
-    judged by its own certificate.
+    A tree of rational nodes whose stem F is analytic on a circle |z| = R
+    of the :func:`_cauchy_radius` ladder gets the sampled Cauchy certificate
+    (C, g) = (M (1 + slack), 1/R).  It is lowered once, at the order that
+    :func:`_cauchy_order` gives for r_max, and the series constructor checks
+    every computed coefficient against that certificate.  Exact results are
+    returned as they are.
+
+    Any other tree, or one whose coefficients break the certificate, keeps
+    a fitted certificate: the order doubles from DEFAULT_ORDER until the
+    tail at r_max is within tail_target or the order reaches max_order.  An
+    order at which the certificate (C, g) in hand still gives a tail
+    C (g r)^{n+1} / (1 - g r) above the target is skipped unlowered; every
+    order that is lowered is judged by its own certificate.
     """
     if order is not None:
         return e.to_series(order)
+    poles = _pole_radius(e)
+    found = None if poles is None else _cauchy_radius(e, poles, r_max)
+    if found is not None:
+        radius, m = found
+        bound = m * (1.0 + _CAUCHY_SLACK)
+        s = e.to_series(_cauchy_order(bound, radius, r_max, tail_target,
+                                      max_order))
+        if s.exact:
+            return s
+        try:
+            return TaylorSeries(s.coeffs, bound, 1.0 / radius,
+                                certificate="cauchy-sampled")
+        except ValueError:
+            pass
     n = se.DEFAULT_ORDER
     s = e.to_series(n)
     while s.tail_bound(r_max) > tail_target and n < max_order:

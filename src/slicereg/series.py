@@ -5,7 +5,10 @@ A series sum_m q^m a_m (left powers, right coefficients) is stored as an
 |a_m| <= C * g**m for every m, including the truncated tail.  Certificates
 for derived series are fitted from the computed coefficients with a safety
 margin; constructors with known geometry (constants, Moebius factors) carry
-exact ones.
+exact ones.  ``certificate`` says where (C, g) came from: ``exact`` (a
+polynomial, no tail), ``cauchy-sampled`` (a Cauchy estimate from sampled
+values of the stem, set by :func:`slicereg.moebius.expr_to_series`) or
+``fitted`` (fitted from the coefficients, or given by the caller).
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ DEFAULT_ORDER = 64
 _SAFETY_C = 4.0
 _SAFETY_G = 1.01
 _CERT_SLACK = 1e-9
+_CERTIFICATES = ("exact", "cauchy-sampled", "fitted")
 
 
 def _fit_certificate(coeffs: np.ndarray):
@@ -64,9 +68,10 @@ def _fit_certificate(coeffs: np.ndarray):
 class TaylorSeries:
     """Immutable truncated power series with quaternion coefficients."""
 
-    __slots__ = ("coeffs", "coeff_bound", "growth_rate", "exact")
+    __slots__ = ("coeffs", "coeff_bound", "growth_rate", "exact", "certificate")
 
-    def __init__(self, coeffs, coeff_bound=None, growth_rate=None, exact=False):
+    def __init__(self, coeffs, coeff_bound=None, growth_rate=None, exact=False,
+                 certificate="fitted"):
         coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
         if coeffs.shape[-1] != 4 or coeffs.ndim != 2 or coeffs.shape[0] < 1:
             raise ValueError("coeffs must be an (N+1, 4) array, N >= 0")
@@ -78,6 +83,8 @@ class TaylorSeries:
             coeff_bound, growth_rate = _fit_certificate(coeffs)
         if coeff_bound < 0 or growth_rate < 0:
             raise ValueError("certificate constants must be nonnegative")
+        if certificate not in _CERTIFICATES:
+            raise ValueError(f"unknown certificate kind {certificate!r}")
         norms = np.linalg.norm(coeffs, axis=1)
         caps = coeff_bound * growth_rate ** np.arange(len(norms))
         if np.any(norms > caps + _CERT_SLACK * max(1.0, norms.max(initial=0.0))):
@@ -87,6 +94,8 @@ class TaylorSeries:
         object.__setattr__(self, "growth_rate", float(growth_rate))
         # exact means the function IS this polynomial: zero truncation tail
         object.__setattr__(self, "exact", bool(exact))
+        object.__setattr__(self, "certificate",
+                           "exact" if exact else certificate)
 
     def __setattr__(self, name, value):
         raise AttributeError("TaylorSeries is immutable")
@@ -218,7 +227,8 @@ def conjugate(f: TaylorSeries) -> TaylorSeries:
     """Regular conjugate: conjugate every coefficient."""
     coeffs = f.coeffs.copy()
     coeffs[:, 1:] = -coeffs[:, 1:]
-    return TaylorSeries(coeffs, f.coeff_bound, f.growth_rate, f.exact)
+    return TaylorSeries(coeffs, f.coeff_bound, f.growth_rate, f.exact,
+                        f.certificate)
 
 
 def symmetrize(f: TaylorSeries, tol=1e-12) -> TaylorSeries:

@@ -151,6 +151,21 @@ class TestQuotients:
         expect = se.cullen_derivative(f).coefficient(0)
         assert abs(got - expect) <= 1e-10
 
+    def test_expression_near_zero(self):
+        # an expression is lowered so that the tail of f' at |p| is within
+        # the target; at p = 0, f^h(0) = a_1 / (1 - |a_0|^2)
+        tree = BlaschkeProduct([Quaternion(0.3, 0.2),
+                                Quaternion(-0.2, 0.0, 0.3, 0.1)],
+                               u=Quaternion(0.6, 0.0, 0.0, 0.8)).to_expr()
+        ref = tree.to_series(256)
+        expect = ref.coefficient(1) / (1.0 - ref.coefficient(0).abs2())
+        assert abs(hyperbolic_derivative(tree, ZERO) - expect) <= 1e-12
+        unit = Quaternion(0.5, -0.5, 0.5, 0.5)
+        for r in (1e-6, 1e-3, 0.05, 0.3):
+            p = unit * r
+            got = hyperbolic_derivative(tree, p)
+            assert abs(got - hyperbolic_derivative(ref, p)) <= 1e-10
+
     def test_value_at_conjugate_point(self):
         # when f(p) = 0 the quotient at conj(p) collapses to
         # (1 - conj(p)^2) d_S f(p)
@@ -181,7 +196,7 @@ def stem_test_maps():
                             Quaternion(-0.2, 0.0, 0.3, 0.1),
                             Quaternion(0.1, -0.4, 0.2, 0.0)],
                            u=Quaternion(0.6, 0.0, 0.0, 0.8)).to_expr()
-    lowered = expr_to_series(tree)
+    lowered = expr_to_series(tree, order=512)
     assert lowered.order == 512 and not lowered.exact
     return [random_series_self_map(rng, 12), lowered]
 

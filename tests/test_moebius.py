@@ -278,7 +278,8 @@ class TestSeriesLowering:
 
     def test_skipping_orders_matches_plain_doubling(self):
         # orders skipped on the certificate in hand change no result on the
-        # criterion-7 trees: same order, coefficients and (C, g)
+        # fitted route, taken by the criterion-7 trees with a series leaf:
+        # same order, coefficients and (C, g)
         from test_acceptance import _random_tree
 
         def plain(e, r_max=0.95, tail_target=1e-12, max_order=512):
@@ -291,18 +292,20 @@ class TestSeriesLowering:
 
         rng = np.random.default_rng(55)
         for _ in range(200):
-            tree = _random_tree(rng, int(rng.integers(1, 5)))
+            tree = with_series_leaf(_random_tree(rng, int(rng.integers(1, 5))))
             a, b = plain(tree), expr_to_series(tree)
+            assert b.certificate in ("exact", "fitted")
             assert a.order == b.order and a.exact == b.exact
             assert np.array_equal(a.coeffs, b.coeffs)
             assert (a.coeff_bound, a.growth_rate) == \
                 (b.coeff_bound, b.growth_rate)
 
     def test_hopeless_orders_are_not_lowered(self):
-        # a Blaschke tree whose fitted g is 1.01 misses the 1e-12 target at
-        # r = 0.95 at every order below 512, so only 64 and 512 are lowered
-        tree = BlaschkeProduct([Quaternion(0.3, 0.2),
-                                Quaternion(-0.2, 0.0, 0.3, 0.1)]).to_expr()
+        # a Blaschke tree with a series leaf, whose fitted g is 1.01, misses
+        # the 1e-12 target at r = 0.95 at every order below 512, so only 64
+        # and 512 are lowered
+        tree = with_series_leaf(BlaschkeProduct(
+            [Quaternion(0.3, 0.2), Quaternion(-0.2, 0.0, 0.3, 0.1)]).to_expr())
         assert tree.to_series(64).growth_rate >= 1.01
         orders = []
 
@@ -313,7 +316,85 @@ class TestSeriesLowering:
 
         fs = expr_to_series(Recorded())
         assert orders == [64, 512]
-        assert fs.order == 512
+        assert fs.order == 512 and fs.certificate == "fitted"
+
+
+def with_series_leaf(tree):
+    """The same function with a series leaf, so lowering takes the fitted
+    route."""
+    return StarMul(SeriesFunc(TaylorSeries.constant(ONE)), tree)
+
+
+@pytest.fixture(scope="module")
+def criterion_7_lowered():
+    """The criterion-7 trees (seed 55) with their adaptive lowerings."""
+    from test_acceptance import _random_tree
+    rng = np.random.default_rng(55)
+    trees = [_random_tree(rng, int(rng.integers(1, 5))) for _ in range(500)]
+    return [(tree, expr_to_series(tree)) for tree in trees]
+
+
+class TestCauchyCertificate:
+    def test_certificates_hold_at_order_1024(self, criterion_7_lowered):
+        # every sampled Cauchy certificate bounds the coefficients of an
+        # order-1024 recursive lowering (the first 100 such trees: 1024
+        # costs about 25 ms a tree)
+        certified = [(tree, s) for tree, s in criterion_7_lowered
+                     if s.certificate == "cauchy-sampled"][:100]
+        assert len(certified) == 100
+        for tree, s in certified:
+            norms = tree.to_series(1024).coefficient_norms()
+            caps = s.coeff_bound * s.growth_rate ** np.arange(len(norms))
+            assert np.all(norms <= caps), repr(tree)
+            assert s.growth_rate < 1.0
+            assert np.allclose(tree.to_series(s.order).coeffs, s.coeffs,
+                               rtol=0.0, atol=1e-14)
+
+    def test_tails_meet_target(self, criterion_7_lowered):
+        kinds = [s.certificate for _, s in criterion_7_lowered]
+        assert set(kinds) == {"exact", "cauchy-sampled", "fitted"}
+        met = sum(s.tail_bound(0.95) <= 1e-12 for _, s in criterion_7_lowered)
+        assert met >= 475
+        # one lowering each, at the order the certificate asks for
+        orders = [s.order for _, s in criterion_7_lowered
+                  if s.certificate == "cauchy-sampled"]
+        assert np.mean(orders) < 128
+
+    def test_radius_stays_inside_singularity(self):
+        # M_p has its pole on |z| = 1/|p| = 2, so R = 1.6: the rungs at and
+        # past the pole are skipped, and R = 1.6 leaves no Laurent part
+        s = expr_to_series(Moebius(Quaternion(0.5)))
+        assert s.certificate == "cauchy-sampled"
+        assert s.growth_rate == 1.0 / 1.6
+        assert s.tail_bound(0.95) <= 1e-12
+
+    def test_no_radius_takes_fitted_route(self):
+        # singular at 1/0.9 = 1.11: R = 1.1 and 1.05 leave too slow a decay
+        # for 256 samples, so no ladder radius counts and the doubling loop
+        # keeps the factor's own (C, g) = (0.9, 0.9)
+        s = expr_to_series(Moebius(Quaternion(0.9)))
+        assert s.certificate == "fitted" and s.growth_rate == 0.9
+        assert s.order == 256 and s.tail_bound(0.95) <= 1e-12
+
+    def test_exact_trees_stay_exact(self):
+        s = expr_to_series(StarMul(Sum(Identity(), Const(J)), Conj(Identity())))
+        assert s.exact and s.certificate == "exact"
+
+    def test_vanishing_stem(self):
+        # F = 0, so M = 0: the lowest order and a zero tail
+        s = expr_to_series(Bullet(Quaternion(0.2), Const(Quaternion(0.2))))
+        assert s.certificate == "cauchy-sampled" and s.coeff_bound == 0.0
+        assert s.order == 1 and not np.any(s.coeffs)
+        assert s.tail_bound(0.95) == 0.0
+
+    def test_zero_radius(self):
+        # r_max = 0 leaves only a_0 and a_1, the value and derivative at 0
+        tree = BlaschkeProduct([Quaternion(0.3, 0.2),
+                                Quaternion(-0.2, 0.0, 0.3, 0.1)]).to_expr()
+        s = expr_to_series(tree, r_max=0.0)
+        assert s.order == 1 and s.certificate == "cauchy-sampled"
+        assert np.allclose(s.coeffs, tree.to_series(64).coeffs[:2],
+                           rtol=0.0, atol=1e-15)
 
 
 class TestBlaschke:

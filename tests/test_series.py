@@ -71,6 +71,23 @@ class TestConstruction:
         assert np.array_equal(f.coeffs, g.coeffs)
         assert g.exact
 
+    def test_certificate_kind(self):
+        coeffs = [[1, 0, 0, 0], [0.5, 0, 0, 0]]
+        assert poly(ONE, I).certificate == "exact"
+        assert TaylorSeries(coeffs).certificate == "fitted"
+        f = TaylorSeries(coeffs, 1.0, 0.5, certificate="cauchy-sampled")
+        assert f.certificate == "cauchy-sampled"
+        assert se.conjugate(f).certificate == "cauchy-sampled"
+        # an exact series has no tail to certify
+        assert TaylorSeries(coeffs, exact=True,
+                            certificate="cauchy-sampled").certificate == "exact"
+        with pytest.raises(ValueError):
+            TaylorSeries(coeffs, certificate="proven")
+        with pytest.raises(AttributeError):
+            f.certificate = "fitted"
+        # the kind is not serialised
+        assert f.to_json() == TaylorSeries(coeffs, 1.0, 0.5).to_json()
+
 
 class TestStarMul:
     def test_constants(self):
