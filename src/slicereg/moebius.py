@@ -92,9 +92,21 @@ def _scalar_stem(z) -> np.ndarray:
 
 def _stem_inverse(F, error, node) -> np.ndarray:
     """F^{-1} = F^c / n(F), raising ``error`` where n(F) = F F^c vanishes."""
-    if np.any(np.abs(qarray.qnorm2(F)) <= _SING_TOL):
+    n = qarray.qnorm2(F)
+    if np.any(np.abs(n) <= _SING_TOL):
         raise error(f"{node!r} is singular on a sample")
-    return qarray.qinv(F)
+    return qarray.qconj(F) / n[..., None]
+
+
+def _stem_action(F, p: Quaternion, node) -> np.ndarray:
+    """M_p . F = (F - p)(1 - conj(p) F)^{-1} in the closed form of
+    :func:`slicereg.qarray.moebius_action`, raising SingularDenominator where
+    its scalar denominator d = n(1 - conj(p) F) vanishes.
+    """
+    num, d = qarray.moebius_action(F, qarray.from_quaternion(p))
+    if np.any(np.abs(d) <= _SING_TOL):
+        raise SingularDenominator(f"{node!r} is singular on a sample")
+    return num / d[..., None]
 
 
 class FunctionExpr:
@@ -181,13 +193,10 @@ class Moebius(FunctionExpr):
 
     @_stem_rule
     def eval_many(self, z):
-        # (1 - z conj(p))^{-1} (z - p) u
-        p = qarray.from_quaternion(self.p)
-        den = -z[..., None] * qarray.qconj(p)
-        den[..., 0] += 1.0
-        out = qarray.qmul(_stem_inverse(den, SingularDenominator, self),
-                          _scalar_stem(z) - p)
-        return qarray.qmul(out, qarray.from_quaternion(self.u))
+        # (1 - z conj(p))^{-1} (z - p) u = (z u - p u)(1 - conj(p u) z u)^{-1}
+        # since z commutes with H and |u| = 1: this is M_{pu} . (z u)
+        u = qarray.from_quaternion(self.u)
+        return _stem_action(z[..., None] * u, self.p * self.u, self)
 
     def to_series(self, order=se.DEFAULT_ORDER):
         # a_0 = -p u and a_m = (1 - |p|^2) conj(p)^{m-1} u for m >= 1
@@ -322,12 +331,7 @@ class Bullet(FunctionExpr):
 
     @_stem_rule
     def eval_many(self, z):
-        # (F - p) (1 - conj(p) F)^{-1}
-        f = self.inner.eval_many(z)
-        p = qarray.from_quaternion(self.p)
-        den = -qarray.qmul(qarray.qconj(p), f)
-        den[..., 0] += 1.0
-        return qarray.qmul(f - p, _stem_inverse(den, SingularDenominator, self))
+        return _stem_action(self.inner.eval_many(z), self.p, self)
 
     def to_series(self, order=se.DEFAULT_ORDER):
         fs = self.inner.to_series(order)

@@ -26,6 +26,7 @@ __all__ = [
     "qrotate",
     "on_slices",
     "powers",
+    "moebius_action",
     "classical_moebius",
     "uniform_ball",
 ]
@@ -93,13 +94,6 @@ def qrotate(q, v) -> np.ndarray:
     return qmul(qmul(qinv(v), q), v)
 
 
-def one_like(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    out = np.zeros_like(a)
-    out[..., 0] = 1.0
-    return out
-
-
 def on_slices(points, stem) -> np.ndarray:
     """Values at quaternion points of the slice function with stem ``stem``.
 
@@ -127,15 +121,43 @@ def powers(q, n: int) -> np.ndarray:
     return on_slices(q, stem)
 
 
+def moebius_action(F, p):
+    """Numerator and denominator of M_p . F = (F - p)(1 - conj(p) F)^{-1}.
+
+    F is a real or complex (..., 4) array and p a real one broadcastable
+    against it.  With s = <F, p> = sum_k F_k p_k and n = n(F) = sum_k F_k^2,
+    the identity p F^c p = 2 s p - |p|^2 F gives
+
+        (F - p)(1 - conj(p) F)^{-1} = [(1 - |p|^2) F + (2 s - 1 - n) p] / d,
+
+    with d = 1 - 2 s + |p|^2 n = n(1 - conj(p) F), a real or complex scalar
+    per point.  d is summed as (1 - s)^2 + (|p|^2 n - s^2), the norms of the
+    scalar and vector parts of 1 - conj(p) F, so that it stays accurate
+    near the poles of a factor whose F and p lie on one complex line (M_r
+    with r real), where the vector part vanishes.  Returns the bracket and
+    d; the caller divides.
+    """
+    F = np.asarray(F)
+    p = np.asarray(p)
+    s = (F * p).sum(axis=-1)
+    n = (F * F).sum(axis=-1)
+    p2 = (p * p).sum(axis=-1)
+    num = (1.0 - p2)[..., None] * F + (2.0 * s - 1.0 - n)[..., None] * p
+    t = 1.0 - s
+    return num, t * t + (p2 * n - s * s)
+
+
 def classical_moebius(p, q) -> np.ndarray:
     """Classical Moebius map M_p(q) = (1 - q conj(p))^{-1} (q - p), batched.
 
     ``p`` may be a single Quaternion or an array broadcastable against q.
+    The map equals (q - p)(1 - conj(p) q)^{-1}, the closed form of
+    :func:`moebius_action`, whose denominator is |1 - conj(p) q|^2.
     """
     q = as_qarray(q)
     parr = from_quaternion(p) if isinstance(p, Quaternion) else as_qarray(p)
-    den = one_like(q) - qmul(q, qconj(parr))
-    return qmul(qinv(den), q - parr)
+    num, d = moebius_action(q, parr)
+    return num / d[..., None]
 
 
 def uniform_ball(rng: np.random.Generator, count: int, radius_cap: float) -> np.ndarray:

@@ -273,6 +273,21 @@ def star_inverse(f: TaylorSeries, order=None) -> TaylorSeries:
 _BLOCK = 32
 
 
+def _block_powers(z: np.ndarray, k: int) -> np.ndarray:
+    """z^0 ... z^{k-1} along a new last axis, by doubling products: the
+    powers below z^m times z^m give those up to z^{2m-1}.  They are built
+    along a leading axis, so that each product writes one contiguous block.
+    """
+    pw = np.empty((k,) + z.shape, dtype=np.result_type(z, 1.0))
+    pw[0] = 1.0
+    zm, m = z, 1
+    while m < k:
+        j = min(m, k - m)
+        np.multiply(pw[:j], zm, out=pw[m:m + j])
+        zm, m = zm * zm, 2 * m
+    return np.moveaxis(pw, 0, -1)
+
+
 def _horner(coeffs: np.ndarray, z) -> np.ndarray:
     """sum_m z^m a_m at complex points z, by Horner in z^K over blocks.
 
@@ -281,7 +296,7 @@ def _horner(coeffs: np.ndarray, z) -> np.ndarray:
     """
     z = np.asarray(z)
     k = min(_BLOCK, len(coeffs))
-    pw = z[..., None] ** np.arange(k)
+    pw = _block_powers(z, k)
     zk = (z * pw[..., -1])[..., None]
     nb = -(-len(coeffs) // k)
     blocks = _pad(coeffs, nb * k - 1).reshape(nb, k, 4)

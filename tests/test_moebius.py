@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from slicereg.moebius import (
 )
 from slicereg.quaternion import I, J, K, ONE, Quaternion, ZERO
 from slicereg.series import TaylorSeries
+from slicereg.verify import random_blaschke_expr
 
 
 def rand_q(rng, cap):
@@ -196,6 +198,16 @@ class TestExpressions:
         with pytest.raises(SingularDenominator):
             Bullet(0.5, Const(2.0)).eval(Quaternion(0.1, 0.2))
 
+    def test_singular_stems(self):
+        # n(1 - z conj(p)) = 1 - 2 z Re p + |p|^2 z^2 vanishes at z = 2 for
+        # p = 0.5 and at z = 2i for p = 0.5 i; n(1 - 0.5 * 2) at every z
+        with pytest.raises(SingularDenominator):
+            Moebius(0.5).eval_many(np.array([2.0 + 0j]))
+        with pytest.raises(SingularDenominator):
+            Moebius(Quaternion(0, 0.5)).eval_many(np.array([2.0j]))
+        with pytest.raises(SingularDenominator):
+            Bullet(0.5, Const(2.0)).eval_many(np.array([0.3 + 0.1j]))
+
     def test_bullet_inverse_cancellation(self, rng):
         p = Quaternion(0.2, 0.1, -0.15, 0.05)
         f = Moebius(Quaternion(0.3, -0.1, 0.2, 0.0))
@@ -227,6 +239,174 @@ class TestStemEvaluation:
         v = f.eval(Quaternion(0.1, 0.2, -0.1, 0.3))
         assert abs(v) < 1.0
         assert len(calls) == _node_count(f) == 3 * 12 + 1
+
+
+# -- exact stems ------------------------------------------------------
+
+
+class _ExactC:
+    """Exact complex number a + bi with Fraction parts."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b=0):
+        self.a, self.b = Fraction(a), Fraction(b)
+
+    def __add__(self, o):
+        return _ExactC(self.a + o.a, self.b + o.b)
+
+    def __sub__(self, o):
+        return _ExactC(self.a - o.a, self.b - o.b)
+
+    def __neg__(self):
+        return _ExactC(-self.a, -self.b)
+
+    def __mul__(self, o):
+        return _ExactC(self.a * o.a - self.b * o.b, self.a * o.b + self.b * o.a)
+
+    def inverse(self):
+        n = self.a * self.a + self.b * self.b
+        return _ExactC(self.a / n, -self.b / n)
+
+    def norm2(self) -> Fraction:
+        return self.a * self.a + self.b * self.b
+
+
+# elements of H(x)C as 4-tuples of _ExactC; the complex unit commutes with H
+
+
+def _h(q: Quaternion):
+    return tuple(_ExactC(c) for c in q.components())
+
+
+def _h_scalar(z: _ExactC):
+    return (z, _ExactC(0), _ExactC(0), _ExactC(0))
+
+
+def _h_sub(x, y):
+    return tuple(a - b for a, b in zip(x, y))
+
+
+def _h_conj(x):
+    return (x[0], -x[1], -x[2], -x[3])
+
+
+def _h_mul(x, y):
+    a0, a1, a2, a3 = x
+    b0, b1, b2, b3 = y
+    return (a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0)
+
+
+def _h_inv(x, dens):
+    """x^{-1} = x^c / n(x); |n(x)| is appended to ``dens``."""
+    n = x[0] * x[0] + x[1] * x[1] + x[2] * x[2] + x[3] * x[3]
+    dens.append(n.norm2())
+    return tuple(c * n.inverse() for c in _h_conj(x))
+
+
+def _exact_stem(e, z: _ExactC, dens):
+    """The stem of e at z in exact arithmetic, by the defining formulas
+    (F - p)(1 - conj(p) F)^{-1} of Bullet and (1 - z conj(p))^{-1}(z - p) u of
+    Moebius; the squared moduli of the inverted n(.) go to ``dens``."""
+    one = _h_scalar(_ExactC(1))
+    if isinstance(e, Const):
+        return _h(e.value)
+    if isinstance(e, Identity):
+        return _h_scalar(z)
+    if isinstance(e, Moebius):
+        p = _h(e.p)
+        den = _h_sub(one, _h_mul(_h_scalar(z), _h_conj(p)))
+        out = _h_mul(_h_inv(den, dens), _h_sub(_h_scalar(z), p))
+        return _h_mul(out, _h(e.u))
+    if isinstance(e, Bullet):
+        F = _exact_stem(e.inner, z, dens)
+        p = _h(e.p)
+        den = _h_sub(one, _h_mul(_h_conj(p), F))
+        return _h_mul(_h_sub(F, p), _h_inv(den, dens))
+    if isinstance(e, StarMul):
+        return _h_mul(_exact_stem(e.left, z, dens),
+                      _exact_stem(e.right, z, dens))
+    raise TypeError(f"no exact rule for {e!r}")
+
+
+# the radius ladder of the Cauchy certificates, where stems are evaluated
+# off the unit disc
+LADDER = (1.05, 1.2, 1.6, 2.0, 3.0)
+U = Quaternion(0.5, -0.5, 0.5, 0.5)
+P_REAL, P_IMAG = Quaternion(0.5), Quaternion(0.3, -0.4, 0.2, 0.5)
+
+
+def _interpolant_8():
+    """A non-singular n = 8 real-node interpolant of 0.95 times a degree-9
+    Blaschke product."""
+    rng = np.random.default_rng(3)
+    nodes = list(np.linspace(-0.7, 0.7, 8))
+    while True:
+        f = random_blaschke_expr(rng, 9)
+        table = build_q_table(InterpolationProblem(
+            nodes, [f.eval(Quaternion(r)) * 0.95 for r in nodes]))
+        kind = classify(table)
+        if kind.variant == "non_singular":
+            return build_solution(table, kind)
+
+
+class TestExactStems:
+    """eval_many at complex points against the defining formulas of the
+    stem rules evaluated exactly, with the error relative to max(1, |F|):
+    within 2e-15 at |z| <= 0.99 and within 2e-14 on the ladder circles,
+    where the stems grow and errors propagate through nested nodes.  Ladder
+    points with an inverted n(.) below 1e-2 in modulus are near a pole and
+    are skipped.
+    """
+
+    @staticmethod
+    def _worst(e, points):
+        worst, kept = 0.0, 0
+        for z in points:
+            dens = []
+            exact = _exact_stem(e, _ExactC(z.real, z.imag), dens)
+            if min(dens, default=1) < Fraction(1, 10 ** 4):
+                continue
+            exact = np.array([complex(float(c.a), float(c.b)) for c in exact])
+            got = e.eval_many(np.array([z]))[0]
+            err = np.linalg.norm(got - exact) / max(1.0, np.linalg.norm(exact))
+            worst, kept = max(worst, err), kept + 1
+        return worst, kept
+
+    def _check(self, e, rng, count=20, per_circle=4):
+        disc = np.concatenate([[0.0, 0.7, -0.99, 0.99j], 0.99 * np.sqrt(
+            rng.random(count)) * np.exp(1j * np.pi * rng.random(count))])
+        worst, kept = self._worst(e, disc)
+        assert kept == len(disc) and worst <= 2e-15
+        ladder = np.concatenate([
+            r * np.exp(1j * np.linspace(0.1, 3.0, per_circle)) for r in LADDER])
+        worst, kept = self._worst(e, ladder)
+        assert kept >= len(ladder) // 2 and worst <= 2e-14
+
+    @pytest.mark.parametrize("p", [P_REAL, P_IMAG, ZERO])
+    def test_moebius(self, p, rng):
+        self._check(Moebius(p, U), rng)
+
+    @pytest.mark.parametrize("p", [P_REAL, P_IMAG, ZERO])
+    def test_bullet(self, p, rng):
+        inner = StarMul(Moebius(Quaternion(0.2, 0.3, 0.0, -0.4), U),
+                        Const(Quaternion(0.1, -0.5, 0.3, 0.2)))
+        self._check(Bullet(p, inner), rng)
+
+    def test_nested_chain(self, rng):
+        e = Bullet(P_IMAG, StarMul(
+            Moebius(Quaternion(-0.4), U),
+            Bullet(-P_REAL, StarMul(
+                Moebius(Quaternion(0.1, 0.0, -0.6, 0.2)),
+                Bullet(Quaternion(0.0, 0.2, 0.1, -0.3), Identity())))))
+        self._check(e, rng)
+
+    def test_interpolant(self, rng):
+        # about 0.15 s a point in exact arithmetic
+        self._check(_interpolant_8(), rng, count=4, per_circle=2)
 
 
 class TestConjugation:

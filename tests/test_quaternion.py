@@ -133,7 +133,7 @@ class TestQArray:
     def test_qinv_roundtrip(self, rng):
         a = rng.uniform(-1, 1, (20, 4)) + 0.1
         prod = qarray.qmul(a, qarray.qinv(a))
-        assert np.abs(prod - qarray.one_like(a)).max() <= 1e-12
+        assert np.abs(prod - [1.0, 0.0, 0.0, 0.0]).max() <= 1e-12
 
     def test_json_roundtrip(self):
         q = Quaternion(0.1, -0.2, 0.3, -0.4)

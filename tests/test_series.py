@@ -231,6 +231,19 @@ class TestEvaluate:
             expect, _ = se.evaluate(f, Quaternion.from_iter(pts[m]))
             assert abs(Quaternion.from_iter(vals[m]) - expect) <= 1e-14
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 13, 31, 32])
+    def test_block_powers_match_complex_power(self, rng, k):
+        # doubling products against the complex power z ** m, over a batch
+        # of 500 points with |z| <= 1; the relative error is the Frobenius
+        # norm of the difference over that of the powers (elementwise both
+        # carry about m ulps of rounding near |z| = 1)
+        z = np.sqrt(rng.random(500)) * np.exp(2j * np.pi * rng.random(500))
+        z[:4] = [0.0, 1.0, -1.0, 1j]
+        old = z[:, None] ** np.arange(k)
+        new = se._block_powers(z, k)
+        assert new.shape == old.shape and np.all(new[:, 0] == 1.0)
+        assert np.linalg.norm(new - old) <= 4e-16 * np.linalg.norm(old)
+
 
 class TestDerivatives:
     def test_cullen_examples(self):
