@@ -12,12 +12,12 @@ slice regular extension.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import qarray
 from . import series as se
 from .errors import (
     AmbiguousBoundary,
@@ -31,6 +31,7 @@ from .moebius import (
     FunctionExpr,
     Moebius,
     StarMul,
+    _check_ball,
     moebius_classical_eval,
 )
 from .quaternion import Quaternion
@@ -183,10 +184,12 @@ def build_q_table(prob: InterpolationProblem) -> QTable:
                                       a.value if a.kind == "ambiguous"
                                       else b.value)
             elif a.kind == "ball" and b.kind == "ball":
+                # M_{r_k}(r_l) is real for real nodes: divide by it
                 rk, rl = prob.nodes[k - 1], prob.nodes[l - 1]
-                scale = moebius_classical_eval(Quaternion(rk), Quaternion(rl))
-                val = scale.inverse() * moebius_classical_eval(a.value, b.value)
-                cells[(k, l)] = _tag(val)
+                _check_ball(rk)
+                scale = (rl - rk) / (1.0 - rk * rl)
+                cells[(k, l)] = _tag(
+                    moebius_classical_eval(a.value, b.value) / scale)
             elif (a.kind == "unimodular" and b.kind == "unimodular"
                   and abs(a.value - b.value) <= _CELL_EQ_TOL):
                 cells[(k, l)] = QCell("unimodular", a.value)
@@ -233,7 +236,6 @@ def _as_h_expr(h) -> FunctionExpr:
     if not isinstance(h, FunctionExpr):
         raise TypeError("h must be a quaternion, series or expression")
     from .hyperbolic import _PROBES
-    from . import qarray
     vals = h.eval_many(_PROBES)
     if np.any(qarray.qnorm(vals) > 1.0 + _BAND_TOL):
         raise NotSelfMap("parameter h is not a self-map of the ball")
@@ -323,8 +325,10 @@ def pick_matrix(nodes, values, K: int = None) -> HermitianQuatMatrix:
     """Pick matrix with entries sum_k p_m^k (1 - s_m conj(s_l)) conj(p_l)^k.
 
     For real nodes the geometric series is summed in closed form,
-    (1 - s_m conj(s_l)) / (1 - r_m r_l); otherwise the sum is truncated at
-    K terms, chosen so the tail bound 2 t^{K+1}/(1-t) drops below 1e-12.
+    (1 - s_m conj(s_l)) / (1 - r_m r_l), in one broadcast Hamilton product
+    over all (m, l), and K is ignored.  Otherwise the sum is truncated at
+    K terms, by default chosen so the tail bound 2 t^{K+1}/(1-t) drops
+    below 1e-12.
     """
     nodes = [Quaternion(r) if isinstance(r, (int, float)) else r for r in nodes]
     values = [Quaternion(s) if isinstance(s, (int, float)) else s
@@ -338,27 +342,28 @@ def pick_matrix(nodes, values, K: int = None) -> HermitianQuatMatrix:
     for s in values:
         if abs(s) >= 1.0:
             raise ValueError("values must lie inside the unit ball")
+    if all(p.is_real() for p in nodes):
+        S = np.array([s.components() for s in values])
+        w = (1.0, 0.0, 0.0, 0.0) - qarray.qmul(S[:, None], qarray.qconj(S)[None])
+        r = np.array([p.w for p in nodes])
+        return HermitianQuatMatrix(w / (1.0 - np.outer(r, r))[..., None])
     entries = np.empty((n, n, 4))
-    all_real = all(p.is_real() for p in nodes)
     for m in range(n):
         for l in range(n):
             w = Quaternion(1.0) - values[m] * values[l].conj()
-            if all_real:
-                ent = w / (1.0 - nodes[m].w * nodes[l].w)
-            else:
-                t = abs(nodes[m]) * abs(nodes[l])
-                kk = K
-                if kk is None:
-                    kk = 1
-                    while 2.0 * t ** (kk + 1) / (1.0 - t) > 1e-12:
-                        kk += 1
-                ent = Quaternion(0.0)
-                pm_pow = Quaternion(1.0)
-                pl_pow = Quaternion(1.0)
-                for _ in range(kk + 1):
-                    ent = ent + pm_pow * w * pl_pow.conj()
-                    pm_pow = pm_pow * nodes[m]
-                    pl_pow = pl_pow * nodes[l]
+            t = abs(nodes[m]) * abs(nodes[l])
+            kk = K
+            if kk is None:
+                kk = 1
+                while 2.0 * t ** (kk + 1) / (1.0 - t) > 1e-12:
+                    kk += 1
+            ent = Quaternion(0.0)
+            pm_pow = Quaternion(1.0)
+            pl_pow = Quaternion(1.0)
+            for _ in range(kk + 1):
+                ent = ent + pm_pow * w * pl_pow.conj()
+                pm_pow = pm_pow * nodes[m]
+                pl_pow = pl_pow * nodes[l]
             entries[m, l] = ent.components()
     return HermitianQuatMatrix(entries)
 
@@ -390,15 +395,14 @@ def slice_extend(coeffs, axis: Quaternion, exact=False,
     if not cs:
         raise ValueError("need at least one coefficient")
     # self-map check on the slice disk
-    for idx in range(sample_count):
-        ang = 2.0 * math.pi * idx / sample_count
-        rad = radius_cap * ((idx % 24) + 1) / 24.0
-        z = rad * cmath.exp(1j * ang)
-        val = 0j
-        for c in reversed(cs):
-            val = val * z + c
-        if abs(val) > 1.0 + 1e-9:
-            raise NotSelfMap(
-                f"|f0({z:.3g})| = {abs(val):.6g} leaves the unit disk")
+    idx = np.arange(sample_count)
+    rad = radius_cap * ((idx % 24) + 1) / 24.0
+    z = rad * np.exp(2j * math.pi * idx / sample_count)
+    mod = np.abs(np.polyval(cs[::-1], z))
+    bad = np.flatnonzero(mod > 1.0 + 1e-9)
+    if bad.size:
+        i = bad[0]
+        raise NotSelfMap(
+            f"|f0({z[i]:.3g})| = {mod[i]:.6g} leaves the unit disk")
     qs = [Quaternion(c.real) + axis * c.imag for c in cs]
     return TaylorSeries.from_quaternions(qs, exact=exact)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from slicereg.interpolation import (
     slice_extend,
     two_point_solve,
 )
-from slicereg.moebius import Moebius, expr_to_series
+from slicereg.moebius import Moebius, StarMul, expr_to_series
 from slicereg.quaternion import I, J, K, ONE, Quaternion, ZERO
 
 THREE_NODES = [0.0, -0.5, 0.5]
@@ -86,6 +87,16 @@ class TestQTable:
             assert c.kind == "unimodular"
         kind = classify(t)
         assert kind.variant == "singular" and kind.kappa0 == 1
+
+    def test_node_next_to_sphere_fails_only_as_scale_centre(self):
+        # the problem admits |r| < 1, but M_{r_k} needs |r_k| < 1 - 1e-13
+        with pytest.raises(ValueError,
+                           match="p must lie strictly inside the unit ball"):
+            build_q_table(InterpolationProblem([1 - 1e-14, 0.0],
+                                               [I * 0.3, J * 0.2]))
+        t = build_q_table(InterpolationProblem([0.0, 1 - 1e-14],
+                                               [I * 0.3, J * 0.2]))
+        assert t.cell(1, 2).kind == "ball"
 
 
 class TestClassification:
@@ -257,12 +268,148 @@ class TestPickMatrix:
                 assert ok and mineig > 1e-6
 
     def test_truncated_route_matches_closed_form(self):
+        # nodes 1e-12 off the real axis are not real, so the truncated sum
+        # runs, and it moves the entries by O(1e-12) only
         nodes = [0.2, -0.4]
         values = [I * 0.3, Quaternion(0.1, 0.0, 0.2)]
         exact = pick_matrix(nodes, values)
-        trunc = pick_matrix([Quaternion(r) + Quaternion(0.0) for r in nodes],
-                            values, K=400)
+        near = [Quaternion(r, 1e-12) for r in nodes]
+        assert not any(p.is_real() for p in near)
+        trunc = pick_matrix(near, values, K=400)
         assert np.abs(exact.entries - trunc.entries).max() <= 1e-10
+        # the route honours K: two terms leave a tail of about t^2 |w|
+        coarse = pick_matrix(near, values, K=1)
+        assert np.abs(coarse.entries - trunc.entries).max() > 1e-3
+
+
+# -- exact oracle ------------------------------------------------------
+# Q-table cells and real-node Pick entries are rational in the inputs, so
+# fractions.Fraction gives their exact values for the stored floats.
+
+
+def _hmul(a, b):
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0)
+
+
+def _hconj(a):
+    return (a[0], -a[1], -a[2], -a[3])
+
+
+def _habs2(a):
+    return sum(x * x for x in a)
+
+
+def _one_minus(a):
+    return (1 - a[0], -a[1], -a[2], -a[3])
+
+
+def _exact_moebius(p, q):
+    """M_p(q) = (1 - q conj(p))^{-1} (q - p)."""
+    den = _one_minus(_hmul(q, _hconj(p)))
+    inv = tuple(x / _habs2(den) for x in _hconj(den))
+    return _hmul(inv, tuple(x - y for x, y in zip(q, p)))
+
+
+def _exact_kind(abs2):
+    """The tag of a cell, from its exact modulus and the solver's bands."""
+    m = math.sqrt(abs2)
+    if abs(m - 1.0) <= 1e-12:
+        return "unimodular"
+    if abs(m - 1.0) <= 1e-9:
+        return "ambiguous"
+    return "ball" if m < 1.0 else "infinity"
+
+
+def _exact_q_table(prob):
+    """Kinds and exact values of the cells; ball and infinity cells only."""
+    r = [Fraction(x) for x in prob.nodes]
+    cells = {(0, l): ("ball", tuple(Fraction(x) for x in s.components()))
+             for l, s in enumerate(prob.values, start=1)}
+    for k in range(1, prob.n):
+        a = cells[(k - 1, k)]
+        for l in range(k + 1, prob.n + 1):
+            b = cells[(k - 1, l)]
+            if a[0] == "ball" and b[0] == "ball":
+                scale = (r[l - 1] - r[k - 1]) / (1 - r[k - 1] * r[l - 1])
+                v = tuple(x / scale for x in _exact_moebius(a[1], b[1]))
+                cells[(k, l)] = (_exact_kind(_habs2(v)), v)
+            else:
+                assert "infinity" in (a[0], b[0])
+                cells[(k, l)] = ("infinity", None)
+    return cells
+
+
+def _oracle_problems(rng, count):
+    """Real-node problems, n = 2..5: every other one takes the values of a
+    product of Moebius maps times 0.95 (solvable), the others random ball
+    values of modulus <= 0.75."""
+    out = []
+    for i in range(count):
+        n = int(rng.integers(2, 6))
+        while True:
+            nodes = np.sort(rng.uniform(-0.8, 0.8, n))
+            if np.diff(nodes).min() >= 0.05:
+                break
+        g = rng.standard_normal((n, 4))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        if i % 2:
+            vals = g * (0.75 * rng.random(n) ** 0.25)[:, None]
+        else:
+            f = Moebius(Quaternion.from_iter(0.7 * rng.random() * g[0]))
+            for p in g[1:]:
+                f = StarMul(f, Moebius(Quaternion.from_iter(
+                    0.7 * rng.random() * p)))
+            vals = 0.95 * f.eval_many(
+                np.column_stack([nodes, np.zeros((n, 3))]))
+        out.append(InterpolationProblem(
+            nodes, [Quaternion.from_iter(v) for v in vals]))
+    return out
+
+
+def _error(got, exact):
+    return math.sqrt(float(_habs2(tuple(Fraction(x) - y
+                                        for x, y in zip(got, exact)))))
+
+
+class TestExactOracle:
+    def test_q_table_matches_exact_recurrence(self, rng):
+        # On these 64 problems (174 computed ball cells) the worst absolute
+        # error of a ball cell is 5.0e-14 with quaternion node scales
+        # M_{r_k}(r_l), as the solver once computed them, and 3.2e-14 with
+        # real ones.  Deeper cells inherit the rounding of the cells before
+        # them, amplified near the sphere; the bound is twice the former.
+        worst = 0.0
+        for prob in _oracle_problems(rng, 64):
+            t = build_q_table(prob)
+            for key, (kind, v) in _exact_q_table(prob).items():
+                c = t.cell(*key)
+                assert c.kind == kind, key
+                if kind == "ball":
+                    worst = max(worst, _error(c.value.components(), v))
+        assert worst <= 1e-13
+
+    def test_pick_entries_match_exact(self, rng):
+        # worst relative error 2.3e-16 on these problems, both for the
+        # broadcast form and for the per-entry loop it replaced; the bound
+        # is about twice that
+        worst = 0.0
+        for prob in _oracle_problems(rng, 64):
+            P = pick_matrix(list(prob.nodes), list(prob.values)).entries
+            r = [Fraction(x) for x in prob.nodes]
+            s = [tuple(Fraction(x) for x in v.components())
+                 for v in prob.values]
+            for m in range(prob.n):
+                for l in range(prob.n):
+                    w = _one_minus(_hmul(s[m], _hconj(s[l])))
+                    e = tuple(x / (1 - r[m] * r[l]) for x in w)
+                    worst = max(worst, _error(P[m, l], e)
+                                / math.sqrt(float(_habs2(e))))
+        assert worst <= 5e-16
 
 
 class TestPsdCheck:
