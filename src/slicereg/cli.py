@@ -137,20 +137,14 @@ def cmd_grid(args) -> int:
     res = args.res
     if not 1 <= res <= 2048:
         raise ValueError("resolution must be in [1, 2048]")
-    # inscribed square of the radius-0.95 slice disk, row-major
+    # inscribed square of the radius-0.95 slice disk, row-major: y is the
+    # outer index and x varies fastest
     half = 0.95 / math.sqrt(2.0)
     coords = np.linspace(-half, half, res) if res > 1 else np.array([0.0])
+    ys, xs = (c.ravel() for c in np.meshgrid(coords, coords, indexing="ij"))
     pts = np.zeros((res * res, 4))
-    xs, ys = [], []
-    for row in range(res):
-        for col in range(res):
-            x, y = coords[col], coords[row]
-            xs.append(x)
-            ys.append(y)
-            pts[row * res + col, 0] = x
-            pts[row * res + col, 1] = y * axis.x
-            pts[row * res + col, 2] = y * axis.y
-            pts[row * res + col, 3] = y * axis.z
+    pts[:, 0] = xs
+    pts[:, 1:] = ys[:, None] * np.array([axis.x, axis.y, axis.z])
     vals = f.eval_many(pts)
     mods = qarray.qnorm(vals)
     res_w = vals[:, 0]

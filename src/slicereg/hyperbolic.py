@@ -1,13 +1,13 @@
 """Hyperbolic geometry of the unit ball and difference quotients.
 
 The hyperbolic difference quotient of a self-map f at p is the slice
-regular function f*_p with two equivalent descriptions: the exact
-expression M_p^{-*} * (M_{f(p)} . f) and, at series level, the product
-(1 - q conj(p)) * R_{f,p} * (1 - conj(f(p)) * f)^{-*} where R is obtained
-by left linear division.  The series form is the one used for evaluation
-on the sphere of p (the removable singularity of the exact form).  The
-hyperbolic derivative f^h(p) = f*_p(p) needs neither: the stem of f at
-the one complex point of p fixes f*_p on that whole sphere
+regular function f*_p = M_p^{-*} * (M_{f(p)} . f).  Every quotient is that
+stem tree, whatever f is: an expression, a series or another quotient.
+The tree is singular on the sphere S_p of p, a removable singularity of
+f*_p; only there, or on request, is the quotient lowered to its
+division-route series (:func:`quotient_series`).  The hyperbolic
+derivative f^h(p) = f*_p(p) needs neither: the stem of f at the one
+complex point of p fixes f*_p on that whole sphere
 (:func:`quotient_on_sphere`).
 """
 
@@ -142,7 +142,7 @@ def detect_unimodular_constant(f: FunctionExpr):
     return qarray.to_quaternion(mean)
 
 
-def quotient_series(fs: TaylorSeries, p: Quaternion, fp: Quaternion = None,
+def quotient_series(fs: TaylorSeries, p: Quaternion,
                     order=None) -> TaylorSeries:
     """Series of f*_p: (1 - q conj(p)) * R_{f,p} * (1 - conj(f(p)) * f)^{-*}.
 
@@ -152,8 +152,7 @@ def quotient_series(fs: TaylorSeries, p: Quaternion, fp: Quaternion = None,
     controls the truncation order of the *-inverse factor (and hence of
     the result).
     """
-    if fp is None:
-        fp, _ = se.evaluate(fs, p, r_max=max(0.95, abs(p)))
+    fp, _ = se.evaluate(fs, p, r_max=max(0.95, abs(p)))
     shifted = se.series_sub(fs, TaylorSeries.constant(fp))
     r_part = se.left_linear_divide(shifted, p)
     left = se.star_mul(TaylorSeries.linear(Quaternion(1.0), -p.conj()), r_part)
@@ -163,10 +162,13 @@ def quotient_series(fs: TaylorSeries, p: Quaternion, fp: Quaternion = None,
 
 
 class HyperbolicQuotient:
-    """The quotient f*_p with its exact expression and lazy series."""
+    """f*_p as its stem tree ``result`` (the constant u when f*_p is a
+    unimodular constant).  On the singular sphere S_p of the tree, and on
+    request, the division-route series stands in (:meth:`eval_series`).
+    """
 
     __slots__ = ("base", "p", "result", "is_unimodular_constant",
-                 "unimodular_value", "_series_cache")
+                 "unimodular_value")
 
     def __init__(self, base, p: Quaternion, result: FunctionExpr,
                  unimodular_value: Quaternion = None):
@@ -176,7 +178,6 @@ class HyperbolicQuotient:
         object.__setattr__(self, "is_unimodular_constant",
                            unimodular_value is not None)
         object.__setattr__(self, "unimodular_value", unimodular_value)
-        object.__setattr__(self, "_series_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("HyperbolicQuotient is immutable")
@@ -191,12 +192,11 @@ class HyperbolicQuotient:
 
     def eval_series(self, q: Quaternion, tail_target=1e-10,
                     max_order=512) -> Quaternion:
+        """f*_p(q) from the division-route series, lowered so that its tail
+        at |q| is within ``tail_target`` where ``max_order`` allows."""
         r = abs(q)
-        n = se.DEFAULT_ORDER
-        s = self.to_series(n)
-        while s.tail_bound(r) > tail_target and n < max_order:
-            n *= 2
-            s = self.to_series(n)
+        s = expr_to_series(self, r_max=r, tail_target=tail_target,
+                           max_order=max_order)
         val, _ = se.evaluate(s, q, r_max=max(0.95, r))
         return val
 
@@ -204,62 +204,36 @@ class HyperbolicQuotient:
         return self.result.eval_many(points)
 
     def to_series(self, order=se.DEFAULT_ORDER) -> TaylorSeries:
-        cached = self._series_cache.get(order)
-        if cached is not None:
-            return cached
-        # a cached series at higher order is at least as accurate
-        for s in self._series_cache.values():
-            if s.exact or s.order >= order:
-                return s
         base = self.base
         fs = base if isinstance(base, TaylorSeries) else base.to_series(order)
-        s = quotient_series(fs, self.p, order=order)
-        self._series_cache[order] = s
-        return s
+        return quotient_series(fs, self.p, order=order)
 
 
 def hyperbolic_quotient(f, p: Quaternion) -> HyperbolicQuotient:
     """Build f*_p = M_p^{-*} * (M_{f(p)} . f) for a self-map f of the ball.
 
-    f may be a FunctionExpr or a TaylorSeries; a series input uses the
-    division route throughout.  When f itself is (numerically) a unimodular
-    constant the quotient is that same constant.
+    f may be a FunctionExpr, a HyperbolicQuotient or a TaylorSeries; a
+    series becomes a SeriesFunc leaf that reads f up to |p| (at least
+    0.95) inside its certified radius.  When f itself is (numerically) a
+    unimodular constant the quotient is that same constant.
     """
     if isinstance(p, (int, float)):
         p = Quaternion(p)
-    series_base = None
-    if isinstance(f, TaylorSeries):
-        series_base = f
-        expr_f: FunctionExpr = SeriesFunc(f)
-        fp, _ = se.evaluate(f, p, r_max=max(0.95, abs(p)))
-        u_in = detect_unimodular_constant(expr_f)
-    elif isinstance(f, HyperbolicQuotient):
+    if isinstance(f, HyperbolicQuotient):
         if f.is_unimodular_constant:
             u = f.unimodular_value
             return HyperbolicQuotient(f, p, Const(u), u)
         expr_f = f.result
-        # a series-backed quotient keeps the chain on the series route,
-        # avoiding exponential growth of nested exact trees
-        if isinstance(expr_f, SeriesFunc):
-            series_base = expr_f.series
-        fp = f.eval(p)  # falls back to the series at removable singularities
-        u_in = None  # f already found f.result not unimodular
+        fp = f.eval(p)  # falls back to the series on the singular sphere
     else:
-        expr_f = f
-        fp = f.eval(p)
-        u_in = detect_unimodular_constant(expr_f)
-    if u_in is not None:
-        return HyperbolicQuotient(f, p, Const(u_in), u_in)
-    if series_base is not None:
-        qs = quotient_series(series_base, p, fp)
-        result: FunctionExpr = SeriesFunc(qs)
-        u_out = detect_unimodular_constant(result)
-        hq = HyperbolicQuotient(f, p, result, u_out)
-        hq._series_cache[qs.order] = qs
-        return hq
+        expr_f = SeriesFunc(f, r_max=max(0.95, abs(p))) \
+            if isinstance(f, TaylorSeries) else f
+        fp = expr_f.eval(p)
+        u = detect_unimodular_constant(expr_f)
+        if u is not None:
+            return HyperbolicQuotient(f, p, Const(u), u)
     result = StarMul(StarInv(Moebius(p)), Bullet(fp, expr_f))
-    u_out = detect_unimodular_constant(result)
-    return HyperbolicQuotient(f, p, result, u_out)
+    return HyperbolicQuotient(f, p, result, detect_unimodular_constant(result))
 
 
 def quotient_on_sphere(fs: TaylorSeries, points):
@@ -311,19 +285,18 @@ def hyperbolic_derivative(f, p: Quaternion, tail_target=1e-10,
                           max_order=512) -> Quaternion:
     """f^h(p) = f*_p(p), read off the stem of f at p.
 
-    A HyperbolicQuotient stands for its own quotient: the result is the
-    hyperbolic derivative of its base at its point.  An expression is
-    lowered by :func:`~slicereg.moebius.expr_to_series` so that the tails
-    of f and of its derivative at |p| are within ``tail_target`` where
-    ``max_order`` allows.  A unimodular constant u (or a unimodular
-    quotient) gives u.
+    An expression is lowered by :func:`~slicereg.moebius.expr_to_series`
+    so that the tails of f and of its derivative at |p| are within
+    ``tail_target`` where ``max_order`` allows.  A HyperbolicQuotient is a
+    function like any other: its f^h(p) is the value at p of its own
+    quotient at p, which lies on that quotient's singular sphere and so
+    comes from :meth:`HyperbolicQuotient.eval_series`.  A unimodular
+    constant u (or a unimodular quotient) gives u.
     """
     if isinstance(p, (int, float)):
         p = Quaternion(p)
     if isinstance(f, HyperbolicQuotient):
-        if f.is_unimodular_constant:
-            return f.unimodular_value
-        f, p = f.base, f.p
+        return hyperbolic_quotient(f, p).eval(p)
     # f^h reads F' at |p|: a tail within tail_target * (rho - |p|) on
     # |q| <= rho has, by Cauchy, a derivative within tail_target at |p|
     r = abs(p)
@@ -339,21 +312,12 @@ def hyperbolic_derivative(f, p: Quaternion, tail_target=1e-10,
 
 def quotient_chain(f, points) -> list:
     """The quotients f^{1}, ..., f^{n} of the fold f^{k} = (f^{k-1})*_{p_k}."""
-    points = [Quaternion(p) if isinstance(p, (int, float)) else p
-              for p in points]
-    if not points:
-        raise ValueError("iterated_quotient needs at least one point")
     chain = []
-    cur = f
     for p in points:
-        if chain and chain[-1].is_unimodular_constant:
-            # further quotients of a unimodular constant stay that constant
-            hq = chain[-1]
-            chain.append(HyperbolicQuotient(cur, p, hq.result,
-                                            hq.unimodular_value))
-            continue
-        cur = hyperbolic_quotient(cur, p)
-        chain.append(cur)
+        f = hyperbolic_quotient(f, p)
+        chain.append(f)
+    if not chain:
+        raise ValueError("iterated_quotient needs at least one point")
     return chain
 
 

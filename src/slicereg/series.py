@@ -347,13 +347,15 @@ def cullen_derivative(f: TaylorSeries) -> TaylorSeries:
 
 
 def spherical_derivative(f: TaylorSeries, p: Quaternion) -> Quaternion:
-    """(2 Im p)^{-1} (f(p) - f(conj p)); undefined at real points."""
-    im = p.imag()
-    if p.im_norm() <= 1e-13 * max(1.0, abs(p)):
+    """(2 Im p)^{-1} (f(p) - f(conj p)); undefined at real points.
+
+    For p = x + I y with stem value F(x + iy) = A + iB, f(p) - f(conj p)
+    is 2 I B, so the result is Im F / y, with no difference to cancel.
+    """
+    y = p.im_norm()
+    if y <= 1e-13 * max(1.0, abs(p)):
         raise RealPoint("spherical derivative undefined at real points")
-    vp, _ = evaluate(f, p, r_max=abs(p))
-    vpc, _ = evaluate(f, p.conj(), r_max=abs(p))
-    return (im * 2.0).inverse() * (vp - vpc)
+    return qarray.to_quaternion(stem(f, p.re + 1j * y, r_max=abs(p)).imag / y)
 
 
 def left_linear_divide(f: TaylorSeries, p: Quaternion, tol=1e-9) -> TaylorSeries:

@@ -201,6 +201,16 @@ class TestGrid:
             diff = arg - math.atan2(z.imag, z.real)
             assert min(abs(diff), abs(abs(diff) - 2 * math.pi)) <= 1e-12
 
+    def test_row_major_order(self, capsys):
+        # y is the outer index and x varies fastest
+        rc = cli.main(["grid", "--f", json.dumps(Q2_EXPR), "--res", "3"])
+        lines = capsys.readouterr().out.strip().splitlines()[1:]
+        assert rc == 0
+        rows = [[float(v) for v in line.split(",")[:2]] for line in lines]
+        coords = sorted({x for x, _ in rows})
+        assert len(coords) == 3
+        assert rows == [[x, y] for y in coords for x in coords]
+
     def test_bad_resolution(self, capsys):
         assert cli.main(["grid", "--f", json.dumps(Q2_EXPR),
                          "--res", "5000"]) == 1

@@ -246,9 +246,14 @@ class TestStemDerivative:
         many = hyperbolic_derivative_many(fs, qarray.from_quaternion(p, (1,)))
         assert hyperbolic_derivative(fs, p).components() == \
             tuple(many[0])
-        # a HyperbolicQuotient stands for its own point
+        # a HyperbolicQuotient is a function like any other: f^h of hq at x
         hq = hyperbolic_quotient(fs, p)
-        assert hyperbolic_derivative(hq, ZERO) == hyperbolic_derivative(fs, p)
+        ref = hq.to_series(512)
+        other = qarray.uniform_ball(np.random.default_rng(10), 1, 0.8)[0]
+        for x in (ZERO, hq.p, qarray.to_quaternion(other)):
+            want = hyperbolic_derivative_many(ref, qarray.from_quaternion(x))
+            got = hyperbolic_derivative(hq, x).components()
+            assert np.abs(np.array(got) - want).max() <= 1e-12
 
     def test_unimodular_returns_u(self):
         u = Quaternion(0.6, 0.0, 0.8, 0.0)
@@ -263,6 +268,45 @@ class TestStemDerivative:
         with pytest.raises(SingularDenominator):
             hyperbolic_derivative_many(TaylorSeries.constant(J),
                                        np.zeros((3, 4)))
+
+
+class TestSingleRoute:
+    """Every quotient is its stem tree, whatever the type of its input."""
+
+    def test_series_input_matches_tree_input(self):
+        tree = BlaschkeProduct([Quaternion(0.3, 0.2),
+                                Quaternion(-0.2, 0.0, 0.3, 0.1)]).to_expr()
+        fs = expr_to_series(tree)
+        rng = np.random.default_rng(11)
+        ps, qs = (qarray.uniform_ball(rng, 30, 0.8) for _ in range(2))
+        for p, q in zip(ps, qs):
+            p, q = qarray.to_quaternion(p), qarray.to_quaternion(q)
+            got = hyperbolic_quotient(fs, p).eval(q)
+            assert abs(got - hyperbolic_quotient(tree, p).eval(q)) <= 1e-12
+
+    def test_series_input_is_a_series_leaf(self):
+        fs = stem_test_maps()[0]
+        rng = np.random.default_rng(13)
+        pts = qarray.uniform_ball(rng, 40, 0.9)
+        for p in qarray.uniform_ball(rng, 5, 0.8):
+            p = qarray.to_quaternion(p)
+            a = hyperbolic_quotient(fs, p).eval_many(pts)
+            b = hyperbolic_quotient(SeriesFunc(fs), p).eval_many(pts)
+            assert np.array_equal(a, b)
+
+    def test_tree_next_to_singular_sphere(self):
+        # q lies 1e-3 from the sphere S_p, on another imaginary unit
+        fs = stem_test_maps()[0]
+        rng = np.random.default_rng(12)
+        for p in qarray.uniform_ball(rng, 10, 0.8):
+            p = qarray.to_quaternion(p)
+            unit = rng.normal(size=3)
+            unit *= p.im_norm() / np.linalg.norm(unit)
+            q = Quaternion(p.re + 1e-3, *unit)
+            hq = hyperbolic_quotient(fs, p)
+            got = hq.eval(q)
+            assert got == hq.result.eval(q)  # the tree, not the fallback
+            assert abs(got - hq.eval_series(q)) <= 1e-12
 
 
 class TestBoundArrays:

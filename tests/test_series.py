@@ -269,6 +269,14 @@ class TestDerivatives:
         assert abs(se.spherical_derivative(TaylorSeries.identity(), p) - ONE) \
             <= 1e-15
 
+    def test_spherical_derivative_next_to_real_axis(self):
+        # d_S f(x + I y) tends to f'(x) as y -> 0, with no cancellation
+        f = poly(Quaternion(0.1, 0.2), Quaternion(0.3, 0.0, -0.2, 0.1),
+                 Quaternion(0.2, 0.1, 0.1), Quaternion(-0.1, 0.0, 0.0, 0.3))
+        expect, _ = se.evaluate(se.cullen_derivative(f), Quaternion(0.3))
+        got = se.spherical_derivative(f, Quaternion(0.3, 1e-8))
+        assert abs(got - expect) <= 1e-12
+
     def test_spherical_derivative_real_point_raises(self):
         with pytest.raises(RealPoint):
             se.spherical_derivative(TaylorSeries.identity(), Quaternion(0.5))
