@@ -162,8 +162,8 @@ def quotient_series(fs: TaylorSeries, p: Quaternion,
 
 
 class HyperbolicQuotient:
-    """f*_p as its stem tree ``result`` (the constant u when f*_p is a
-    unimodular constant).  On the singular sphere S_p of the tree, and on
+    """f*_p as its stem tree ``result`` (``Const(u)`` when f itself is a
+    unimodular constant u).  On the singular sphere S_p of the tree, and on
     request, the division-route series stands in (:meth:`eval_series`).
     """
 
@@ -204,6 +204,10 @@ class HyperbolicQuotient:
         return self.result.eval_many(points)
 
     def to_series(self, order=se.DEFAULT_ORDER) -> TaylorSeries:
+        if isinstance(self.result, Const):
+            # f is the unimodular constant u, so the division route would
+            # invert 1 - conj(u) f = 0; f*_p is u as well
+            return self.result.to_series(order)
         base = self.base
         fs = base if isinstance(base, TaylorSeries) else base.to_series(order)
         return quotient_series(fs, self.p, order=order)

@@ -19,7 +19,12 @@ import math
 import numpy as np
 
 from . import qarray, series as se
-from .errors import SingularDenominator, SingularPoint, SliceRegError
+from .errors import (
+    NotInvertibleAtZero,
+    SingularDenominator,
+    SingularPoint,
+    SliceRegError,
+)
 from .quaternion import Quaternion
 from .series import TaylorSeries
 
@@ -334,11 +339,28 @@ class Bullet(FunctionExpr):
         return _stem_action(self.inner.eval_many(z), self.p, self)
 
     def to_series(self, order=se.DEFAULT_ORDER):
+        # _stem_action's closed form, coefficient by coefficient (the stem
+        # map is an algebra isomorphism): s = <f, p>, n(f) and
+        # d = n(1 - conj(p) f) = 1 - 2s + |p|^2 n(f) are real series
         fs = self.inner.to_series(order)
-        num = se.series_sub(fs, TaylorSeries.constant(self.p))
-        den = se.series_sub(TaylorSeries.constant(Quaternion(1.0)),
-                            se.left_const_mul(self.p.conj(), fs))
-        return se.star_mul(num, se.star_inverse(den, order=order))
+        n = order if fs.exact else min(order, fs.order)
+        a = se._pad(fs.coeffs, n)
+        p = qarray.from_quaternion(self.p)
+        w = np.array([1.0, 0.0, 0.0, 0.0]) - qarray.qmul(qarray.qconj(p), a[0])
+        if np.linalg.norm(w) <= 1e-13:
+            raise NotInvertibleAtZero(f"1 - conj(p) f(0) vanishes in {self!r}")
+        s, nn, p2 = a @ p, se._norm_series(a, n), float(p @ p)
+        d = p2 * nn - 2.0 * s
+        d[0] = w @ w  # 1 - 2 s_0 + |p|^2 n_0 without its cancellation
+        num = (1.0 - p2) * a + np.outer(2.0 * s - nn, p)
+        num[0] -= p
+        inv = se._reciprocal(d, n)
+        coeffs = se._real_times(inv, num, n)
+        # star_mul's certificate rule for the factors num and 1/d
+        cb, gr = se._fit_certificate(coeffs)
+        cn, gn = se._fit_certificate(num)
+        ci, gi = se._fit_certificate(inv[:, None])
+        return TaylorSeries(coeffs, max(cb, cn * ci), max(gr, gn, gi))
 
     def to_json(self):
         return {"kind": "bullet", "p": self.p.to_json(),

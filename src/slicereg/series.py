@@ -244,30 +244,47 @@ def symmetrize(f: TaylorSeries, tol=1e-12) -> TaylorSeries:
     return TaylorSeries(coeffs, s.coeff_bound, s.growth_rate, s.exact)
 
 
-def star_inverse(f: TaylorSeries, order=None) -> TaylorSeries:
-    """*-inverse (f^s)^{-1} * f^c, defined when the constant term is nonzero.
+def _norm_series(a: np.ndarray, n: int) -> np.ndarray:
+    """n(f) = f * f^c to order n for (n+1, 4) coefficients a: the sum of
+    the four components' autoconvolutions, real by construction."""
+    return sum(np.convolve(c, c)[: n + 1] for c in a.T)
 
-    The result has order ``order`` (default: twice the degree, at least
-    DEFAULT_ORDER, for a polynomial), but never more than a truncated f.
-    """
-    if np.linalg.norm(f.coeffs[0]) <= 1e-13:
-        raise NotInvertibleAtZero("constant coefficient is numerically zero")
-    fs = symmetrize(f)
-    if order is None:
-        order = max(2 * f.order, DEFAULT_ORDER) if f.exact else f.order
-    n = order if f.exact else min(order, f.order)
-    # real reciprocal b of f^s by Newton doubling: b <- b (2 - b f^s)
-    s = _pad(fs.coeffs, n)[:, 0]
+
+def _reciprocal(s: np.ndarray, n: int) -> np.ndarray:
+    """1/s to order n for a real series s with at least n+1 coefficients,
+    by Newton doubling: b <- b (2 - b s)."""
     b = np.array([1.0 / s[0]])
     while len(b) < n + 1:
         m = min(2 * len(b), n + 1)
         t = -np.convolve(s[:m], b)[:m]
         t[0] += 2.0
         b = np.convolve(b, t)[:m]
-    inv_fs = np.zeros((n + 1, 4))
-    inv_fs[:, 0] = b
-    coeffs = _qconv(inv_fs, conjugate(f).coeffs, n)
-    return TaylorSeries(coeffs)
+    return b
+
+
+def _real_times(b: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:
+    """b * f to order n for a real series b and an f with coefficients a.
+    A real series commutes with H, so with a = A + B j two complex
+    convolutions do the work."""
+    lo = np.convolve(b, a[:, 0] + 1j * a[:, 1])[: n + 1]
+    hi = np.convolve(b, a[:, 2] + 1j * a[:, 3])[: n + 1]
+    return np.stack([lo.real, lo.imag, hi.real, hi.imag], axis=-1)
+
+
+def star_inverse(f: TaylorSeries, order=None) -> TaylorSeries:
+    """*-inverse n(f)^{-1} f^c, defined when the constant term is nonzero.
+
+    The result has order ``order`` (default: twice the degree, at least
+    DEFAULT_ORDER, for a polynomial), but never more than a truncated f.
+    """
+    if np.linalg.norm(f.coeffs[0]) <= 1e-13:
+        raise NotInvertibleAtZero("constant coefficient is numerically zero")
+    if order is None:
+        order = max(2 * f.order, DEFAULT_ORDER) if f.exact else f.order
+    n = order if f.exact else min(order, f.order)
+    a = _pad(f.coeffs, n)
+    b = _reciprocal(_norm_series(a, n), n)
+    return TaylorSeries(_real_times(b, qarray.qconj(a), n))
 
 
 _BLOCK = 32

@@ -393,6 +393,22 @@ class TestIterated:
         assert hq.is_unimodular_constant
         assert abs(hq.unimodular_value - ONE) <= 1e-9
 
+    def test_series_of_quotient_after_unimodular_is_the_constant(self):
+        # f^{3} follows the unimodular f^{2}; its division-route series
+        # would invert 1 - conj(u) f^{2} = 0
+        b = BlaschkeProduct([Quaternion(0.3, 0.2),
+                             Quaternion(-0.2, 0.0, 0.3)]).to_expr()
+        chain = quotient_chain(b, [ZERO, Quaternion(0.1), Quaternion(0.4)])
+        assert [hq.is_unimodular_constant for hq in chain] == \
+            [False, True, True]
+        hq = chain[2]
+        u = hq.unimodular_value
+        s = hq.to_series(64)
+        assert s.exact and s.order == 0 and s.coefficient(0) == u
+        for q in (Quaternion(0.2), Quaternion(0.1, 0.3, -0.2, 0.1),
+                  Quaternion(-0.5, 0.0, 0.2)):
+            assert hq.eval_series(q) == hq.eval(q) == u
+
 
 class TestSchwarzPick:
     def test_strict_inequality_for_square(self, rng):

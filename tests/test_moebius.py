@@ -6,7 +6,11 @@ import pytest
 
 from slicereg import moebius as mo
 from slicereg import series as se
-from slicereg.errors import SingularDenominator, SingularPoint
+from slicereg.errors import (
+    NotInvertibleAtZero,
+    SingularDenominator,
+    SingularPoint,
+)
 from slicereg.interpolation import (
     InterpolationProblem,
     build_q_table,
@@ -35,6 +39,15 @@ from slicereg.moebius import (
 from slicereg.quaternion import I, J, K, ONE, Quaternion, ZERO
 from slicereg.series import TaylorSeries
 from slicereg.verify import random_blaschke_expr
+
+from test_interpolation import _hconj, _hmul
+from test_series import (
+    dyadic_polynomial,
+    exact_coeffs,
+    exact_relative_error,
+    exact_star_inverse,
+    exact_star_mul,
+)
 
 
 def rand_q(rng, cap):
@@ -407,6 +420,60 @@ class TestExactStems:
     def test_interpolant(self, rng):
         # about 0.15 s a point in exact arithmetic
         self._check(_interpolant_8(), rng, count=4, per_circle=2)
+
+
+class TestBulletSeries:
+    """Bullet.to_series against (f - p) * (1 - conj(p) f)^{-*} in exact
+    arithmetic, with the *-inverse from its defining recurrence."""
+
+    @pytest.mark.parametrize("p", [P_REAL, P_IMAG, ZERO])
+    def test_matches_exact_recurrence(self, p, rng):
+        # 40 dyadic polynomials f of degree <= 3 to order 12: the worst
+        # error relative to the largest exact coefficient is 1.4e-16 for p
+        # real, 2.7e-16 for p non-real and 0 for p = 0; the bound is twice
+        pe = exact_coeffs([p.components()])[0]
+        worst = 0.0
+        for _ in range(40):
+            c = dyadic_polynomial(rng, scale=0.5)
+            inner = SeriesFunc(TaylorSeries(c, exact=True))
+            got = Bullet(p, inner).to_series(12)
+            a = exact_coeffs(c)
+            num = [tuple(x - y for x, y in zip(a[0], pe))] + a[1:]
+            den = [tuple(-x for x in _hmul(_hconj(pe), r)) for r in a]
+            den[0] = (1 + den[0][0],) + den[0][1:]
+            exact = exact_star_mul(num, exact_star_inverse(den, 12), 12)
+            worst = max(worst, exact_relative_error(got.coeffs, exact))
+        assert worst <= 6e-16
+
+    def test_one_series_per_node(self, monkeypatch):
+        # real scalar series only: no pass through the quaternion series
+        # algebra, and one TaylorSeries for each of the three nodes
+        for name in ("symmetrize", "conjugate", "star_mul", "series_sub",
+                     "left_const_mul"):
+            monkeypatch.setattr(se, name, None)
+        created = []
+        init = TaylorSeries.__init__
+        monkeypatch.setattr(TaylorSeries, "__init__", lambda self, *a, **k:
+                            created.append(1) or init(self, *a, **k))
+        e = Bullet(P_IMAG, StarInv(Moebius(Quaternion(0.2, -0.3, 0.1, 0.4))))
+        s = e.to_series(32)
+        assert s.order == 32 and len(created) == 3
+
+    def test_singular_constant_raises(self):
+        # 1 - conj(p) a_0 = 1 - 0.5 * 2 = 0
+        with pytest.raises(NotInvertibleAtZero):
+            Bullet(Quaternion(0.5), Const(2.0)).to_series(16)
+
+    def test_near_singular_constant_lowers(self):
+        # |1 - conj(p) a_0| = 1e-7, above the 1e-13 threshold.  The closed
+        # form's numerator cancels to O(1e-7) here, so the constant
+        # (a_0 - p) / (1 - p a_0) = 1.5e7 is within 2.6e-10 relative, where
+        # (f - p) * (1 - conj(p) f)^{-*} gives 1e-16; the bound is twice that
+        a0 = 2.0 - 2e-7
+        s = Bullet(Quaternion(0.5), Const(a0)).to_series(16)
+        exact = (Fraction(a0) - Fraction(1, 2)) / (1 - Fraction(a0) / 2)
+        assert s.order == 16
+        assert abs(Fraction(s.coeffs[0, 0]) / exact - 1) <= 6e-10
 
 
 class TestConjugation:

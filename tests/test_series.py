@@ -1,4 +1,6 @@
+import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from slicereg.quaternion import I, J, K, ONE, Quaternion, ZERO
 from slicereg.series import TaylorSeries
 
 from conftest import quaternions
+from test_interpolation import _habs2, _hconj, _hmul
 
 
 def poly(*qs):
@@ -35,6 +38,59 @@ def scalar_fit(coeffs):
     ms = [m for m in range(1, len(norms)) if norms[m] > cmax * 1e-250]
     g = max((norms[m] / cmax) ** (1.0 / m) for m in ms) if ms else 0.0
     return 4.0 * cmax, 1.01 * g
+
+
+# -- exact series: coefficients as 4-tuples of Fractions -----------------
+
+_ZERO4 = (Fraction(0),) * 4
+
+
+def exact_coeffs(coeffs):
+    """The float coefficients of a series as exact rationals."""
+    return [tuple(Fraction(float(x)) for x in row) for row in coeffs]
+
+
+def _hadd(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def exact_star_mul(a, b, order):
+    """Cauchy convolution of exact coefficient lists, to ``order``."""
+    return [functools.reduce(_hadd, (_hmul(a[k], b[m - k])
+                                     for k in range(m + 1)
+                                     if k < len(a) and m - k < len(b)),
+                             _ZERO4)
+            for m in range(order + 1)]
+
+
+def exact_star_inverse(c, order):
+    """The left *-inverse g of c by its defining recurrence g_0 = c_0^{-1},
+    g_m = -c_0^{-1} sum_{k=1}^m c_k g_{m-k}; no closed form is used."""
+    c = list(c) + [_ZERO4] * (order + 1 - len(c))
+    inv0 = tuple(x / _habs2(c[0]) for x in _hconj(c[0]))
+    g = [inv0]
+    for m in range(1, order + 1):
+        acc = functools.reduce(_hadd, (_hmul(c[k], g[m - k])
+                                       for k in range(1, m + 1)))
+        g.append(tuple(-x for x in _hmul(inv0, acc)))
+    return g
+
+
+def exact_relative_error(got, exact):
+    """Largest coefficient error relative to the largest exact coefficient."""
+    scale = max(_habs2(e) for e in exact)
+    err = max(_habs2(tuple(x - y for x, y in zip(g, e)))
+              for g, e in zip(exact_coeffs(got), exact))
+    return math.sqrt(float(err / scale))
+
+
+def dyadic_polynomial(rng, scale=1.0):
+    """A random polynomial of degree <= 3 with coefficients in multiples of
+    1/64 and a constant term of modulus >= 1/2, times ``scale``."""
+    c = rng.integers(-32, 33, (int(rng.integers(1, 5)), 4)) / 64.0
+    while np.linalg.norm(c[0]) < 0.5:
+        c[0] = rng.integers(-64, 65, 4) / 64.0
+    return c * scale
 
 
 def assert_kernel_matches(series, expect):
@@ -195,6 +251,18 @@ class TestStarInverse:
                                               if m >= 1 else ZERO)
                   for m in range(order + 1)]
         assert_kernel_matches(se.star_inverse(f, order=order), expect)
+
+    def test_matches_exact_recurrence(self, rng):
+        # 40 dyadic polynomials of degree <= 3 to order 12: the worst error
+        # relative to the largest exact coefficient is 6.4e-16, as it was
+        # through symmetrize and the Hamilton convolution; the bound is twice
+        worst = 0.0
+        for _ in range(40):
+            c = dyadic_polynomial(rng)
+            got = se.star_inverse(TaylorSeries(c, exact=True), order=12)
+            worst = max(worst, exact_relative_error(
+                got.coeffs, exact_star_inverse(exact_coeffs(c), 12)))
+        assert worst <= 1.3e-15
 
     def test_roundtrip_within_tail(self, rng):
         coeffs = rng.uniform(-0.3, 0.3, (40, 4)) * \
