@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import qarray, series as se
+from . import qarray
 from .errors import AmbiguousBoundary, SliceRegError
 from .interpolation import (
     InterpolationProblem,
@@ -36,28 +36,23 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _load_expr_arg(spec: str) -> FunctionExpr:
-    """Expression from an inline JSON literal or from a file path."""
-    text = spec
+def _load_json_arg(spec: str):
+    """JSON from an inline literal or from a file path."""
     try:
-        data = json.loads(text)
+        return json.loads(spec)
     except ValueError:
         with open(spec, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    return expr_from_json(data)
+            return json.load(fh)
+
+
+def _load_expr_arg(spec: str) -> FunctionExpr:
+    return expr_from_json(_load_json_arg(spec))
 
 
 def _parse_h(raw):
     if raw is None:
         return None
-    if isinstance(raw, str):
-        try:
-            data = json.loads(raw)
-        except ValueError:
-            with open(raw, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-    else:
-        data = raw
+    data = _load_json_arg(raw) if isinstance(raw, str) else raw
     if isinstance(data, (int, float)):
         return Quaternion(data)
     if isinstance(data, list):
@@ -93,8 +88,10 @@ def cmd_interpolate(args) -> int:
         return 2
     solution = build_solution(table, kind,
                               None if kind.variant == "singular" else h)
-    residuals = [abs(solution.eval(Quaternion(r)) - s)
-                 for r, s in zip(prob.nodes, prob.values)]
+    pts = np.zeros((prob.n, 4))
+    pts[:, 0] = prob.nodes
+    residuals = qarray.qnorm(solution.eval_many(pts) - np.array(
+        [s.components() for s in values])).tolist()
     report["solution"] = solution.to_json()
     report["residuals"] = residuals
     print(_dump(report))
@@ -146,14 +143,13 @@ def cmd_grid(args) -> int:
     pts[:, 0] = xs
     pts[:, 1:] = ys[:, None] * np.array([axis.x, axis.y, axis.z])
     vals = f.eval_many(pts)
-    mods = qarray.qnorm(vals)
-    res_w = vals[:, 0]
+    re_w = vals[:, 0].tolist()
     imag_along = vals[:, 1] * axis.x + vals[:, 2] * axis.y + vals[:, 3] * axis.z
-    print("x,y,abs,re,arg")
-    for m in range(res * res):
-        arg = math.atan2(imag_along[m], res_w[m])
-        print(",".join(f"{v:.17g}" for v in
-                       (xs[m], ys[m], mods[m], res_w[m], arg)))
+    # math.atan2 per element: np.arctan2 can differ in the last digit
+    args = map(math.atan2, imag_along.tolist(), re_w)
+    row = "%.17g,%.17g,%.17g,%.17g,%.17g\n".__mod__
+    sys.stdout.write("x,y,abs,re,arg\n" + "".join(map(row, zip(
+        xs.tolist(), ys.tolist(), qarray.qnorm(vals).tolist(), re_w, args))))
     return 0
 
 

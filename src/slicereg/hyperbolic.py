@@ -56,6 +56,8 @@ __all__ = [
 
 _UNIMODULAR_TOL = 1e-9
 _PROBE_COUNT = 8
+# tail target for the series that f^h and eval_series read
+_TAIL_TARGET = 1e-10
 
 
 def rho(p: Quaternion, q: Quaternion) -> float:
@@ -152,7 +154,7 @@ def quotient_series(fs: TaylorSeries, p: Quaternion,
     controls the truncation order of the *-inverse factor (and hence of
     the result).
     """
-    fp, _ = se.evaluate(fs, p, r_max=max(0.95, abs(p)))
+    fp, _ = se.evaluate(fs, p)
     shifted = se.series_sub(fs, TaylorSeries.constant(fp))
     r_part = se.left_linear_divide(shifted, p)
     left = se.star_mul(TaylorSeries.linear(Quaternion(1.0), -p.conj()), r_part)
@@ -190,15 +192,11 @@ class HyperbolicQuotient:
             # quotient itself is regular: use the division-route series
             return self.eval_series(q)
 
-    def eval_series(self, q: Quaternion, tail_target=1e-10,
-                    max_order=512) -> Quaternion:
+    def eval_series(self, q: Quaternion) -> Quaternion:
         """f*_p(q) from the division-route series, lowered so that its tail
-        at |q| is within ``tail_target`` where ``max_order`` allows."""
-        r = abs(q)
-        s = expr_to_series(self, r_max=r, tail_target=tail_target,
-                           max_order=max_order)
-        val, _ = se.evaluate(s, q, r_max=max(0.95, r))
-        return val
+        at |q| is within _TAIL_TARGET where the order cap allows."""
+        s = expr_to_series(self, r_max=abs(q), tail_target=_TAIL_TARGET)
+        return se.evaluate(s, q)[0]
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         return self.result.eval_many(points)
@@ -217,8 +215,8 @@ def hyperbolic_quotient(f, p: Quaternion) -> HyperbolicQuotient:
     """Build f*_p = M_p^{-*} * (M_{f(p)} . f) for a self-map f of the ball.
 
     f may be a FunctionExpr, a HyperbolicQuotient or a TaylorSeries; a
-    series becomes a SeriesFunc leaf that reads f up to |p| (at least
-    0.95) inside its certified radius.  When f itself is (numerically) a
+    series becomes a SeriesFunc leaf, which reads f inside its certified
+    radius (anywhere for an exact series).  When f itself is (numerically) a
     unimodular constant the quotient is that same constant.
     """
     if isinstance(p, (int, float)):
@@ -230,8 +228,7 @@ def hyperbolic_quotient(f, p: Quaternion) -> HyperbolicQuotient:
         expr_f = f.result
         fp = f.eval(p)  # falls back to the series on the singular sphere
     else:
-        expr_f = SeriesFunc(f, r_max=max(0.95, abs(p))) \
-            if isinstance(f, TaylorSeries) else f
+        expr_f = SeriesFunc(f) if isinstance(f, TaylorSeries) else f
         fp = expr_f.eval(p)
         u = detect_unimodular_constant(expr_f)
         if u is not None:
@@ -257,7 +254,7 @@ def quotient_on_sphere(fs: TaylorSeries, points):
     pts = qarray.as_qarray(points)
     y = np.sqrt(qarray.qnorm2(pts[..., 1:]))
     z = pts[..., 0] + 1j * y
-    F = se.stem(fs, z, r_max=max(0.95, float(np.abs(z).max(initial=0.0))))
+    F = se.stem(fs, z)
     # F' converges where F does; its own fitted g is not checked again
     dF = se._horner(se.cullen_derivative(fs).coeffs, z)
     # I = Im p / |Im p|; at real p any I will do, and I = 0 gives e = ebar
@@ -285,13 +282,12 @@ def hyperbolic_derivative_many(fs: TaylorSeries, points) -> np.ndarray:
     return quotient_on_sphere(fs, points)[0]
 
 
-def hyperbolic_derivative(f, p: Quaternion, tail_target=1e-10,
-                          max_order=512) -> Quaternion:
+def hyperbolic_derivative(f, p: Quaternion) -> Quaternion:
     """f^h(p) = f*_p(p), read off the stem of f at p.
 
     An expression is lowered by :func:`~slicereg.moebius.expr_to_series`
     so that the tails of f and of its derivative at |p| are within
-    ``tail_target`` where ``max_order`` allows.  A HyperbolicQuotient is a
+    _TAIL_TARGET where the order cap allows.  A HyperbolicQuotient is a
     function like any other: its f^h(p) is the value at p of its own
     quotient at p, which lies on that quotient's singular sphere and so
     comes from :meth:`HyperbolicQuotient.eval_series`.  A unimodular
@@ -301,12 +297,12 @@ def hyperbolic_derivative(f, p: Quaternion, tail_target=1e-10,
         p = Quaternion(p)
     if isinstance(f, HyperbolicQuotient):
         return hyperbolic_quotient(f, p).eval(p)
-    # f^h reads F' at |p|: a tail within tail_target * (rho - |p|) on
-    # |q| <= rho has, by Cauchy, a derivative within tail_target at |p|
+    # f^h reads F' at |p|: a tail within _TAIL_TARGET * (rho - |p|) on
+    # |q| <= rho has, by Cauchy, a derivative within _TAIL_TARGET at |p|
     r = abs(p)
     rho = 0.5 * (1.0 + r)
     fs = f if isinstance(f, TaylorSeries) else expr_to_series(
-        f, r_max=rho, tail_target=tail_target * (rho - r), max_order=max_order)
+        f, r_max=rho, tail_target=_TAIL_TARGET * (rho - r))
     u = _series_unimodular_constant(fs)
     if u is not None:
         return u

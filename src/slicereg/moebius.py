@@ -184,7 +184,7 @@ class Identity(FunctionExpr):
 class Moebius(FunctionExpr):
     """Regular Moebius transformation M_p followed by a right factor u."""
 
-    __slots__ = ("p", "u")
+    __slots__ = ("p", "u", "_pu")
 
     def __init__(self, p: Quaternion, u: Quaternion = Quaternion(1.0)):
         if isinstance(p, (int, float)):
@@ -195,13 +195,14 @@ class Moebius(FunctionExpr):
         _check_unimodular(u)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "u", u)
+        object.__setattr__(self, "_pu", p * u)
 
     @_stem_rule
     def eval_many(self, z):
         # (1 - z conj(p))^{-1} (z - p) u = (z u - p u)(1 - conj(p u) z u)^{-1}
         # since z commutes with H and |u| = 1: this is M_{pu} . (z u)
         u = qarray.from_quaternion(self.u)
-        return _stem_action(z[..., None] * u, self.p * self.u, self)
+        return _stem_action(z[..., None] * u, self._pu, self)
 
     def to_series(self, order=se.DEFAULT_ORDER):
         # a_0 = -p u and a_m = (1 - |p|^2) conj(p)^{m-1} u for m >= 1
@@ -347,11 +348,11 @@ class Bullet(FunctionExpr):
         a = se._pad(fs.coeffs, n)
         p = qarray.from_quaternion(self.p)
         w = np.array([1.0, 0.0, 0.0, 0.0]) - qarray.qmul(qarray.qconj(p), a[0])
-        if np.linalg.norm(w) <= 1e-13:
-            raise NotInvertibleAtZero(f"1 - conj(p) f(0) vanishes in {self!r}")
         s, nn, p2 = a @ p, se._norm_series(a, n), float(p @ p)
         d = p2 * nn - 2.0 * s
         d[0] = w @ w  # 1 - 2 s_0 + |p|^2 n_0 without its cancellation
+        if d[0] <= _SING_TOL:  # the threshold of _stem_action, on the same d
+            raise NotInvertibleAtZero(f"1 - conj(p) f(0) vanishes in {self!r}")
         num = (1.0 - p2) * a + np.outer(2.0 * s - nn, p)
         num[0] -= p
         inv = se._reciprocal(d, n)
@@ -371,17 +372,18 @@ class Bullet(FunctionExpr):
 
 
 class SeriesFunc(FunctionExpr):
-    """A truncated power series wrapped as an expression leaf."""
+    """A power series wrapped as an expression leaf.  An exact series is a
+    polynomial and evaluates at any radius; a truncated one only inside its
+    certified radius 1/g."""
 
-    __slots__ = ("series", "r_max")
+    __slots__ = ("series",)
 
-    def __init__(self, series: TaylorSeries, r_max=0.95):
+    def __init__(self, series: TaylorSeries):
         object.__setattr__(self, "series", series)
-        object.__setattr__(self, "r_max", float(r_max))
 
     @_stem_rule
     def eval_many(self, z):
-        return se.stem(self.series, z, r_max=self.r_max)
+        return se.stem(self.series, z)
 
     def to_series(self, order=se.DEFAULT_ORDER):
         return self.series
@@ -406,13 +408,14 @@ _CAUCHY_SLACK = 0.05
 
 
 def _pole_radius(e: FunctionExpr):
-    """None when e has a node other than the rational ones (a series leaf);
-    else the smallest radius 1/|p| at which a Moebius factor M_p puts poles
-    on the stem of e, or inf.  Poles under a Bullet or StarInv are not
-    counted, since those nodes can cancel them; one counted here that a
-    product cancels only costs a smaller R.
+    """None when e has a node other than the rational ones and exact series
+    leaves (a truncated series leaf); else the smallest radius 1/|p| at which
+    a Moebius factor M_p puts poles on the stem of e, or inf.  Poles under a
+    Bullet or StarInv are not counted, since those nodes can cancel them; one
+    counted here that a product cancels only costs a smaller R.
     """
-    if isinstance(e, (Const, Identity)):
+    if isinstance(e, (Const, Identity)) or (
+            isinstance(e, SeriesFunc) and e.series.exact):
         return math.inf
     if isinstance(e, Moebius):
         return 1.0 / abs(e.p) if abs(e.p) > 0.0 else math.inf
@@ -460,12 +463,15 @@ def _cauchy_radius(e: FunctionExpr, poles, r_max):
     return None
 
 
-def _cauchy_order(bound, radius, r, tail_target, max_order) -> int:
+def _cauchy_order(bound, growth, r, tail_target, max_order) -> int:
     """Smallest order n >= 1 (at most max_order) whose tail at |q| <= r
-    under |a_m| <= bound R^{-m}, bound t^{n+1} / (1 - t) with t = r / R, is
-    within tail_target.  n = 1 when bound = 0 (F = 0) or r = 0.
+    under |a_m| <= bound g^m, bound t^{n+1} / (1 - t) with t = g r, is
+    within tail_target; max_order when t >= 1.  n = 1 when bound = 0
+    (F = 0) or t = 0.
     """
-    t = r / radius
+    t = growth * r
+    if t >= 1.0:
+        return max_order
     n = np.arange(1, max_order + 1)
     ok = bound * t ** (n + 1) / (1.0 - t) <= tail_target
     return int(n[ok.argmax()]) if ok.any() else max_order
@@ -475,19 +481,17 @@ def expr_to_series(e: FunctionExpr, order=None, r_max=0.95,
                    tail_target=1e-12, max_order=512) -> TaylorSeries:
     """Lower an expression to a series; the order is chosen when none is given.
 
-    A tree of rational nodes whose stem F is analytic on a circle |z| = R
-    of the :func:`_cauchy_radius` ladder gets the sampled Cauchy certificate
-    (C, g) = (M (1 + slack), 1/R).  It is lowered once, at the order that
-    :func:`_cauchy_order` gives for r_max, and the series constructor checks
-    every computed coefficient against that certificate.  Exact results are
-    returned as they are.
+    The order comes from a certificate (C, g) with |a_m| <= C g^m.  A tree
+    of rational nodes and exact series leaves whose stem F is analytic on a
+    circle |z| = R of the :func:`_cauchy_radius` ladder gets the sampled
+    Cauchy certificate (M (1 + slack), 1/R).  Any other tree is lowered once
+    at DEFAULT_ORDER and is returned as it is when that meets tail_target at
+    r_max; else it keeps that lowering's own fitted certificate.
 
-    Any other tree, or one whose coefficients break the certificate, keeps
-    a fitted certificate: the order doubles from DEFAULT_ORDER until the
-    tail at r_max is within tail_target or the order reaches max_order.  An
-    order at which the certificate (C, g) in hand still gives a tail
-    C (g r)^{n+1} / (1 - g r) above the target is skipped unlowered; every
-    order that is lowered is judged by its own certificate.
+    The tree is then lowered once, at the order :func:`_cauchy_order` gives
+    for r_max (max_order when g r_max >= 1).  The result keeps (C, g) when
+    its coefficients obey it, and their own fitted certificate when they do
+    not.  Exact results are returned as they are.
     """
     if order is not None:
         return e.to_series(order)
@@ -495,32 +499,21 @@ def expr_to_series(e: FunctionExpr, order=None, r_max=0.95,
     found = None if poles is None else _cauchy_radius(e, poles, r_max)
     if found is not None:
         radius, m = found
-        bound = m * (1.0 + _CAUCHY_SLACK)
-        s = e.to_series(_cauchy_order(bound, radius, r_max, tail_target,
-                                      max_order))
-        if s.exact:
+        bound, growth = m * (1.0 + _CAUCHY_SLACK), 1.0 / radius
+        kind = "cauchy-sampled"
+    else:
+        s = e.to_series(se.DEFAULT_ORDER)
+        if s.exact or s.tail_bound(r_max) <= tail_target:
             return s
-        try:
-            return TaylorSeries(s.coeffs, bound, 1.0 / radius,
-                                certificate="cauchy-sampled")
-        except ValueError:
-            pass
-    n = se.DEFAULT_ORDER
-    s = e.to_series(n)
-    while s.tail_bound(r_max) > tail_target and n < max_order:
-        n *= 2
-        while n < max_order and _predicted_tail(s, n, r_max) > tail_target:
-            n *= 2
-        s = e.to_series(n)
-    return s
-
-
-def _predicted_tail(s: TaylorSeries, n: int, r: float) -> float:
-    """The tail at |q| <= r of order n that the certificate of s predicts."""
-    tail = s.tail_bound(r)  # C t^{N+1} / (1 - t) with t = g r < 1, or inf
-    if math.isinf(tail):
-        return tail
-    return tail * (s.growth_rate * r) ** max(n - s.order, 0)
+        bound, growth, kind = s.coeff_bound, s.growth_rate, "fitted"
+    s = e.to_series(_cauchy_order(bound, growth, r_max, tail_target,
+                                  max_order))
+    if s.exact:
+        return s
+    try:
+        return TaylorSeries(s.coeffs, bound, growth, certificate=kind)
+    except ValueError:
+        return s
 
 
 # -- Moebius maps and Blaschke products -------------------------------

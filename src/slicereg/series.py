@@ -324,14 +324,14 @@ def _horner(coeffs: np.ndarray, z) -> np.ndarray:
     return acc
 
 
-def stem(f: TaylorSeries, z, r_max=0.95) -> np.ndarray:
+def stem(f: TaylorSeries, z, r_max=None) -> np.ndarray:
     """Stem F(z) = sum z^m a_m at complex points z, by blocked Horner.
 
-    Raises OutsideConvergence unless every |z| is at most r_max and, for a
-    truncated series, inside the certified radius 1/g.
+    Raises OutsideConvergence unless every |z| is at most r_max, when one is
+    given, and, for a truncated series, inside the certified radius 1/g.
     """
     az = np.abs(z)
-    if np.any(az > r_max + 1e-12) or (
+    if (r_max is not None and np.any(az > r_max + 1e-12)) or (
             not f.exact and np.any(f.growth_rate * az >= 1.0)):
         raise OutsideConvergence(
             f"|q| = {az.max():.6g} outside certified radius "
@@ -339,13 +339,13 @@ def stem(f: TaylorSeries, z, r_max=0.95) -> np.ndarray:
     return _horner(f.coeffs, z)
 
 
-def evaluate(f: TaylorSeries, q: Quaternion, r_max=0.95):
+def evaluate(f: TaylorSeries, q: Quaternion, r_max=None):
     """Evaluation at one point; returns (value, tail bound)."""
     vals, tails = evaluate_many(f, qarray.from_quaternion(q, (1,)), r_max)
     return qarray.to_quaternion(vals[0]), float(tails[0])
 
 
-def evaluate_many(f: TaylorSeries, points: np.ndarray, r_max=0.95):
+def evaluate_many(f: TaylorSeries, points: np.ndarray, r_max=None):
     """Evaluation at an (M, 4) array of points; returns (values, tails)."""
     points = qarray.as_qarray(points)
     vals = qarray.on_slices(points, lambda z: stem(f, z, r_max))
@@ -372,7 +372,7 @@ def spherical_derivative(f: TaylorSeries, p: Quaternion) -> Quaternion:
     y = p.im_norm()
     if y <= 1e-13 * max(1.0, abs(p)):
         raise RealPoint("spherical derivative undefined at real points")
-    return qarray.to_quaternion(stem(f, p.re + 1j * y, r_max=abs(p)).imag / y)
+    return qarray.to_quaternion(stem(f, p.re + 1j * y).imag / y)
 
 
 def left_linear_divide(f: TaylorSeries, p: Quaternion, tol=1e-9) -> TaylorSeries:

@@ -1,9 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from slicereg import cli
+from slicereg import cli, qarray
+from slicereg.moebius import expr_from_json
 from slicereg.quaternion import Quaternion
 
 Q2_EXPR = {"kind": "star_mul",
@@ -177,6 +179,16 @@ class TestCrosscheck:
         assert cli.main(["crosscheck", "--f", INV_ID]) == 1
         assert one_line_error(capsys)
 
+    def test_exact_series_leaf(self, capsys):
+        expr = {"kind": "star_mul",
+                "left": {"kind": "series", "exact": True,
+                         "coeffs": [[0.5, 0, 0, 0], [0, 0.3, 0, 0.1]]},
+                "right": {"kind": "moebius", "p": [0.3, 0.1, 0.0, 0.2]}}
+        rc = cli.main(["crosscheck", "--f", json.dumps(expr),
+                       "--count", "200"])
+        report = json.loads(capsys.readouterr().out)
+        assert rc == 0 and report["pass"] is True
+
 
 class TestGrid:
     def test_shape_and_header(self, capsys):
@@ -218,6 +230,36 @@ class TestGrid:
     def test_singular_sample(self, capsys):
         assert cli.main(["grid", "--f", INV_ID, "--res", "1"]) == 1
         assert one_line_error(capsys)
+
+    def test_matches_per_row_formatting(self, capsys):
+        # the output is byte for byte the row-by-row "%.17g" join of the
+        # five values, with the angle from math.atan2, over the row-major
+        # samples of the inscribed square of the slice
+        expr = {"kind": "blaschke", "u": [0, 0, 1, 0],
+                "factors": [[0.3, 0.2, 0, 0], [-0.2, 0, 0.3, 0.1]]}
+        res = 30
+        rc = cli.main(["grid", "--f", json.dumps(expr), "--res", str(res),
+                       "--slice", "[1,2,3]"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        axis = np.array(cli._parse_slice("[1,2,3]").components()[1:])
+        half = 0.95 / math.sqrt(2.0)
+        coords = np.linspace(-half, half, res)
+        ys, xs = (c.ravel() for c in np.meshgrid(coords, coords,
+                                                 indexing="ij"))
+        pts = np.zeros((res * res, 4))
+        pts[:, 0] = xs
+        pts[:, 1:] = ys[:, None] * axis
+        vals = expr_from_json(expr).eval_many(pts)
+        mods = qarray.qnorm(vals)
+        imag = vals[:, 1] * axis[0] + vals[:, 2] * axis[1] \
+            + vals[:, 3] * axis[2]
+        lines = ["x,y,abs,re,arg"]
+        for m in range(res * res):
+            arg = math.atan2(imag[m], vals[m, 0])
+            lines.append(",".join(f"{v:.17g}" for v in
+                                  (xs[m], ys[m], mods[m], vals[m, 0], arg)))
+        assert out == "\n".join(lines) + "\n"
 
     def test_custom_axis(self, capsys):
         rc = cli.main(["grid", "--f", json.dumps(Q2_EXPR),
