@@ -128,6 +128,9 @@ def _parse_slice(spec: str) -> Quaternion:
     return Quaternion(0.0, x / n, y / n, z / n)
 
 
+_GRID_ROWS = 64
+
+
 def cmd_grid(args) -> int:
     f = _load_expr_arg(args.f)
     axis = _parse_slice(args.slice)
@@ -143,13 +146,18 @@ def cmd_grid(args) -> int:
     pts[:, 0] = xs
     pts[:, 1:] = ys[:, None] * np.array([axis.x, axis.y, axis.z])
     vals = f.eval_many(pts)
-    re_w = vals[:, 0].tolist()
     imag_along = vals[:, 1] * axis.x + vals[:, 2] * axis.y + vals[:, 3] * axis.z
-    # math.atan2 per element: np.arctan2 can differ in the last digit
-    args = map(math.atan2, imag_along.tolist(), re_w)
+    cols = (xs, ys, qarray.qnorm(vals), vals[:, 0], imag_along)
     row = "%.17g,%.17g,%.17g,%.17g,%.17g\n".__mod__
-    sys.stdout.write("x,y,abs,re,arg\n" + "".join(map(row, zip(
-        xs.tolist(), ys.tolist(), qarray.qnorm(vals).tolist(), re_w, args))))
+    sys.stdout.write("x,y,abs,re,arg\n")
+    # written _GRID_ROWS rows at a time, so that only one block of lines is
+    # held as Python strings
+    for start in range(0, res * res, _GRID_ROWS * res):
+        x, y, mod, re_w, imag = (c[start:start + _GRID_ROWS * res].tolist()
+                                 for c in cols)
+        # math.atan2 per element: np.arctan2 can differ in the last digit
+        angles = map(math.atan2, imag, re_w)
+        sys.stdout.write("".join(map(row, zip(x, y, mod, re_w, angles))))
     return 0
 
 

@@ -4,10 +4,10 @@ Given distinct real nodes r_1..r_n in (-1, 1) and target values s_1..s_n in
 the unit ball, a triangular table of quantities Q_k^l is built from Moebius
 quotients; the modulus of the final entry Q_{n-1}^n decides between an
 infinite solution family, a unique regular Blaschke solution, or no
-solution.  Explicit interpolants are assembled as nested Moebius actions.
-A Pick-matrix positivity criterion provides an independent solvability
-check, and slice_extend lifts a one-slice complex function to its unique
-slice regular extension.
+solution.  Explicit interpolants are the nested Moebius actions of the
+Schur algorithm, held as one chain-matrix node.  A Pick-matrix positivity
+criterion provides an independent solvability check, and slice_extend
+lifts a one-slice complex function to its unique slice regular extension.
 """
 
 from __future__ import annotations
@@ -26,11 +26,9 @@ from .errors import (
     NotSelfMap,
 )
 from .moebius import (
-    Bullet,
     Const,
     FunctionExpr,
-    Moebius,
-    StarMul,
+    SchurChain,
     _check_ball,
     moebius_classical_eval,
 )
@@ -243,7 +241,7 @@ def _as_h_expr(h) -> FunctionExpr:
 
 
 def build_solution(t: QTable, kind: SolutionKind, h=None) -> FunctionExpr:
-    """Assemble the nested Moebius-action interpolant for the given kind.
+    """The interpolant for the given kind, as one SchurChain node.
 
     Non-singular: f = M_{-s_1}.(M_{r_1} * (M_{-Q_1^2}.(M_{r_2} * (... * h)))).
     Singular with degree k0: same chain stopped at level k0 with the
@@ -261,10 +259,9 @@ def build_solution(t: QTable, kind: SolutionKind, h=None) -> FunctionExpr:
     else:
         expr = _as_h_expr(h)
         depth = prob.n
-    for k in range(depth, 0, -1):
-        qv = t.cell(k - 1, k).value
-        expr = Bullet(-qv, StarMul(Moebius(Quaternion(prob.nodes[k - 1])), expr))
-    return expr
+    return SchurChain(prob.nodes[:depth],
+                      [-t.cell(k - 1, k).value for k in range(1, depth + 1)],
+                      expr)
 
 
 def two_point_solve(r: float, p: float, s: Quaternion, q: Quaternion):

@@ -39,6 +39,7 @@ __all__ = [
     "Bullet",
     "Sum",
     "SeriesFunc",
+    "SchurChain",
     "BlaschkeProduct",
     "moebius_classical_eval",
     "expr_to_series",
@@ -395,13 +396,167 @@ class SeriesFunc(FunctionExpr):
         return f"SeriesFunc({self.series!r})"
 
 
-# Cauchy certificates: radii tried largest first, samples per circle, how
-# many Laurent coefficients c_{-1} ... c_{-K} must vanish relative to the
-# largest coefficient for F to count as analytic on the closed disc, and
-# the margin on the sampled maximum M (20x the largest gap to an
-# 8192-sample maximum seen on the criterion-7 and criterion-8 trees)
+def _left_mul_matrices(ps: np.ndarray) -> np.ndarray:
+    """The (..., 4, 4) matrices L with a @ L = p a, for (..., 4) arrays p."""
+    w, x, y, z = np.moveaxis(ps, -1, 0)
+    return np.stack([np.stack(r, axis=-1) for r in (
+        (w, x, y, z), (-x, w, z, -y), (-y, -z, w, x), (-z, y, -x, w))],
+        axis=-2)
+
+
+# row 4 i + j holds the components of e_i conj(e_j), so that (a_i b_j) @ it
+# is a b^c: one matmul where qarray.qmul takes 28 ufunc calls
+_CONJ_PRODUCT = np.array([qarray.qmul(a, qarray.qconj(b)) for a in np.eye(4)
+                          for b in np.eye(4)], dtype=complex)
+
+
+class SchurChain(FunctionExpr):
+    """The real-node chain f = M_{p_1}.(M_{r_1} * (M_{p_2}.(M_{r_2} * (...
+    * h)))) of the Schur algorithm, as one node.
+
+    For a real node M_r is central, so each step is linear in the pair
+    (N, D) of f_{k+1} = N * D^{-*}, the action of one factor of the chain
+    matrix Theta_1 ... Theta_n:
+
+        N_k = (q - r_k) N - p_k (1 - r_k q) D,
+        D_k = -conj(p_k) (q - r_k) N + (1 - r_k q) D.
+
+    The stem runs it on point values from (N, D) = (h, 1), each step
+    divided by 1 - r_k z:
+
+        N_k = b_k N - p_k D,  D_k = D - conj(p_k) b_k N,
+
+    with b_k the stem of M_{r_k}.  Then n(D_k) / n(D_{k+1}) is
+    n(1 - conj(p_k) F), the denominator that the chain's Bullet k checks.
+    A step is one 8 x 8 matmul, and f = N D^c / n(D) one more, so the stem
+    takes no Hamilton product.  The monomial coefficients of Theta's
+    polynomial entries sum to about prod(1 + |r_k|), while |D(z)| can be as
+    small as prod |1 - r_k z| next to clustered nodes, so neither the stem
+    nor the lowering works from them: to_series lowers the nested chain,
+    and the polynomial D only gives the pole radius (:meth:`_root_radius`).
+    The step matrices are formed on first use, so that building a solution
+    costs no more than storing r_k, p_k and h.
+    """
+
+    __slots__ = ("nodes", "ps", "h", "_steps")
+
+    def __init__(self, nodes, ps, h: FunctionExpr):
+        nodes = tuple(float(r) for r in nodes)
+        ps = tuple(ps)
+        if len(nodes) != len(ps):
+            raise ValueError("need one value p_k per real node r_k")
+        for r in nodes:
+            if abs(r) >= 1.0 - 1e-13:
+                raise ValueError("nodes must lie strictly inside (-1, 1)")
+        for p in ps:
+            _check_ball(p)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "ps", ps)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "_steps", None)
+
+    def _chain(self) -> FunctionExpr:
+        """The nested chain of Bullet, StarMul and Moebius nodes."""
+        expr = self.h
+        for r, p in zip(reversed(self.nodes), reversed(self.ps)):
+            expr = Bullet(p, StarMul(Moebius(Quaternion(r)), expr))
+        return expr
+
+    def _step_matrices(self):
+        """The nodes r_k as an array and the complex (n, 8, 8) matrices T_k
+        with [b N | D] @ T_k = [b N - p_k D | D - conj(p_k) b N], formed on
+        the first call."""
+        if self._steps is None:
+            ps = np.array([p.components() for p in self.ps]).reshape(-1, 4)
+            eye = np.broadcast_to(np.eye(4), ps.shape[:1] + (4, 4))
+            steps = np.block([[eye, -_left_mul_matrices(qarray.qconj(ps))],
+                              [-_left_mul_matrices(ps), eye]])
+            object.__setattr__(self, "_steps", (np.array(self.nodes),
+                                                steps.astype(complex)))
+        return self._steps
+
+    def _root_radius(self):
+        """The smallest root modulus R0 of the real polynomial n(D) = D D^c
+        when h is a constant or an exact series, with N and D the recurrence
+        on coefficients from (h, 1): the stem is then rational, with poles
+        only at those roots.  inf for any other h, or when n(D) is constant.
+        A root that N shares is no pole, and only costs a smaller R; next to
+        clustered nodes the roots of n(D) are ill-conditioned and R0 can be
+        far off either way, so the Laurent check of :func:`_cauchy_radius`
+        guards the radius taken from it.
+        """
+        h = self.h
+        if isinstance(h, Const):
+            top = np.array([h.value.components()])
+        elif isinstance(h, SeriesFunc) and h.series.exact:
+            top = h.series.coeffs
+        else:
+            return math.inf
+        nodes, ps = self.nodes, self.ps
+        if nodes and not top.any():
+            # h = 0: the last step gives N = -p_n (1 - r_n q) and
+            # D = 1 - r_n q, whose common root 1 / r_n is no pole of f
+            top = np.array([(-ps[-1]).components()])
+            nodes, ps = nodes[:-1], ps[:-1]
+        cols = np.zeros((2,) + top.shape)
+        cols[0], cols[1, 0, 0] = top, 1.0
+        ps = np.array([p.components() for p in ps]).reshape(-1, 4)
+        left = _left_mul_matrices(ps)
+        left_bar = _left_mul_matrices(qarray.qconj(ps))
+        for r, lp, lp_bar in zip(nodes[::-1], left[::-1], left_bar[::-1]):
+            num, den = np.pad(cols, ((0, 0), (1, 1), (0, 0)))
+            u = num[:-1] - r * num[1:]  # (q - r) N
+            v = den[1:] - r * den[:-1]  # (1 - r q) D
+            cols = np.stack([u - v @ lp, v - u @ lp_bar])
+        den = cols[1]
+        moduli = np.abs(np.roots(se._norm_series(den, 2 * len(den) - 2)[::-1]))
+        return float(moduli.min()) if moduli.size else math.inf
+
+    @_stem_rule
+    def eval_many(self, z):
+        nodes, steps = self._step_matrices()
+        r = nodes.reshape((-1,) + (1,) * z.ndim)
+        w = 1.0 - r * z
+        # the threshold each Moebius(r_k) applies to n(1 - r_k z) = w^2
+        if (np.abs(w) ** 2 <= _SING_TOL).any():
+            raise SingularDenominator(f"{self!r} is singular on a sample")
+        b = ((z - r) / w)[..., None]
+        x = np.zeros(z.shape + (8,), dtype=complex)
+        x[..., :4] = self.h.eval_many(z)
+        x[..., 4] = 1.0
+        norms = [np.ones(z.shape)]
+        for bk, step in zip(b[::-1], steps[::-1]):
+            x[..., :4] *= bk
+            x = x @ step
+            norms.append((x[..., 4:] ** 2).sum(axis=-1))
+        # n(D_k) / n(D_{k+1}) = n(1 - conj(p_k) F), what each Bullet checks
+        norms = np.array(norms)
+        if (np.abs(norms[1:]) <= _SING_TOL * np.abs(norms[:-1])).any():
+            raise SingularDenominator(f"{self!r} is singular on a sample")
+        num = (x[..., :4, None] * x[..., None, 4:]).reshape(z.shape + (16,))
+        return num @ _CONJ_PRODUCT / norms[-1][..., None]
+
+    def to_series(self, order=se.DEFAULT_ORDER):
+        return self._chain().to_series(order)
+
+    def to_json(self):
+        # the nested chain, so that the interpolate output keeps its schema
+        return self._chain().to_json()
+
+    def __repr__(self):
+        return (f"SchurChain({list(self.nodes)!r}, {list(self.ps)!r}, "
+                f"{self.h!r})")
+
+
+# Cauchy certificates: radii tried largest first, samples per circle (and
+# the most the root rung of _cauchy_radius takes), how many Laurent
+# coefficients c_{-1} ... c_{-K} must vanish relative to the largest
+# coefficient for F to count as analytic on the closed disc, and the margin
+# on the sampled maximum M (20x the largest gap to an 8192-sample maximum
+# seen on the criterion-7 and criterion-8 trees)
 _CAUCHY_RADII = (3.0, 2.0, 1.6, 1.35, 1.2, 1.1, 1.05)
 _CAUCHY_SAMPLES = 256
+_CAUCHY_MAX_SAMPLES = 2 ** 16
 _LAURENT_TERMS = 64
 _LAURENT_TOL = 1e-13
 _CAUCHY_SLACK = 0.05
@@ -412,7 +567,10 @@ def _pole_radius(e: FunctionExpr):
     leaves (a truncated series leaf); else the smallest radius 1/|p| at which
     a Moebius factor M_p puts poles on the stem of e, or inf.  Poles under a
     Bullet or StarInv are not counted, since those nodes can cancel them; one
-    counted here that a product cancels only costs a smaller R.
+    counted here that a product cancels only costs a smaller R.  A
+    SchurChain over a constant or an exact series has its poles at roots of
+    n(D), and gives the smallest root modulus; over any other h it counts
+    like a Bullet.
     """
     if isinstance(e, (Const, Identity)) or (
             isinstance(e, SeriesFunc) and e.series.exact):
@@ -426,29 +584,43 @@ def _pole_radius(e: FunctionExpr):
         return _pole_radius(e.inner)
     if isinstance(e, (StarInv, Bullet)):
         return None if _pole_radius(e.inner) is None else math.inf
+    if isinstance(e, SchurChain):
+        return None if _pole_radius(e.h) is None else e._root_radius()
     return None
 
 
 def _cauchy_radius(e: FunctionExpr, poles, r_max):
-    """(R, M) for the largest ladder radius r_max < R < poles on which the
-    stem F of e is analytic, with M the largest |F| over the samples of
-    |z| = R.
+    """(R, M) for the largest radius r_max < R < poles on which the stem F
+    of e is analytic, with M the largest |F| over the samples of |z| = R.
 
-    A radius counts when F is finite at every sample, no sample is singular
-    and the Laurent part of F on the circle, read off its FFT, vanishes; a
-    singularity inside the circle, or aliasing of a slowly decaying series,
-    shows there.  Returns None when no radius counts.  M is a sampled
-    maximum, so the Cauchy estimate |a_m| <= M R^{-m} is a sampled one.
-    Stems satisfy F(conj z) = conj F(z), with conj the complex conjugate
-    of each component, so only the upper half circle is evaluated.
+    The radii are the ladder's and, for a SchurChain, whose poles are the
+    roots of n(D), the root rung R = (1 + poles) / 2 in its place among
+    them.  A radius counts
+    when F is finite at every sample, no sample is singular and the Laurent
+    part of F on the circle, read off its FFT, vanishes; a singularity
+    inside the circle, or aliasing of a slowly decaying series, shows there.
+    Aliasing puts about (R / poles)^(N - K) on the K Laurent terms of N
+    samples, so the root rung takes the N that keeps this under the
+    tolerance (at most _CAUCHY_MAX_SAMPLES).  Returns None when no radius
+    counts.  M is a sampled maximum, so the Cauchy estimate |a_m| <=
+    M R^{-m} is a sampled one.  Stems satisfy F(conj z) = conj F(z), with
+    conj the complex conjugate of each component, so only the upper half
+    circle is evaluated.
     """
-    half = _CAUCHY_SAMPLES // 2
-    roots = np.exp(1j * np.pi * np.arange(half + 1) / half)
-    for radius in _CAUCHY_RADII:
-        if radius <= r_max:
-            break
-        if radius >= poles:
-            continue
+    def circle(samples):
+        half = samples // 2
+        return np.exp(1j * np.pi * np.arange(half + 1) / half)
+    ladder = circle(_CAUCHY_SAMPLES)
+    rungs = [(radius, ladder) for radius in _CAUCHY_RADII
+             if r_max < radius < poles]
+    root = (1.0 + poles) / 2.0
+    if isinstance(e, SchurChain) and r_max < root < poles:
+        need = _LAURENT_TERMS + math.log(_LAURENT_TOL) / math.log(root / poles)
+        samples = max(_CAUCHY_SAMPLES, 2 ** math.ceil(math.log2(need)))
+        if samples <= _CAUCHY_MAX_SAMPLES:
+            rungs.append((root, circle(samples)))
+            rungs.sort(key=lambda rung: -rung[0])
+    for radius, roots in rungs:
         try:
             with np.errstate(all="ignore"):
                 F = e.eval_many(radius * roots)
@@ -486,7 +658,8 @@ def expr_to_series(e: FunctionExpr, order=None, r_max=0.95,
     circle |z| = R of the :func:`_cauchy_radius` ladder gets the sampled
     Cauchy certificate (M (1 + slack), 1/R).  Any other tree is lowered once
     at DEFAULT_ORDER and is returned as it is when that meets tail_target at
-    r_max; else it keeps that lowering's own fitted certificate.
+    r_max; else it keeps that lowering's own fitted certificate.  An exact
+    series leaf is its own lowering.
 
     The tree is then lowered once, at the order :func:`_cauchy_order` gives
     for r_max (max_order when g r_max >= 1).  The result keeps (C, g) when
@@ -495,6 +668,8 @@ def expr_to_series(e: FunctionExpr, order=None, r_max=0.95,
     """
     if order is not None:
         return e.to_series(order)
+    if isinstance(e, SeriesFunc) and e.series.exact:
+        return e.series
     poles = _pole_radius(e)
     found = None if poles is None else _cauchy_radius(e, poles, r_max)
     if found is not None:

@@ -307,6 +307,30 @@ def test_criterion_8_q_table_recovery(random_problems):
                   f"worst err {worst:.2e}")
 
 
+def test_interpolants_lower_with_cauchy_certificates(random_problems):
+    # the criterion-8 interpolants, with the root rung of n(D) among their
+    # Cauchy radii: every one is certified, meets the 1e-12 tail target at
+    # r = 0.95, and its certificate bounds the order-1024 series of
+    # N * D^{-*}, compared in logarithms since C g^m underflows (the nested
+    # chain's own lowering carries rounding at the poles of its partial
+    # chains, which cancel in f, 1e-30 and below at high order)
+    from slicereg import series as se
+    from slicereg.moebius import expr_to_series
+    from test_moebius import chain_fraction
+    for prob, t, kind, sol in random_problems:
+        if sol is None:
+            continue
+        s = expr_to_series(sol)
+        assert s.certificate == "cauchy-sampled"
+        assert s.tail_bound(0.95) <= 1e-12
+        num, den = chain_fraction(sol)
+        norms = se.star_mul(num, se.star_inverse(den, order=1024)) \
+            .coefficient_norms()
+        m = np.flatnonzero(norms)
+        assert np.all(np.log(norms[m]) <= np.log(s.coeff_bound)
+                      + m * np.log(s.growth_rate))
+
+
 def test_criterion_9_ball_lemma():
     rng = np.random.default_rng(77)
     count = 100000

@@ -261,6 +261,16 @@ class TestGrid:
                                   (xs[m], ys[m], mods[m], vals[m, 0], arg)))
         assert out == "\n".join(lines) + "\n"
 
+    def test_blocks_of_rows_join_to_one_output(self, capsys, monkeypatch):
+        # blocks of 7 rows, the last one short, give the bytes of one block
+        argv = ["grid", "--f", json.dumps(Q2_EXPR), "--res", "30",
+                "--slice", "[1,2,3]"]
+        assert cli.main(argv) == 0
+        whole = capsys.readouterr().out
+        monkeypatch.setattr(cli, "_GRID_ROWS", 7)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == whole
+
     def test_custom_axis(self, capsys):
         rc = cli.main(["grid", "--f", json.dumps(Q2_EXPR),
                        "--res", "2", "--slice", "[1,1,0]"])

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from slicereg import moebius as mo
+from slicereg import qarray
 from slicereg import series as se
 from slicereg.errors import (
     NotInvertibleAtZero,
@@ -24,6 +26,7 @@ from slicereg.moebius import (
     Const,
     Identity,
     Moebius,
+    SchurChain,
     SeriesFunc,
     StarInv,
     StarMul,
@@ -241,7 +244,7 @@ class TestStemEvaluation:
         nodes = list(np.linspace(-0.6, 0.6, 12))
         values = [(I * 0.4 + J * 0.2) * r for r in nodes]
         table = build_q_table(InterpolationProblem(nodes, values))
-        f = build_solution(table, classify(table))
+        f = expr_from_json(build_solution(table, classify(table)).to_json())
         calls = []
         for cls in (Const, Identity, Moebius, Sum, StarMul, StarInv, Conj,
                     Bullet, SeriesFunc):
@@ -342,6 +345,8 @@ def _exact_stem(e, z: _ExactC, dens):
     if isinstance(e, StarMul):
         return _h_mul(_exact_stem(e.left, z, dens),
                       _exact_stem(e.right, z, dens))
+    if isinstance(e, SchurChain):
+        return _exact_stem(_nested(e.nodes, e.ps, e.h), z, dens)
     raise TypeError(f"no exact rule for {e!r}")
 
 
@@ -420,6 +425,226 @@ class TestExactStems:
     def test_interpolant(self, rng):
         # about 0.15 s a point in exact arithmetic
         self._check(_interpolant_8(), rng, count=4, per_circle=2)
+
+
+def _nested(nodes, ps, h):
+    """M_{p_1}.(M_{r_1} * (... M_{p_n}.(M_{r_n} * h))) as Bullet, StarMul and
+    Moebius nodes."""
+    for r, p in zip(reversed(nodes), reversed(ps)):
+        h = Bullet(p, StarMul(Moebius(Quaternion(r)), h))
+    return h
+
+
+def _hand_chain(table, kind, h):
+    """The interpolant of ``table`` built node by node, from the cells:
+    p_k = -Q_{k-1}^k, and the singular variant stops at kappa0 with its
+    unimodular cell as h."""
+    depth = kind.kappa0 if kind.variant == "singular" else table.n
+    if kind.variant == "singular":
+        h = Const(table.cell(depth, depth + 1).value)
+    return _nested(table.problem.nodes[:depth],
+                   [-table.cell(k - 1, k).value for k in range(1, depth + 1)],
+                   h)
+
+
+def chain_fraction(f: SchurChain):
+    """N and D with f = N * D^{-*}, for a SchurChain over a constant h, by
+    the chain's recurrence in exact series arithmetic.  For h = 0 it starts
+    from f_n = -p_n at the last node, which leaves out the common factor
+    1 - r_n q of N and D."""
+    def poly(*coeffs):
+        return TaylorSeries(np.array([c.components() for c in coeffs]),
+                            exact=True)
+    nodes, ps, h = f.nodes, f.ps, f.h.value
+    if h == ZERO:
+        nodes, ps, h = nodes[:-1], ps[:-1], -ps[-1]
+    num, den = poly(h), poly(ONE)
+    for r, p in zip(reversed(nodes), reversed(ps)):
+        u = se.star_mul(poly(Quaternion(-r), ONE), num)
+        v = se.star_mul(poly(ONE, Quaternion(-r)), den)
+        num, den = (se.series_add(u, se.star_mul(poly(-p), v)),
+                    se.series_add(v, se.star_mul(poly(-p.conj()), u)))
+    return num, den
+
+
+# an exact series self-map of the ball: the norms of its coefficients sum
+# to 0.8
+H_SERIES = TaylorSeries(np.array([[0.2, 0.1, 0.0, 0.0], [0.0, 0.0, 0.3, 0.0],
+                                  [0.0, 0.0, 0.0, -0.3]]), exact=True)
+CHAIN_VARIANTS = {
+    "zero": (None, Const(ZERO)),
+    "unimodular": (U, Const(U)),
+    "exact_series": (H_SERIES, SeriesFunc(H_SERIES)),
+    "singular": (None, None),
+}
+
+
+def _chain_problem(n, variant, seed=None):
+    """A solvable n-node problem: 0.9 times a degree-(n + 1) Blaschke product
+    at the nodes, or, for the singular variant, a degree-(n - 1) one."""
+    rng = np.random.default_rng(n if seed is None else seed)
+    nodes = list(np.linspace(-0.7, 0.7, n) + rng.uniform(-0.05, 0.05, n))
+    while True:
+        if variant == "singular":
+            f, scale = random_blaschke_expr(rng, n - 1), 1.0
+        else:
+            f, scale = random_blaschke_expr(rng, n + 1), 0.9
+        table = build_q_table(InterpolationProblem(
+            nodes, [f.eval(Quaternion(r)) * scale for r in nodes]))
+        kind = classify(table)
+        want = "singular" if variant == "singular" else "non_singular"
+        if kind.variant == want:
+            return table, kind
+
+
+class TestSchurChain:
+    """build_solution's one node against the nested chain it stands for."""
+
+    @pytest.mark.parametrize("variant", CHAIN_VARIANTS)
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_agrees_with_hand_built_chain(self, n, variant, rng):
+        table, kind = _chain_problem(n, variant)
+        h, h_expr = CHAIN_VARIANTS[variant]
+        f = build_solution(table, kind, h)
+        chain = _hand_chain(table, kind, h_expr)
+        assert isinstance(f, SchurChain)
+        assert json.dumps(f.to_json()) == json.dumps(chain.to_json())
+        prob = table.problem
+        nodes = np.zeros((prob.n, 4))
+        nodes[:, 0] = prob.nodes
+        got = f.eval_many(nodes)
+        assert np.abs(got - chain.eval_many(nodes)).max() <= 1e-13
+        assert np.abs(got - [s.components() for s in prob.values]).max() \
+            <= 1e-12
+        ball = qarray.uniform_ball(rng, 200, 0.95)
+        assert np.abs(f.eval_many(ball) - chain.eval_many(ball)).max() <= 1e-13
+        z = 0.99 * np.sqrt(rng.random(50)) * np.exp(2j * np.pi * rng.random(50))
+        assert np.abs(f.eval_many(z) - chain.eval_many(z)).max() <= 1e-13
+
+    @pytest.mark.parametrize("variant", ["zero", "exact_series", "singular"])
+    def test_lowering_matches_chain(self, variant):
+        table, kind = _chain_problem(5, variant)
+        h, h_expr = CHAIN_VARIANTS[variant]
+        f = build_solution(table, kind, h)
+        chain = _hand_chain(table, kind, h_expr)
+        for order in (3, 64):
+            got, want = f.to_series(order), chain.to_series(order)
+            assert got.order == want.order == order
+            assert np.abs(got.coeffs - want.coeffs).max() <= 1e-13
+
+    def test_radius_from_denominator_roots(self):
+        # R0 is the smallest root modulus of n(D), with D from
+        # chain_fraction; here the rung 1.2 fails its Laurent check and the
+        # root rung R = (1 + R0) / 2 comes next, ahead of 1.1, and the
+        # sampled certificate bounds an order-1024 lowering
+        table, kind = _chain_problem(6, "zero")
+        f = build_solution(table, kind)
+        den = chain_fraction(f)[1]
+        c = den.coeffs
+        r0 = np.abs(np.roots(se._norm_series(c, 2 * len(c) - 2)[::-1])).min()
+        assert f._root_radius() == pytest.approx(r0, rel=1e-12)
+        s = expr_to_series(f)
+        assert 1.2 < r0 < 1.35 and s.certificate == "cauchy-sampled"
+        assert s.growth_rate == 2.0 / (1.0 + f._root_radius())
+        assert s.tail_bound(0.95) <= 1e-12
+        norms = f.to_series(1024).coefficient_norms()
+        assert np.all(norms <= s.coeff_bound * s.growth_rate ** np.arange(1025))
+
+    @pytest.mark.parametrize("values", ["zero", "blaschke"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_clustered_nodes(self, sign, values, rng):
+        # 8 nodes in [0.90, 0.97] or [-0.97, -0.90]: in the monomial basis
+        # |D| falls to ~1e-8 at the nodes against coefficients summing to
+        # ~256; the node must still agree with the chain and hit the values
+        nodes = list(sign * np.linspace(0.90, 0.97, 8))
+        while True:
+            if values == "zero":
+                targets = [ZERO] * 8
+            else:
+                b = random_blaschke_expr(rng, 9)
+                targets = [b.eval(Quaternion(r)) * 0.9 for r in nodes]
+            table = build_q_table(InterpolationProblem(nodes, targets))
+            kind = classify(table)
+            if kind.variant == "non_singular":
+                break
+        f = build_solution(table, kind)
+        chain = _hand_chain(table, kind, Const(ZERO))
+        at = np.zeros((8, 4))
+        at[:, 0] = nodes
+        got = f.eval_many(at)
+        assert np.abs(got - chain.eval_many(at)).max() <= 1e-13
+        assert np.abs(got - [t.components() for t in targets]).max() <= 1e-13
+        for r, t in zip(nodes, targets):
+            assert abs(f.eval(Quaternion(r)) - t) <= 1e-13
+        ball = qarray.uniform_ball(rng, 200, 0.95)
+        assert np.abs(f.eval_many(ball) - chain.eval_many(ball)).max() <= 1e-13
+        z = 0.99 * np.sqrt(rng.random(50)) * np.exp(2j * np.pi * rng.random(50))
+        assert np.abs(f.eval_many(z) - chain.eval_many(z)).max() <= 1e-13
+        # the lowering is the chain's, so it stays bounded like the chain's
+        got, want = f.to_series(256), chain.to_series(256)
+        assert np.abs(got.coeffs - want.coeffs).max() <= 1e-13
+        assert np.abs(got.coeffs).max() <= 1.0
+
+    def test_singular_where_the_chain_is(self):
+        # M_{1/2} . (M_{0.3} * 1) has 1 - b(z) / 2 = 0 at z = 2.3 / 1.6, and
+        # each step checks its own denominator, as each Bullet of the chain
+        f = SchurChain([0.3], [Quaternion(0.5)], Const(ONE))
+        for e in (f, f._chain()):
+            with pytest.raises(SingularDenominator):
+                e.eval_many(np.array([2.3 / 1.6 + 0j]))
+        f = SchurChain(list(np.linspace(-0.5, 0.5, 8)),
+                       [Quaternion(0.9, 0.3)] * 8, Const(I))
+
+        def raises(e, z):
+            try:
+                e.eval_many(np.array([z]))
+            except SingularDenominator:
+                return True
+            return False
+        # |z| = 2 passes the poles 1 / r_k = +-2 of M_{+-0.5}
+        zs = 2.0 * np.exp(1j * np.linspace(0.0, np.pi, 400))
+        flags = [raises(f, z) for z in zs]
+        assert flags == [raises(f._chain(), z) for z in zs]
+        assert sum(flags) == 2
+
+    def test_non_constant_h_is_lowered_like_the_chain(self):
+        # an h that is not a constant or an exact series is treated like the
+        # inner tree of a Bullet, so the node takes the route of its chain:
+        # here the fitted one, since the ladder finds no radius for either
+        table, kind = _chain_problem(3, "zero")
+        h = Moebius(Quaternion(0.3, 0.2))
+        s = expr_to_series(build_solution(table, kind, h))
+        want = expr_to_series(_hand_chain(table, kind, h))
+        assert s.certificate == want.certificate == "fitted"
+        assert s.order == want.order
+        assert np.abs(s.coeffs - want.coeffs).max() <= 1e-13
+        assert mo._pole_radius(build_solution(
+            table, kind, TaylorSeries(H_SERIES.coeffs, 1.0, 0.6))) is None
+
+    def test_stems_take_few_hamilton_products(self, monkeypatch):
+        # Moebius and Bullet stems take no Hamilton product, and neither
+        # does the node for a constant h: at quaternion points the slice
+        # read-out takes the only one, whatever n, first evaluation included
+        calls = []
+
+        def counted(a, b, orig=qarray.qmul):
+            calls.append(1)
+            return orig(a, b)
+        monkeypatch.setattr(qarray, "qmul", counted)
+        z = np.array([0.3 + 0.2j, -0.5 + 0.7j])
+        inner = Moebius(Quaternion(0.2, 0.3, 0.0, -0.4), U)
+        for e in (Moebius(P_IMAG, U), Bullet(P_IMAG, inner)):
+            e.eval_many(z)
+            assert len(calls) == 0
+        points = np.array([[0.1, 0.2, -0.1, 0.3], [0.4, 0.0, 0.0, 0.0]])
+        for n in range(2, 9):
+            for variant in ("zero", "unimodular", "singular"):
+                table, kind = _chain_problem(n, variant)
+                f = build_solution(table, kind, CHAIN_VARIANTS[variant][0])
+                for pts, most in ((points, 1), (z, 0), (points, 1)):
+                    calls.clear()
+                    f.eval_many(pts)
+                    assert len(calls) <= most
 
 
 class TestBulletSeries:
@@ -541,6 +766,13 @@ class TestSeriesLowering:
         assert met >= 199
         assert kinds.count("cauchy-sampled") >= 165
         assert kinds.count("fitted") <= 2
+
+    def test_exact_series_leaf_is_its_own_lowering(self, monkeypatch):
+        # returned as it is, with no stem sample taken
+        def no_stem(self, points):
+            raise AssertionError("stem sampled")
+        monkeypatch.setattr(SeriesFunc, "eval_many", no_stem)
+        assert expr_to_series(SeriesFunc(H_SERIES)) is H_SERIES
 
     def test_one_lowering_per_route(self, monkeypatch):
         # the Cauchy route lowers the tree once; the fitted route lowers it
