@@ -1,14 +1,23 @@
 """Hyperbolic geometry of the unit ball and difference quotients.
 
 The hyperbolic difference quotient of a self-map f at p is the slice
-regular function f*_p = M_p^{-*} * (M_{f(p)} . f).  Every quotient is that
-stem tree, whatever f is: an expression, a series or another quotient.
-The tree is singular on the sphere S_p of p, a removable singularity of
-f*_p; only there, or on request, is the quotient lowered to its
-division-route series (:func:`quotient_series`).  The hyperbolic
-derivative f^h(p) = f*_p(p) needs neither: the stem of f at the one
-complex point of p fixes f*_p on that whole sphere
-(:func:`quotient_on_sphere`).
+regular function f*_p = M_p^{-*} * (M_{f(p)} . f), an expression node
+(:class:`HyperbolicQuotient`) that evaluates through its stem tree,
+whatever f is: an expression, a series or another quotient.  The tree is
+singular on the sphere S_p of p, a removable singularity of f*_p; only
+there, or on request, is the quotient lowered to its division-route series
+(:func:`quotient_series`).  The hyperbolic derivative f^h(p) = f*_p(p)
+needs neither: the stem of f at the one complex point of p fixes f*_p on
+that whole sphere (:func:`quotient_on_sphere`).
+
+One value a = f(q0) decides whether a self-map f is a unimodular constant.
+g = M_a . f vanishes at q0, so |g| <= m = (|q0| + r) / (1 + r |q0|) on
+|q| <= r by Schwarz-Pick, and f - a = (1 - |a|^2) g * (1 + conj(a) g)^{-*}
+gives |f - a| <= (1 - |a|^2) m / (1 - m) there.  Hence
+|1 - |a|| <= 1e-9 (1 - m) / (1 + m) keeps f within 1e-9 of a on the ball
+r = 0.6.  A quotient's input is judged at q0 = p, from the f(p) that the
+quotient needs anyway; the new quotient at one point off S_p; and a series
+at q0 = 0, from its constant coefficient.
 """
 
 from __future__ import annotations
@@ -54,8 +63,11 @@ __all__ = [
     "balpha_bounds",
 ]
 
+# a unimodular verdict keeps f within _UNIMODULAR_TOL of a constant on the
+# ball |q| <= _VERDICT_RADIUS, and a quotient takes it at one of two points
 _UNIMODULAR_TOL = 1e-9
-_PROBE_COUNT = 8
+_VERDICT_RADIUS = 0.6
+_VERDICT_POINTS = (np.zeros((1, 4)), np.array([[0.5, 0.0, 0.0, 0.0]]))
 # tail target for the series that f^h and eval_series read
 _TAIL_TARGET = 1e-10
 
@@ -109,39 +121,29 @@ def pseudo_ball_to_euclidean(b: BallSpec) -> BallSpec:
 # -- difference quotients ---------------------------------------------
 
 
-def _probe_points() -> np.ndarray:
-    rng = np.random.default_rng(987654321)
-    return qarray.uniform_ball(rng, _PROBE_COUNT, 0.6)
-
-
-_PROBES = _probe_points()
-
-
-def _series_unimodular_constant(fs: TaylorSeries):
-    """Coefficient-level unimodular-constant test for a series."""
-    norms = fs.coefficient_norms()
-    if fs.order >= 1 and norms[1:].max() > _UNIMODULAR_TOL:
-        return None
-    if abs(norms[0] - 1.0) > _UNIMODULAR_TOL:
-        return None
-    return fs.coefficient(0)
+def _unimodular(modulus: float, r0: float) -> bool:
+    """Whether a self-map f with |f(q0)| = modulus at |q0| = r0 is a
+    unimodular constant: |1 - modulus| <= _UNIMODULAR_TOL (1 - m) / (1 + m)
+    with m = (r0 + r) / (1 + r r0), which keeps f within _UNIMODULAR_TOL of
+    f(q0) on |q| <= r = _VERDICT_RADIUS (see the module docstring)."""
+    m = (r0 + _VERDICT_RADIUS) / (1.0 + _VERDICT_RADIUS * r0)
+    return abs(1.0 - modulus) <= _UNIMODULAR_TOL * (1.0 - m) / (1.0 + m)
 
 
 def detect_unimodular_constant(f: FunctionExpr):
-    """Return u if f agrees with a unimodular constant u on the probes."""
-    if isinstance(f, SeriesFunc):
-        return _series_unimodular_constant(f.series)
-    try:
-        vals = f.eval_many(_PROBES)
-    except SliceRegError:
+    """u if the self-map f is a unimodular constant u, from one value u =
+    f(q0): at q0 = 0, or at q0 = 1/2 where f is singular at 0 (a quotient
+    at p = 0, or a tree with one inside it).  None when f is not one, or is
+    singular at both points."""
+    for q0 in _VERDICT_POINTS:
+        try:
+            a = f.eval_many(q0)[0]
+        except SliceRegError:
+            continue
+        if _unimodular(float(np.linalg.norm(a)), q0[0, 0]):
+            return qarray.to_quaternion(a)
         return None
-    norms = qarray.qnorm(vals)
-    if np.any(np.abs(norms - 1.0) > _UNIMODULAR_TOL):
-        return None
-    mean = vals.mean(axis=0)
-    if np.any(qarray.qnorm(vals - mean) > _UNIMODULAR_TOL):
-        return None
-    return qarray.to_quaternion(mean)
+    return None
 
 
 def quotient_series(fs: TaylorSeries, p: Quaternion,
@@ -163,26 +165,26 @@ def quotient_series(fs: TaylorSeries, p: Quaternion,
     return se.star_mul(left, se.star_inverse(den, order=order))
 
 
-class HyperbolicQuotient:
-    """f*_p as its stem tree ``result`` (``Const(u)`` when f itself is a
-    unimodular constant u).  On the singular sphere S_p of the tree, and on
+class HyperbolicQuotient(FunctionExpr):
+    """f*_p of the expression ``base`` as a node that evaluates through its
+    stem tree ``result`` (``Const(u)`` when f itself is a unimodular
+    constant u).  ``unimodular_value`` is u when f*_p is a unimodular
+    constant u, else None.  On the singular sphere S_p of the tree, and on
     request, the division-route series stands in (:meth:`eval_series`).
     """
 
-    __slots__ = ("base", "p", "result", "is_unimodular_constant",
-                 "unimodular_value")
+    __slots__ = ("base", "p", "result", "unimodular_value")
 
-    def __init__(self, base, p: Quaternion, result: FunctionExpr,
+    def __init__(self, base: FunctionExpr, p: Quaternion, result: FunctionExpr,
                  unimodular_value: Quaternion = None):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "result", result)
-        object.__setattr__(self, "is_unimodular_constant",
-                           unimodular_value is not None)
         object.__setattr__(self, "unimodular_value", unimodular_value)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("HyperbolicQuotient is immutable")
+    @property
+    def is_unimodular_constant(self) -> bool:
+        return self.unimodular_value is not None
 
     def eval(self, q: Quaternion) -> Quaternion:
         try:
@@ -202,38 +204,34 @@ class HyperbolicQuotient:
         return self.result.eval_many(points)
 
     def to_series(self, order=se.DEFAULT_ORDER) -> TaylorSeries:
-        if isinstance(self.result, Const):
-            # f is the unimodular constant u, so the division route would
-            # invert 1 - conj(u) f = 0; f*_p is u as well
-            return self.result.to_series(order)
-        base = self.base
-        fs = base if isinstance(base, TaylorSeries) else base.to_series(order)
-        return quotient_series(fs, self.p, order=order)
+        if self.is_unimodular_constant:
+            # f*_p is u; when f is u as well, the division route would
+            # invert 1 - conj(u) f = 0
+            return TaylorSeries.constant(self.unimodular_value)
+        return quotient_series(self.base.to_series(order), self.p,
+                               order=order)
+
+    def __repr__(self):
+        return f"HyperbolicQuotient({self.base!r}, {self.p!r})"
 
 
 def hyperbolic_quotient(f, p: Quaternion) -> HyperbolicQuotient:
     """Build f*_p = M_p^{-*} * (M_{f(p)} . f) for a self-map f of the ball.
 
-    f may be a FunctionExpr, a HyperbolicQuotient or a TaylorSeries; a
-    series becomes a SeriesFunc leaf, which reads f inside its certified
-    radius (anywhere for an exact series).  When f itself is (numerically) a
-    unimodular constant the quotient is that same constant.
+    f may be any FunctionExpr, a quotient included, or a TaylorSeries, which
+    becomes a SeriesFunc leaf that reads f inside its certified radius
+    (anywhere for an exact series).  When f(p) shows f to be a unimodular
+    constant u, the quotient is u as well; else one value of the new
+    quotient decides (:func:`detect_unimodular_constant`).
     """
     if isinstance(p, (int, float)):
         p = Quaternion(p)
-    if isinstance(f, HyperbolicQuotient):
-        if f.is_unimodular_constant:
-            u = f.unimodular_value
-            return HyperbolicQuotient(f, p, Const(u), u)
-        expr_f = f.result
-        fp = f.eval(p)  # falls back to the series on the singular sphere
-    else:
-        expr_f = SeriesFunc(f) if isinstance(f, TaylorSeries) else f
-        fp = expr_f.eval(p)
-        u = detect_unimodular_constant(expr_f)
-        if u is not None:
-            return HyperbolicQuotient(f, p, Const(u), u)
-    result = StarMul(StarInv(Moebius(p)), Bullet(fp, expr_f))
+    if isinstance(f, TaylorSeries):
+        f = SeriesFunc(f)
+    fp = f.eval(p)  # a quotient falls back to its series on its own S_p
+    if _unimodular(abs(fp), abs(p)):
+        return HyperbolicQuotient(f, p, Const(fp), fp)
+    result = StarMul(StarInv(Moebius(p)), Bullet(fp, f))
     return HyperbolicQuotient(f, p, result, detect_unimodular_constant(result))
 
 
@@ -285,27 +283,23 @@ def hyperbolic_derivative_many(fs: TaylorSeries, points) -> np.ndarray:
 def hyperbolic_derivative(f, p: Quaternion) -> Quaternion:
     """f^h(p) = f*_p(p), read off the stem of f at p.
 
-    An expression is lowered by :func:`~slicereg.moebius.expr_to_series`
-    so that the tails of f and of its derivative at |p| are within
-    _TAIL_TARGET where the order cap allows.  A HyperbolicQuotient is a
-    function like any other: its f^h(p) is the value at p of its own
-    quotient at p, which lies on that quotient's singular sphere and so
-    comes from :meth:`HyperbolicQuotient.eval_series`.  A unimodular
-    constant u (or a unimodular quotient) gives u.
+    An expression, a quotient included, is lowered by
+    :func:`~slicereg.moebius.expr_to_series` so that the tails of f and of
+    its derivative at |p| are within _TAIL_TARGET where the order cap
+    allows.  A unimodular constant u gives u, judged by :func:`_unimodular`
+    on the constant coefficient, the value at q0 = 0.
     """
     if isinstance(p, (int, float)):
         p = Quaternion(p)
-    if isinstance(f, HyperbolicQuotient):
-        return hyperbolic_quotient(f, p).eval(p)
     # f^h reads F' at |p|: a tail within _TAIL_TARGET * (rho - |p|) on
     # |q| <= rho has, by Cauchy, a derivative within _TAIL_TARGET at |p|
     r = abs(p)
     rho = 0.5 * (1.0 + r)
     fs = f if isinstance(f, TaylorSeries) else expr_to_series(
         f, r_max=rho, tail_target=_TAIL_TARGET * (rho - r))
-    u = _series_unimodular_constant(fs)
-    if u is not None:
-        return u
+    a0 = fs.coefficient(0)
+    if _unimodular(abs(a0), 0.0):
+        return a0
     return qarray.to_quaternion(
         hyperbolic_derivative_many(fs, qarray.from_quaternion(p)))
 

@@ -29,6 +29,7 @@ from .moebius import (
     Const,
     FunctionExpr,
     SchurChain,
+    SeriesFunc,
     _check_ball,
     moebius_classical_eval,
 )
@@ -219,6 +220,11 @@ def classify(t: QTable) -> SolutionKind:
     raise AssertionError("unreachable: unimodular tail without a full row")
 
 
+# the 8 points of the 0.6-ball at which a parameter h is checked to be a
+# self-map
+_PROBES = qarray.uniform_ball(np.random.default_rng(987654321), 8, 0.6)
+
+
 def _as_h_expr(h) -> FunctionExpr:
     if h is None:
         return Const(Quaternion(0.0))
@@ -229,11 +235,9 @@ def _as_h_expr(h) -> FunctionExpr:
             raise NotSelfMap("constant parameter h must have |h| <= 1")
         return Const(h)
     if isinstance(h, TaylorSeries):
-        from .moebius import SeriesFunc
         h = SeriesFunc(h)
     if not isinstance(h, FunctionExpr):
         raise TypeError("h must be a quaternion, series or expression")
-    from .hyperbolic import _PROBES
     vals = h.eval_many(_PROBES)
     if np.any(qarray.qnorm(vals) > 1.0 + _BAND_TOL):
         raise NotSelfMap("parameter h is not a self-map of the ball")

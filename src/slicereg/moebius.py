@@ -477,29 +477,34 @@ class SchurChain(FunctionExpr):
 
     def _root_radius(self):
         """The smallest root modulus R0 of the real polynomial n(D) = D D^c
-        when h is a constant or an exact series, with N and D the recurrence
-        on coefficients from (h, 1): the stem is then rational, with poles
-        only at those roots.  inf for any other h, or when n(D) is constant.
-        A root that N shares is no pole, and only costs a smaller R; next to
-        clustered nodes the roots of n(D) are ill-conditioned and R0 can be
-        far off either way, so the Laurent check of :func:`_cauchy_radius`
-        guards the radius taken from it.
+        when h is a constant, an exact series or a Moebius factor, with N
+        and D the recurrence on coefficients from h = N * D^{-*}: (h, 1), or
+        (q - p, conj(u) (1 - q conj(p))) for M_p u.  The stem is then
+        rational, with poles only at those roots.  inf for any other h, or
+        when n(D) is constant.  A root that N shares is no pole, and only
+        costs a smaller R; next to clustered nodes the roots of n(D) are
+        ill-conditioned and R0 can be far off either way, so the Laurent
+        check of :func:`_cauchy_radius` guards the radius taken from it.
         """
-        h = self.h
+        h, one = self.h, np.array([[1.0, 0.0, 0.0, 0.0]])
         if isinstance(h, Const):
-            top = np.array([h.value.components()])
+            num, den = np.array([h.value.components()]), one
         elif isinstance(h, SeriesFunc) and h.series.exact:
-            top = h.series.coeffs
+            num, den = h.series.coeffs, one
+        elif isinstance(h, Moebius):
+            hp, ubar = (qarray.from_quaternion(x) for x in (h.p, h.u.conj()))
+            num = np.stack([-hp, one[0]])
+            den = np.stack([ubar, -qarray.qmul(ubar, qarray.qconj(hp))])
         else:
             return math.inf
         nodes, ps = self.nodes, self.ps
-        if nodes and not top.any():
+        if nodes and not num.any():
             # h = 0: the last step gives N = -p_n (1 - r_n q) and
             # D = 1 - r_n q, whose common root 1 / r_n is no pole of f
-            top = np.array([(-ps[-1]).components()])
+            num = np.array([(-ps[-1]).components()])
             nodes, ps = nodes[:-1], ps[:-1]
-        cols = np.zeros((2,) + top.shape)
-        cols[0], cols[1, 0, 0] = top, 1.0
+        cols = np.zeros((2, max(len(num), len(den)), 4))
+        cols[0, :len(num)], cols[1, :len(den)] = num, den
         ps = np.array([p.components() for p in ps]).reshape(-1, 4)
         left = _left_mul_matrices(ps)
         left_bar = _left_mul_matrices(qarray.qconj(ps))
@@ -568,9 +573,9 @@ def _pole_radius(e: FunctionExpr):
     a Moebius factor M_p puts poles on the stem of e, or inf.  Poles under a
     Bullet or StarInv are not counted, since those nodes can cancel them; one
     counted here that a product cancels only costs a smaller R.  A
-    SchurChain over a constant or an exact series has its poles at roots of
-    n(D), and gives the smallest root modulus; over any other h it counts
-    like a Bullet.
+    SchurChain over a constant, an exact series or a Moebius factor has its
+    poles at roots of n(D), and gives the smallest root modulus; over any
+    other h it counts like a Bullet.
     """
     if isinstance(e, (Const, Identity)) or (
             isinstance(e, SeriesFunc) and e.series.exact):

@@ -169,7 +169,7 @@ def suite_spl3(f: FunctionExpr, cfg: SamplerConfig) -> VerificationReport:
             continue
         s_arr = qarray.from_quaternion(s)
         keep = qarray.qnorm(points - s_arr) > 1e-6
-        v = _spl_violation(hq.result, s, points[keep])
+        v = _spl_violation(hq, s, points[keep])
         vmax, win = _worst(points[keep], v)
         if vmax > worst_v:
             worst_v, worst_in = vmax, (p.to_json(), s.to_json(), *win)
@@ -200,23 +200,23 @@ def suite_multi(f: FunctionExpr, cfg: SamplerConfig) -> VerificationReport:
 # -- estimate suites (require f(0) = 0) -------------------------------
 
 
-def _require_zero_at_origin(f: FunctionExpr):
+def _estimate_inputs(f: FunctionExpr, cfg: SamplerConfig):
+    """The series of the self-map f, which must vanish at 0, its derivative
+    f'(0) = a_1 (0 when the series is the constant 0), and the seeded
+    samples q0 of the estimate suites, with |q0| <= 0.9."""
+    check_self_map(f)
     if abs(f.eval(Quaternion(0.0))) > 1e-10:
         raise ValueError("this suite requires f(0) = 0")
-
-
-def _estimate_points(cfg: SamplerConfig, cap=0.9) -> np.ndarray:
-    """Seeded samples q0 of the estimate suites, with |q0| <= 0.9."""
+    fs = expr_to_series(f)
+    d0 = fs.coefficient(1) if fs.order else Quaternion(0.0)
     rng = np.random.default_rng(cfg.seed)
-    return qarray.uniform_ball(rng, cfg.count, min(cap, cfg.radius_cap))
+    return fs, d0, qarray.uniform_ball(rng, cfg.count, min(0.9, cfg.radius_cap))
 
 
 def suite_dieudonne(f: FunctionExpr, cfg: SamplerConfig) -> VerificationReport:
-    check_self_map(f)
-    _require_zero_at_origin(f)
-    pts = _estimate_points(cfg)
+    fs, _, pts = _estimate_inputs(f, cfg)
     pts = pts[qarray.qnorm(pts) >= 1e-3]
-    fh = hyperbolic_derivative_many(expr_to_series(f), pts)
+    fh = hyperbolic_derivative_many(fs, pts)
     fq0 = f.eval_many(pts)
     center, radius = dieudonne_rhs(pts, fq0)
     r = qarray.qnorm(pts)
@@ -227,26 +227,18 @@ def suite_dieudonne(f: FunctionExpr, cfg: SamplerConfig) -> VerificationReport:
 
 
 def suite_goluzin(f: FunctionExpr, cfg: SamplerConfig) -> VerificationReport:
-    check_self_map(f)
-    _require_zero_at_origin(f)
-    fs = expr_to_series(f)
-    pts = _estimate_points(cfg)
-    dc0 = abs(se.evaluate(se.cullen_derivative(fs), Quaternion(0.0))[0])
-    dc0 = min(dc0, 1.0)
+    fs, d0, pts = _estimate_inputs(f, cfg)
+    dc0 = min(abs(d0), 1.0)
     fh = hyperbolic_derivative_many(fs, pts)
     v = qarray.qnorm(fh) - goluzin_rhs(dc0, qarray.qnorm(pts))
     return _report("goluzin", cfg, *_worst(pts, v))
 
 
 def suite_balpha(f: FunctionExpr, cfg: SamplerConfig) -> VerificationReport:
-    check_self_map(f)
-    _require_zero_at_origin(f)
-    fs = expr_to_series(f)
-    pts = _estimate_points(cfg)
-    a0 = se.evaluate(se.cullen_derivative(fs), Quaternion(0.0))[0]
-    if not a0.is_real(1e-9) or not 0.0 <= a0.re < 1.0:
+    fs, d0, pts = _estimate_inputs(f, cfg)
+    if not d0.is_real(1e-9) or not 0.0 <= d0.re < 1.0:
         raise ValueError("balpha suite requires real derivative at 0 in [0,1)")
-    alpha = max(a0.re, 0.0)
+    alpha = max(d0.re, 0.0)
     # f^h(q0) = f*_q0(q0), and f*_q0(conj q0) where |q0| > 1e-3
     fh, star = quotient_on_sphere(fs, pts)
     r = qarray.qnorm(pts)

@@ -25,11 +25,16 @@ from slicereg.hyperbolic import (
 from slicereg.moebius import (
     BlaschkeProduct,
     Bullet,
+    Const,
+    FunctionExpr,
+    Identity,
     Moebius,
     SeriesFunc,
+    StarInv,
+    StarMul,
     expr_to_series,
 )
-from slicereg.verify import random_series_self_map
+from slicereg.verify import random_blaschke_expr, random_series_self_map
 from slicereg.quaternion import I, J, K, ONE, Quaternion, ZERO
 from slicereg.series import TaylorSeries
 
@@ -408,6 +413,91 @@ class TestIterated:
         for q in (Quaternion(0.2), Quaternion(0.1, 0.3, -0.2, 0.1),
                   Quaternion(-0.5, 0.0, 0.2)):
             assert hq.eval_series(q) == hq.eval(q) == u
+
+
+def verdict_tolerance(r0):
+    """The one-value rule's bound on |1 - |f(q0)|| at |q0| = r0."""
+    m = (r0 + 0.6) / (1.0 + 0.6 * r0)
+    return 1e-9 * (1.0 - m) / (1.0 + m)
+
+
+class PointSpy(FunctionExpr):
+    """An expression that records the points it is evaluated at."""
+
+    def __init__(self, inner):
+        self.inner, self.points = inner, []
+
+    def eval_many(self, points):
+        self.points.append(np.array(points))
+        return self.inner.eval_many(points)
+
+
+class TestUnimodularRule:
+    """One value f(q0) decides whether a self-map is a unimodular constant."""
+
+    def test_bound_on_near_constant_maps(self):
+        # f = M_{-a} . (M_p * k) has f(p) = a; on |q| <= 0.6 it stays within
+        # (1 - |a|^2) m / (1 - m) of a, m = (|p| + 0.6) / (1 + 0.6 |p|), and
+        # within 1e-9 of a whenever the rule calls it a unimodular constant
+        rng = np.random.default_rng(21)
+        pts = qarray.uniform_ball(rng, 200, 0.6)
+        worst, accepted = 0.0, 0
+        for _ in range(100):
+            p = qarray.to_quaternion(qarray.uniform_ball(rng, 1, 0.9)[0])
+            gap = 10.0 ** rng.uniform(-12.0, -2.0)
+            unit = qarray.to_quaternion(qarray.uniform_ball(rng, 1, 1.0)[0])
+            a = unit * ((1.0 - gap) / abs(unit))
+            k = random_blaschke_expr(rng, int(rng.integers(1, 3)))
+            f = Bullet(-a, StarMul(Moebius(p), k))
+            dist = qarray.qnorm(f.eval_many(pts) - qarray.from_quaternion(a))
+            m = (abs(p) + 0.6) / (1.0 + 0.6 * abs(p))
+            bound = (1.0 - abs(a) ** 2) * m / (1.0 - m)
+            worst = max(worst, dist.max() / bound)
+            unimodular = 1.0 - abs(a) <= verdict_tolerance(abs(p))
+            if unimodular:
+                accepted += 1
+                assert dist.max() <= 1e-9
+            assert hyperbolic_quotient(f, p).is_unimodular_constant == \
+                unimodular
+        assert worst <= 1.0 and accepted > 0
+
+    @pytest.mark.parametrize("p", [ZERO, Quaternion(0.3, -0.4, 0.2, 0.5)])
+    def test_constants_at_the_threshold(self, p):
+        u = Quaternion(0.6, 0.0, 0.0, 0.8)
+        tol = verdict_tolerance(abs(p))
+        for sign in (-1.0, 1.0):
+            inside = Const(u * (1.0 + sign * 0.99 * tol))
+            hq = hyperbolic_quotient(inside, p)
+            assert hq.is_unimodular_constant
+            assert hq.unimodular_value == inside.value
+            assert hq.to_series().coefficient(0) == inside.value
+        below = Const(u * (1.0 - 1.01 * tol))
+        hq = hyperbolic_quotient(below, p)
+        # a constant inside the ball has the quotient 0
+        assert not hq.is_unimodular_constant
+        assert hq.eval(Quaternion(0.2, 0.1)) == ZERO
+        if p == ZERO:
+            # at q0 = 0 the rule also judges trees and series
+            for c in (inside.value, below.value):
+                got = hyperbolic.detect_unimodular_constant(Const(c))
+                assert got == (c if c == inside.value else None)
+            assert hyperbolic_derivative(TaylorSeries.constant(inside.value),
+                                         Quaternion(0.3, 0.2)) == inside.value
+
+    def test_quotient_at_origin_is_probed_at_one_half(self):
+        # f*_0 of the identity is 1; its tree is singular at 0, so the one
+        # value it is judged by is taken at 1/2
+        tree = PointSpy(StarMul(StarInv(Moebius(ZERO)), Bullet(ZERO, Identity())))
+        u = hyperbolic.detect_unimodular_constant(tree)
+        assert [x.tolist() for x in tree.points] == \
+            [[[0.0, 0.0, 0.0, 0.0]], [[0.5, 0.0, 0.0, 0.0]]]
+        assert abs(u - ONE) <= 1e-15
+        hq = hyperbolic_quotient(Identity(), ZERO)
+        assert hq.is_unimodular_constant and abs(hq.unimodular_value - ONE) <= 1e-15
+        # a quotient at p != 0 is judged at 0
+        tree = PointSpy(hyperbolic_quotient(Q2, Quaternion(0.3, 0.2)).result)
+        assert hyperbolic.detect_unimodular_constant(tree) is None
+        assert [x.tolist() for x in tree.points] == [[[0.0, 0.0, 0.0, 0.0]]]
 
 
 class TestSchwarzPick:

@@ -608,11 +608,13 @@ class TestSchurChain:
         assert sum(flags) == 2
 
     def test_non_constant_h_is_lowered_like_the_chain(self):
-        # an h that is not a constant or an exact series is treated like the
-        # inner tree of a Bullet, so the node takes the route of its chain:
-        # here the fitted one, since the ladder finds no radius for either
+        # an h that is not a constant, an exact series or a Moebius factor
+        # is treated like the inner tree of a Bullet, so the node takes the
+        # route of its chain: here the fitted one, since the ladder finds no
+        # radius for either
         table, kind = _chain_problem(3, "zero")
-        h = Moebius(Quaternion(0.3, 0.2))
+        h = StarMul(Moebius(Quaternion(0.3, 0.2)),
+                    Moebius(Quaternion(-0.2, 0.1, 0.3)))
         s = expr_to_series(build_solution(table, kind, h))
         want = expr_to_series(_hand_chain(table, kind, h))
         assert s.certificate == want.certificate == "fitted"
@@ -620,6 +622,26 @@ class TestSchurChain:
         assert np.abs(s.coeffs - want.coeffs).max() <= 1e-13
         assert mo._pole_radius(build_solution(
             table, kind, TaylorSeries(H_SERIES.coeffs, 1.0, 0.6))) is None
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_moebius_h_takes_the_root_rung(self, n, rng):
+        # M_p u = (q - p) * (conj(u) (1 - q conj(p)))^{-*} starts the
+        # coefficient recurrence, so the node over a Moebius h gets its pole
+        # radius and a Cauchy certificate, where the nested chain goes the
+        # fitted route to order 512 with a tail of about 2e-7
+        table, kind = _chain_problem(n, "zero")
+        h = Moebius(Quaternion(0.3, 0.2))
+        f = build_solution(table, kind, h)
+        s = expr_to_series(f)
+        assert math.isfinite(f._root_radius())
+        assert s.certificate == "cauchy-sampled"
+        tail = s.tail_bound(0.95)
+        assert tail <= 1e-12
+        ref = _hand_chain(table, kind, h).to_series(1024)
+        pts = qarray.uniform_ball(rng, 200, 0.95)
+        got = se.evaluate_many(s, pts)[0]
+        assert np.abs(got - se.evaluate_many(ref, pts)[0]).max() <= tail
+        assert np.abs(got - f.eval_many(pts)).max() <= tail
 
     def test_stems_take_few_hamilton_products(self, monkeypatch):
         # Moebius and Bullet stems take no Hamilton product, and neither
