@@ -28,7 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qarray, series as se
-from .errors import DegenerateAtZero, SingularDenominator, SliceRegError
+from .errors import (
+    DegenerateAtZero,
+    NotSelfMap,
+    SingularDenominator,
+    SliceRegError,
+)
 from .moebius import (
     Bullet,
     Const,
@@ -52,7 +57,6 @@ __all__ = [
     "HyperbolicQuotient",
     "hyperbolic_quotient",
     "hyperbolic_derivative",
-    "hyperbolic_derivative_many",
     "quotient_on_sphere",
     "quotient_chain",
     "iterated_quotient",
@@ -222,7 +226,8 @@ def hyperbolic_quotient(f, p: Quaternion) -> HyperbolicQuotient:
     becomes a SeriesFunc leaf that reads f inside its certified radius
     (anywhere for an exact series).  When f(p) shows f to be a unimodular
     constant u, the quotient is u as well; else one value of the new
-    quotient decides (:func:`detect_unimodular_constant`).
+    quotient decides (:func:`detect_unimodular_constant`).  Raises
+    NotSelfMap when |f(p)| > 1.
     """
     if isinstance(p, (int, float)):
         p = Quaternion(p)
@@ -231,6 +236,9 @@ def hyperbolic_quotient(f, p: Quaternion) -> HyperbolicQuotient:
     fp = f.eval(p)  # a quotient falls back to its series on its own S_p
     if _unimodular(abs(fp), abs(p)):
         return HyperbolicQuotient(f, p, Const(fp), fp)
+    if abs(fp) > 1.0:
+        raise NotSelfMap(f"|f(p)| = {abs(fp):.17g} > 1: f is not a self-map "
+                         "of the ball")
     result = StarMul(StarInv(Moebius(p)), Bullet(fp, f))
     return HyperbolicQuotient(f, p, result, detect_unimodular_constant(result))
 
@@ -275,11 +283,6 @@ def quotient_on_sphere(fs: TaylorSeries, points):
     return Fh.real + turn, Fh.real - turn
 
 
-def hyperbolic_derivative_many(fs: TaylorSeries, points) -> np.ndarray:
-    """f^h(p) = f*_p(p) at every p of a (P, 4) array; see quotient_on_sphere."""
-    return quotient_on_sphere(fs, points)[0]
-
-
 def hyperbolic_derivative(f, p: Quaternion) -> Quaternion:
     """f^h(p) = f*_p(p), read off the stem of f at p.
 
@@ -301,7 +304,7 @@ def hyperbolic_derivative(f, p: Quaternion) -> Quaternion:
     if _unimodular(abs(a0), 0.0):
         return a0
     return qarray.to_quaternion(
-        hyperbolic_derivative_many(fs, qarray.from_quaternion(p)))
+        quotient_on_sphere(fs, qarray.from_quaternion(p))[0])
 
 
 def quotient_chain(f, points) -> list:

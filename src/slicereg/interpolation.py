@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qarray
-from . import series as se
 from .errors import (
     AmbiguousBoundary,
     KindMismatch,
@@ -31,10 +30,12 @@ from .moebius import (
     SchurChain,
     SeriesFunc,
     _check_ball,
+    _left_mul_matrices,
     moebius_classical_eval,
 )
 from .quaternion import Quaternion
 from .series import TaylorSeries
+from .verify import check_self_map
 
 __all__ = [
     "InterpolationProblem",
@@ -60,6 +61,12 @@ _UNIT_TOL = 1e-12
 _BAND_TOL = 1e-9
 # tolerance for comparing two unimodular cell values
 _CELL_EQ_TOL = 1e-9
+# psd_check accepts eigenvalues down to -_PSD_TOL times the largest modulus
+_PSD_TOL = 1e-10
+# slice_extend checks |f0| <= 1 + 1e-9 at this many points of the slice disk
+# of this radius
+_EXTEND_SAMPLES = 720
+_EXTEND_RADIUS = 0.95
 
 
 class InterpolationProblem:
@@ -220,11 +227,6 @@ def classify(t: QTable) -> SolutionKind:
     raise AssertionError("unreachable: unimodular tail without a full row")
 
 
-# the 8 points of the 0.6-ball at which a parameter h is checked to be a
-# self-map
-_PROBES = qarray.uniform_ball(np.random.default_rng(987654321), 8, 0.6)
-
-
 def _as_h_expr(h) -> FunctionExpr:
     if h is None:
         return Const(Quaternion(0.0))
@@ -238,9 +240,7 @@ def _as_h_expr(h) -> FunctionExpr:
         h = SeriesFunc(h)
     if not isinstance(h, FunctionExpr):
         raise TypeError("h must be a quaternion, series or expression")
-    vals = h.eval_many(_PROBES)
-    if np.any(qarray.qnorm(vals) > 1.0 + _BAND_TOL):
-        raise NotSelfMap("parameter h is not a self-map of the ball")
+    check_self_map(h)
     return h
 
 
@@ -322,14 +322,15 @@ class HermitianQuatMatrix:
         return out
 
 
-def pick_matrix(nodes, values, K: int = None) -> HermitianQuatMatrix:
+def pick_matrix(nodes, values) -> HermitianQuatMatrix:
     """Pick matrix with entries sum_k p_m^k (1 - s_m conj(s_l)) conj(p_l)^k.
 
-    For real nodes the geometric series is summed in closed form,
+    Each entry is the solution X of the Stein equation
+    X - p_m X conj(p_l) = 1 - s_m conj(s_l).  For real nodes that is
     (1 - s_m conj(s_l)) / (1 - r_m r_l), in one broadcast Hamilton product
-    over all (m, l), and K is ignored.  Otherwise the sum is truncated at
-    K terms, by default chosen so the tail bound 2 t^{K+1}/(1-t) drops
-    below 1e-12.
+    over all (m, l).  Otherwise x @ (I - L(p_m) R(conj p_l)) = w on the
+    components, with x @ L(p) = p x and x @ R(q) = x q, and all n^2 of these
+    4 x 4 real systems are solved in one batched call.
     """
     nodes = [Quaternion(r) if isinstance(r, (int, float)) else r for r in nodes]
     values = [Quaternion(s) if isinstance(s, (int, float)) else s
@@ -343,52 +344,41 @@ def pick_matrix(nodes, values, K: int = None) -> HermitianQuatMatrix:
     for s in values:
         if abs(s) >= 1.0:
             raise ValueError("values must lie inside the unit ball")
+    S = np.array([s.components() for s in values])
+    w = (1.0, 0.0, 0.0, 0.0) - qarray.qmul(S[:, None], qarray.qconj(S)[None])
     if all(p.is_real() for p in nodes):
-        S = np.array([s.components() for s in values])
-        w = (1.0, 0.0, 0.0, 0.0) - qarray.qmul(S[:, None], qarray.qconj(S)[None])
         r = np.array([p.w for p in nodes])
         return HermitianQuatMatrix(w / (1.0 - np.outer(r, r))[..., None])
-    entries = np.empty((n, n, 4))
-    for m in range(n):
-        for l in range(n):
-            w = Quaternion(1.0) - values[m] * values[l].conj()
-            t = abs(nodes[m]) * abs(nodes[l])
-            kk = K
-            if kk is None:
-                kk = 1
-                while 2.0 * t ** (kk + 1) / (1.0 - t) > 1e-12:
-                    kk += 1
-            ent = Quaternion(0.0)
-            pm_pow = Quaternion(1.0)
-            pl_pow = Quaternion(1.0)
-            for _ in range(kk + 1):
-                ent = ent + pm_pow * w * pl_pow.conj()
-                pm_pow = pm_pow * nodes[m]
-                pl_pow = pl_pow * nodes[l]
-            entries[m, l] = ent.components()
-    return HermitianQuatMatrix(entries)
+    left = _left_mul_matrices(np.array([p.components() for p in nodes]))
+    # x conj(p) = conj(p conj(x)), so R(conj p) = C L(p) C with
+    # C = diag(c), the matrix of conjugation
+    c = np.array([1.0, -1.0, -1.0, -1.0])
+    right = c[:, None] * left * c
+    stein = np.eye(4) - left[:, None] @ right[None]
+    return HermitianQuatMatrix(np.linalg.solve(
+        stein.swapaxes(-1, -2), w[..., None])[..., 0])
 
 
-def psd_check(P: HermitianQuatMatrix, tol: float = 1e-10):
+def psd_check(P: HermitianQuatMatrix):
     """(isPSD, minEig) of the complex embedding of P."""
     emb = P.complex_embedding()
     eigs = np.linalg.eigvalsh(emb)
     min_eig = float(eigs.min())
     scale = max(1.0, float(np.abs(eigs).max()))
-    return min_eig >= -tol * scale, min_eig
+    return min_eig >= -_PSD_TOL * scale, min_eig
 
 
 # -- common-slice extension -------------------------------------------
 
 
-def slice_extend(coeffs, axis: Quaternion, exact=False,
-                 sample_count=720, radius_cap=0.95):
+def slice_extend(coeffs, axis: Quaternion, exact=False):
     """Extend a one-slice power series to a slice regular series on the ball.
 
     coeffs are complex coefficients over the slice of the imaginary unit
     ``axis``; the extension keeps the same coefficients, embedded into the
-    quaternions as Re c + (Im c) * axis.  A sampled self-map check on the
-    slice disk guards the precondition |f0| < 1.
+    quaternions as Re c + (Im c) * axis.  A self-map check at
+    _EXTEND_SAMPLES points of the slice disk of radius _EXTEND_RADIUS guards
+    the precondition |f0| < 1.
     """
     if abs(axis.re) > 1e-12 or abs(abs(axis) - 1.0) > 1e-12:
         raise ValueError("axis must be an imaginary unit")
@@ -396,9 +386,9 @@ def slice_extend(coeffs, axis: Quaternion, exact=False,
     if not cs:
         raise ValueError("need at least one coefficient")
     # self-map check on the slice disk
-    idx = np.arange(sample_count)
-    rad = radius_cap * ((idx % 24) + 1) / 24.0
-    z = rad * np.exp(2j * math.pi * idx / sample_count)
+    idx = np.arange(_EXTEND_SAMPLES)
+    rad = _EXTEND_RADIUS * ((idx % 24) + 1) / 24.0
+    z = rad * np.exp(2j * math.pi * idx / _EXTEND_SAMPLES)
     mod = np.abs(np.polyval(cs[::-1], z))
     bad = np.flatnonzero(mod > 1.0 + 1e-9)
     if bad.size:

@@ -565,6 +565,8 @@ _CAUCHY_MAX_SAMPLES = 2 ** 16
 _LAURENT_TERMS = 64
 _LAURENT_TOL = 1e-13
 _CAUCHY_SLACK = 0.05
+# the highest order expr_to_series lowers to
+_MAX_ORDER = 512
 
 
 def _pole_radius(e: FunctionExpr):
@@ -640,23 +642,23 @@ def _cauchy_radius(e: FunctionExpr, poles, r_max):
     return None
 
 
-def _cauchy_order(bound, growth, r, tail_target, max_order) -> int:
-    """Smallest order n >= 1 (at most max_order) whose tail at |q| <= r
+def _cauchy_order(bound, growth, r, tail_target) -> int:
+    """Smallest order n >= 1 (at most _MAX_ORDER) whose tail at |q| <= r
     under |a_m| <= bound g^m, bound t^{n+1} / (1 - t) with t = g r, is
-    within tail_target; max_order when t >= 1.  n = 1 when bound = 0
+    within tail_target; _MAX_ORDER when t >= 1.  n = 1 when bound = 0
     (F = 0) or t = 0.
     """
     t = growth * r
     if t >= 1.0:
-        return max_order
-    n = np.arange(1, max_order + 1)
+        return _MAX_ORDER
+    n = np.arange(1, _MAX_ORDER + 1)
     ok = bound * t ** (n + 1) / (1.0 - t) <= tail_target
-    return int(n[ok.argmax()]) if ok.any() else max_order
+    return int(n[ok.argmax()]) if ok.any() else _MAX_ORDER
 
 
-def expr_to_series(e: FunctionExpr, order=None, r_max=0.95,
-                   tail_target=1e-12, max_order=512) -> TaylorSeries:
-    """Lower an expression to a series; the order is chosen when none is given.
+def expr_to_series(e: FunctionExpr, r_max=0.95,
+                   tail_target=1e-12) -> TaylorSeries:
+    """Lower an expression to a series at the order its certificate asks for.
 
     The order comes from a certificate (C, g) with |a_m| <= C g^m.  A tree
     of rational nodes and exact series leaves whose stem F is analytic on a
@@ -664,15 +666,14 @@ def expr_to_series(e: FunctionExpr, order=None, r_max=0.95,
     Cauchy certificate (M (1 + slack), 1/R).  Any other tree is lowered once
     at DEFAULT_ORDER and is returned as it is when that meets tail_target at
     r_max; else it keeps that lowering's own fitted certificate.  An exact
-    series leaf is its own lowering.
+    series leaf is its own lowering.  A lowering at a given order is the
+    tree's own ``to_series(order)``.
 
     The tree is then lowered once, at the order :func:`_cauchy_order` gives
-    for r_max (max_order when g r_max >= 1).  The result keeps (C, g) when
+    for r_max (_MAX_ORDER when g r_max >= 1).  The result keeps (C, g) when
     its coefficients obey it, and their own fitted certificate when they do
     not.  Exact results are returned as they are.
     """
-    if order is not None:
-        return e.to_series(order)
     if isinstance(e, SeriesFunc) and e.series.exact:
         return e.series
     poles = _pole_radius(e)
@@ -686,8 +687,7 @@ def expr_to_series(e: FunctionExpr, order=None, r_max=0.95,
         if s.exact or s.tail_bound(r_max) <= tail_target:
             return s
         bound, growth, kind = s.coeff_bound, s.growth_rate, "fitted"
-    s = e.to_series(_cauchy_order(bound, growth, r_max, tail_target,
-                                  max_order))
+    s = e.to_series(_cauchy_order(bound, growth, r_max, tail_target))
     if s.exact:
         return s
     try:

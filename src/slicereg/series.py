@@ -50,6 +50,10 @@ _SAFETY_C = 4.0
 _SAFETY_G = 1.01
 _CERT_SLACK = 1e-9
 _CERTIFICATES = ("exact", "cauchy-sampled", "fitted")
+# relative bounds on the imaginary residue of symmetrize and on the residual
+# of left_linear_divide
+_SYMMETRIZE_TOL = 1e-12
+_DIVISION_TOL = 1e-9
 
 
 def _fit_certificate(coeffs: np.ndarray):
@@ -112,10 +116,10 @@ class TaylorSeries:
         return cls(np.array([c.components()]), abs(c), 0.0, exact=True)
 
     @classmethod
-    def identity(cls, order=1):
-        arr = np.zeros((max(order, 1) + 1, 4))
-        arr[1, 0] = 1.0
-        return cls(arr, 2.0, 0.5, exact=True)
+    def identity(cls):
+        """The series q."""
+        return cls(np.array([[0.0] * 4, [1.0, 0.0, 0.0, 0.0]]), 2.0, 0.5,
+                   exact=True)
 
     @classmethod
     def linear(cls, a0: Quaternion, a1: Quaternion):
@@ -142,10 +146,6 @@ class TaylorSeries:
         if t >= 1.0:
             return math.inf
         return self.coeff_bound * t ** (self.order + 1) / (1.0 - t)
-
-    def is_real(self, tol=1e-12) -> bool:
-        scale = max(1.0, float(np.abs(self.coeffs).max()))
-        return float(np.abs(self.coeffs[:, 1:]).max(initial=0.0)) <= tol * scale
 
     def to_json(self):
         return {
@@ -231,15 +231,16 @@ def conjugate(f: TaylorSeries) -> TaylorSeries:
                         f.certificate)
 
 
-def symmetrize(f: TaylorSeries, tol=1e-12) -> TaylorSeries:
-    """f^s = f * f^c; coefficients are checked real and hard-set to real."""
+def symmetrize(f: TaylorSeries) -> TaylorSeries:
+    """f^s = f * f^c; coefficients are checked real, relative to
+    _SYMMETRIZE_TOL, and hard-set to real."""
     s = star_mul(f, conjugate(f))
     coeffs = s.coeffs.copy()
-    scale = max(1.0, float(np.abs(coeffs).max()))
+    bound = _SYMMETRIZE_TOL * max(1.0, float(np.abs(coeffs).max()))
     residue = float(np.abs(coeffs[:, 1:]).max(initial=0.0))
-    if residue > tol * scale:
+    if residue > bound:
         raise SymmetrizationNotReal(
-            f"imaginary residue {residue:.3g} exceeds {tol * scale:.3g}")
+            f"imaginary residue {residue:.3g} exceeds {bound:.3g}")
     coeffs[:, 1:] = 0.0
     return TaylorSeries(coeffs, s.coeff_bound, s.growth_rate, s.exact)
 
@@ -375,7 +376,7 @@ def spherical_derivative(f: TaylorSeries, p: Quaternion) -> Quaternion:
     return qarray.to_quaternion(stem(f, p.re + 1j * y).imag / y)
 
 
-def left_linear_divide(f: TaylorSeries, p: Quaternion, tol=1e-9) -> TaylorSeries:
+def left_linear_divide(f: TaylorSeries, p: Quaternion) -> TaylorSeries:
     """Solve f - f(p) = (q - p) * g for g at coefficient level.
 
     The backward recurrence b_{m-1} = a_m + p b_m, which is stable for
@@ -389,13 +390,13 @@ def left_linear_divide(f: TaylorSeries, p: Quaternion, tol=1e-9) -> TaylorSeries
     parr = qarray.from_quaternion(p)
     b = _qconv(qarray.powers(parr, n), f.coeffs[:0:-1], n - 1)[::-1]
     # consistency: the reconstructed constant a_0 + p b_0 must match the
-    # value of the polynomial f at p
+    # value of the polynomial f at p, within _DIVISION_TOL relative
     fp = qarray.on_slices(parr, lambda z: _horner(f.coeffs, z))
-    scale = max(1.0, float(f.coefficient_norms().max()))
+    bound = _DIVISION_TOL * max(1.0, float(f.coefficient_norms().max()))
     residual = float(qarray.qnorm(f.coeffs[0] + qarray.qmul(parr, b[0]) - fp))
-    if residual > tol * scale:
+    if residual > bound:
         raise InconsistentDivision(
-            f"division residual {residual:.3g} exceeds {tol * scale:.3g}")
+            f"division residual {residual:.3g} exceeds {bound:.3g}")
     return TaylorSeries(b, exact=f.exact)
 
 

@@ -160,6 +160,14 @@ class TestVerify:
                        "--count", "50"])
         assert rc == 1
 
+    def test_quotient_of_non_self_map_rejected(self, capsys):
+        # 1 + 1e-10 passes the sampled self-map check, which allows 1e-9,
+        # but a quotient at |p| > 0.43 finds f(p) outside the ball
+        near = {"kind": "const", "value": [1 + 1e-10, 0, 0, 0]}
+        rc = cli.main(["verify", "--suite", "spl3", "--f", json.dumps(near),
+                       "--count", "50"])
+        assert rc == 1 and one_line_error(capsys)
+
     def test_missing_kind(self, capsys):
         rc = cli.main(["verify", "--suite", "spl", "--f",
                        '{"p":[0.1,0,0,0]}'])

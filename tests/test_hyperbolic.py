@@ -5,7 +5,7 @@ import pytest
 
 from slicereg import qarray, series as se
 from slicereg import hyperbolic
-from slicereg.errors import DegenerateAtZero, SingularDenominator
+from slicereg.errors import DegenerateAtZero, NotSelfMap, SingularDenominator
 from slicereg.hyperbolic import (
     BallSpec,
     balpha_bounds,
@@ -14,7 +14,6 @@ from slicereg.hyperbolic import (
     dieudonne_sup_rhs,
     goluzin_rhs,
     hyperbolic_derivative,
-    hyperbolic_derivative_many,
     hyperbolic_quotient,
     iterated_quotient,
     pseudo_ball_to_euclidean,
@@ -118,6 +117,17 @@ class TestQuotients:
         assert hq.is_unimodular_constant
         assert abs(hq.unimodular_value - ONE) <= 1e-9
 
+    def test_value_outside_the_ball_is_not_a_self_map(self):
+        # no unimodular verdict and |f(p)| > 1: the error names |f(p)|, and
+        # not p, which is inside the ball; 1 + 1e-10 is unimodular by the
+        # one-value rule only for |p| up to about 0.43
+        cases = ((Quaternion(1.5), Quaternion(0.5, 0.5), "1.5 "),
+                 (Quaternion(1 + 1e-10), Quaternion(0.42, 0.56),
+                  "1.0000000001"))
+        for c, p, shown in cases:
+            with pytest.raises(NotSelfMap, match=r"\|f\(p\)\| = " + shown):
+                hyperbolic_quotient(Const(c), p)
+
     def test_square_at_origin_is_identity(self, rng):
         hq = hyperbolic_quotient(Q2, ZERO)
         for _ in range(30):
@@ -175,7 +185,7 @@ class TestQuotients:
         # when f(p) = 0 the quotient at conj(p) collapses to
         # (1 - conj(p)^2) d_S f(p)
         p = Quaternion(0.3, 0.2, -0.1, 0.25)
-        f = expr_to_series(Moebius(p), order=256)
+        f = Moebius(p).to_series(256)
         hq = hyperbolic_quotient(f, p)
         got = hq.eval(p.conj())
         ds = se.spherical_derivative(f, p)
@@ -201,7 +211,7 @@ def stem_test_maps():
                             Quaternion(-0.2, 0.0, 0.3, 0.1),
                             Quaternion(0.1, -0.4, 0.2, 0.0)],
                            u=Quaternion(0.6, 0.0, 0.0, 0.8)).to_expr()
-    lowered = expr_to_series(tree, order=512)
+    lowered = tree.to_series(512)
     assert lowered.order == 512 and not lowered.exact
     return [random_series_self_map(rng, 12), lowered]
 
@@ -215,7 +225,7 @@ class TestStemDerivative:
             want_p, want_conj = per_point_route(fs, pts)
             assert np.abs(got_p - want_p).max() <= 1e-12
             assert np.abs(got_conj - want_conj).max() <= 1e-12
-            assert np.array_equal(hyperbolic_derivative_many(fs, pts), got_p)
+            assert np.array_equal(quotient_on_sphere(fs, pts)[0], got_p)
 
     def test_origin_real_and_nearly_real_points(self):
         pts = np.array([[0.0, 0.0, 0.0, 0.0],
@@ -236,7 +246,7 @@ class TestStemDerivative:
         # when f(p) = 0: f*_p(conj p) = (1 - conj(p)^2) d_S f(p) and
         # f*_p(p) = (1 - |p|^2) f'(p)
         p = Quaternion(0.3, 0.2, -0.1, 0.25)
-        f = expr_to_series(Moebius(p), order=256)
+        f = Moebius(p).to_series(256)
         got_p, got_conj = quotient_on_sphere(f, qarray.from_quaternion(p))
         ds = se.spherical_derivative(f, p)
         expect = (ONE - p.conj() * p.conj()) * ds
@@ -248,7 +258,7 @@ class TestStemDerivative:
     def test_scalar_form(self):
         fs = stem_test_maps()[0]
         p = Quaternion(0.2, -0.3, 0.1, 0.4)
-        many = hyperbolic_derivative_many(fs, qarray.from_quaternion(p, (1,)))
+        many = quotient_on_sphere(fs, qarray.from_quaternion(p, (1,)))[0]
         assert hyperbolic_derivative(fs, p).components() == \
             tuple(many[0])
         # a HyperbolicQuotient is a function like any other: f^h of hq at x
@@ -256,7 +266,7 @@ class TestStemDerivative:
         ref = hq.to_series(512)
         other = qarray.uniform_ball(np.random.default_rng(10), 1, 0.8)[0]
         for x in (ZERO, hq.p, qarray.to_quaternion(other)):
-            want = hyperbolic_derivative_many(ref, qarray.from_quaternion(x))
+            want = quotient_on_sphere(ref, qarray.from_quaternion(x))[0]
             got = hyperbolic_derivative(hq, x).components()
             assert np.abs(np.array(got) - want).max() <= 1e-12
 
@@ -271,8 +281,7 @@ class TestStemDerivative:
 
     def test_singular_denominator(self):
         with pytest.raises(SingularDenominator):
-            hyperbolic_derivative_many(TaylorSeries.constant(J),
-                                       np.zeros((3, 4)))
+            quotient_on_sphere(TaylorSeries.constant(J), np.zeros((3, 4)))[0]
 
 
 class TestSingleRoute:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from slicereg import series as se
+from slicereg import series as se, verify
 from slicereg.errors import (
     AmbiguousBoundary,
     KindMismatch,
@@ -23,7 +23,8 @@ from slicereg.interpolation import (
     slice_extend,
     two_point_solve,
 )
-from slicereg.moebius import Moebius, StarMul, expr_to_series
+from slicereg.moebius import Moebius, StarMul
+from slicereg.qarray import uniform_ball
 from slicereg.quaternion import I, J, K, ONE, Quaternion, ZERO
 
 THREE_NODES = [0.0, -0.5, 0.5]
@@ -182,6 +183,22 @@ class TestBuildSolution:
         with pytest.raises(NotSelfMap):
             build_solution(t, classify(t), h=big)
 
+    def test_h_leaving_the_ball_near_the_boundary(self):
+        # |h| = 1.2 |q|^2 is at most 0.432 on the 0.6-ball but exceeds 1
+        # past |q| = 0.913; h is sampled on the 0.95-ball
+        prob = three_point_problem(0.1, 0.1)
+        t = build_q_table(prob)
+        h = se.TaylorSeries.from_quaternions([ZERO, ZERO, Quaternion(1.2)],
+                                             exact=True)
+        with pytest.raises(NotSelfMap):
+            build_solution(t, classify(t), h=h)
+
+    def test_self_map_probes_are_the_seeded_sample(self):
+        assert np.array_equal(
+            verify._SELF_MAP_PROBES,
+            verify.sample_points(verify.SamplerConfig(seed=314159,
+                                                      count=1000)))
+
     def test_solution_is_self_map(self, rng):
         prob = three_point_problem(0.2, 0.25)
         t = build_q_table(prob)
@@ -268,18 +285,15 @@ class TestPickMatrix:
                 assert ok and mineig > 1e-6
 
     def test_truncated_route_matches_closed_form(self):
-        # nodes 1e-12 off the real axis are not real, so the truncated sum
+        # nodes 1e-12 off the real axis are not real, so the Stein solve
         # runs, and it moves the entries by O(1e-12) only
         nodes = [0.2, -0.4]
         values = [I * 0.3, Quaternion(0.1, 0.0, 0.2)]
         exact = pick_matrix(nodes, values)
         near = [Quaternion(r, 1e-12) for r in nodes]
         assert not any(p.is_real() for p in near)
-        trunc = pick_matrix(near, values, K=400)
+        trunc = pick_matrix(near, values)
         assert np.abs(exact.entries - trunc.entries).max() <= 1e-10
-        # the route honours K: two terms leave a tail of about t^2 |w|
-        coarse = pick_matrix(near, values, K=1)
-        assert np.abs(coarse.entries - trunc.entries).max() > 1e-3
 
 
 # -- exact oracle ------------------------------------------------------
@@ -411,6 +425,28 @@ class TestExactOracle:
                                 / math.sqrt(float(_habs2(e))))
         assert worst <= 5e-16
 
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_non_real_pick_entries_solve_stein(self, rng, n):
+        # each entry X solves X - p_m X conj(p_l) = 1 - s_m conj(s_l); the
+        # residual of the stored floats, computed exactly, is relative to
+        # |1 - s_m conj(s_l)|
+        nodes = [Quaternion.from_iter(x) for x in uniform_ball(rng, n, 0.9)]
+        values = [Quaternion.from_iter(x) for x in uniform_ball(rng, n, 0.75)]
+        assert not any(p.is_real() for p in nodes)
+        P = pick_matrix(nodes, values)
+        assert isinstance(P, HermitianQuatMatrix)
+        p = [tuple(Fraction(x) for x in q.components()) for q in nodes]
+        s = [tuple(Fraction(x) for x in q.components()) for q in values]
+        worst = 0.0
+        for m in range(n):
+            for l in range(n):
+                x = tuple(Fraction(v) for v in P.entries[m, l])
+                w = _one_minus(_hmul(s[m], _hconj(s[l])))
+                pxp = _hmul(_hmul(p[m], x), _hconj(p[l]))
+                res = tuple(a - b - c for a, b, c in zip(x, pxp, w))
+                worst = max(worst, math.sqrt(float(_habs2(res) / _habs2(w))))
+        assert worst <= 1e-15
+
 
 class TestPsdCheck:
     @staticmethod
@@ -466,7 +502,7 @@ class TestSliceExtend:
                          for m in range(1, 40)]
         f = slice_extend(coeffs, I)
         p = Quaternion(a.real, a.imag)
-        g = expr_to_series(Moebius(p), order=39)
+        g = Moebius(p).to_series(39)
         assert np.abs(f.coeffs - g.coeffs[:40]).max() <= 1e-12
 
     def test_imaginary_coefficients_use_axis(self):

@@ -752,7 +752,7 @@ class TestConjugation:
         for e in trees:
             exact = Conj(e).eval_many(pts)
             approx, tails = se.evaluate_many(
-                se.conjugate(expr_to_series(e, order=64)), pts)
+                se.conjugate(e.to_series(64)), pts)
             assert np.all(np.linalg.norm(exact - approx, axis=1)
                           <= tails + 1e-10)
 
