@@ -2,13 +2,13 @@
 
 The hyperbolic difference quotient of a self-map f at p is the slice
 regular function f*_p = M_p^{-*} * (M_{f(p)} . f), an expression node
-(:class:`HyperbolicQuotient`) that evaluates through its stem tree,
+(:class:`HyperbolicQuotient`) that evaluates through the stem of its tree,
 whatever f is: an expression, a series or another quotient.  The tree is
-singular on the sphere S_p of p, a removable singularity of f*_p; only
-there, or on request, is the quotient lowered to its division-route series
-(:func:`quotient_series`).  The hyperbolic derivative f^h(p) = f*_p(p)
-needs neither: the stem of f at the one complex point of p fixes f*_p on
-that whole sphere (:func:`quotient_on_sphere`).
+singular on the sphere S_p of p, a removable singularity of f*_p; a batch
+the tree refuses is read from the division-route series
+(:func:`quotient_series`) in the same stem pass.  The hyperbolic derivative
+f^h(p) = f*_p(p) needs neither: the stem of f at the one complex point of p
+fixes f*_p on that whole sphere (:func:`quotient_on_sphere`).
 
 One value a = f(q0) decides whether a self-map f is a unimodular constant.
 g = M_a . f vanishes at q0, so |g| <= m = (|q0| + r) / (1 + r |q0|) on
@@ -16,8 +16,8 @@ g = M_a . f vanishes at q0, so |g| <= m = (|q0| + r) / (1 + r |q0|) on
 gives |f - a| <= (1 - |a|^2) m / (1 - m) there.  Hence
 |1 - |a|| <= 1e-9 (1 - m) / (1 + m) keeps f within 1e-9 of a on the ball
 r = 0.6.  A quotient's input is judged at q0 = p, from the f(p) that the
-quotient needs anyway; the new quotient at one point off S_p; and a series
-at q0 = 0, from its constant coefficient.
+quotient needs anyway; the new quotient at whichever of 0 and 1/2 lies
+farther from S_p; and a series at q0 = 0, from its constant coefficient.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .moebius import (
     StarInv,
     StarMul,
     _stem_inverse,
+    _stem_rule,
     expr_to_series,
     moebius_classical_eval,
 )
@@ -68,11 +69,10 @@ __all__ = [
 ]
 
 # a unimodular verdict keeps f within _UNIMODULAR_TOL of a constant on the
-# ball |q| <= _VERDICT_RADIUS, and a quotient takes it at one of two points
+# ball |q| <= _VERDICT_RADIUS
 _UNIMODULAR_TOL = 1e-9
 _VERDICT_RADIUS = 0.6
-_VERDICT_POINTS = (np.zeros((1, 4)), np.array([[0.5, 0.0, 0.0, 0.0]]))
-# tail target for the series that f^h and eval_series read
+# tail target for the series that f^h and a quotient off its tree read
 _TAIL_TARGET = 1e-10
 
 
@@ -136,17 +136,13 @@ def _unimodular(modulus: float, r0: float) -> bool:
 
 def detect_unimodular_constant(f: FunctionExpr):
     """u if the self-map f is a unimodular constant u, from one value u =
-    f(q0): at q0 = 0, or at q0 = 1/2 where f is singular at 0 (a quotient
-    at p = 0, or a tree with one inside it).  None when f is not one, or is
-    singular at both points."""
-    for q0 in _VERDICT_POINTS:
-        try:
-            a = f.eval_many(q0)[0]
-        except SliceRegError:
-            continue
-        if _unimodular(float(np.linalg.norm(a)), q0[0, 0]):
-            return qarray.to_quaternion(a)
-        return None
+    f(q0).  A quotient f*_p is read at whichever of q0 = 0 and q0 = 1/2 lies
+    farther from its S_p, 1/2 when |p| < 1/4; any other f at q0 = 0.  None
+    when f is not one."""
+    r0 = 0.5 if isinstance(f, HyperbolicQuotient) and abs(f.p) < 0.25 else 0.0
+    a = f.eval_many(np.array([[r0, 0.0, 0.0, 0.0]]))[0]
+    if _unimodular(float(np.linalg.norm(a)), r0):
+        return qarray.to_quaternion(a)
     return None
 
 
@@ -170,11 +166,13 @@ def quotient_series(fs: TaylorSeries, p: Quaternion,
 
 
 class HyperbolicQuotient(FunctionExpr):
-    """f*_p of the expression ``base`` as a node that evaluates through its
-    stem tree ``result`` (``Const(u)`` when f itself is a unimodular
-    constant u).  ``unimodular_value`` is u when f*_p is a unimodular
-    constant u, else None.  On the singular sphere S_p of the tree, and on
-    request, the division-route series stands in (:meth:`eval_series`).
+    """f*_p of the expression ``base`` as a node whose stem is that of its
+    tree ``result`` (``Const(u)`` when f itself is a unimodular constant u).
+    ``unimodular_value`` is u when f*_p is a unimodular constant u, else
+    None.  Where the tree refuses a batch, on the singular sphere S_p or
+    for a Bullet whose f(p) lies next to the unit sphere, the whole batch
+    is read from the division-route series, lowered so that its tail at
+    max|q| is within _TAIL_TARGET where the order cap allows.
     """
 
     __slots__ = ("base", "p", "result", "unimodular_value")
@@ -190,22 +188,21 @@ class HyperbolicQuotient(FunctionExpr):
     def is_unimodular_constant(self) -> bool:
         return self.unimodular_value is not None
 
-    def eval(self, q: Quaternion) -> Quaternion:
+    @_stem_rule
+    def eval_many(self, z):
         try:
-            return self.result.eval(q)
+            return self.result.eval_many(z)
         except SliceRegError:
-            # q sits on the singular sphere of the exact form, where the
-            # quotient itself is regular: use the division-route series
-            return self.eval_series(q)
+            # f*_p itself is regular where its tree is singular
+            s = expr_to_series(self, r_max=float(np.abs(z).max()),
+                               tail_target=_TAIL_TARGET)
+            return se.stem(s, z)
 
     def eval_series(self, q: Quaternion) -> Quaternion:
         """f*_p(q) from the division-route series, lowered so that its tail
         at |q| is within _TAIL_TARGET where the order cap allows."""
         s = expr_to_series(self, r_max=abs(q), tail_target=_TAIL_TARGET)
         return se.evaluate(s, q)[0]
-
-    def eval_many(self, points: np.ndarray) -> np.ndarray:
-        return self.result.eval_many(points)
 
     def to_series(self, order=se.DEFAULT_ORDER) -> TaylorSeries:
         if self.is_unimodular_constant:
@@ -226,21 +223,21 @@ def hyperbolic_quotient(f, p: Quaternion) -> HyperbolicQuotient:
     becomes a SeriesFunc leaf that reads f inside its certified radius
     (anywhere for an exact series).  When f(p) shows f to be a unimodular
     constant u, the quotient is u as well; else one value of the new
-    quotient decides (:func:`detect_unimodular_constant`).  Raises
+    quotient node decides (:func:`detect_unimodular_constant`).  Raises
     NotSelfMap when |f(p)| > 1.
     """
     if isinstance(p, (int, float)):
         p = Quaternion(p)
     if isinstance(f, TaylorSeries):
         f = SeriesFunc(f)
-    fp = f.eval(p)  # a quotient falls back to its series on its own S_p
+    fp = f.eval(p)
     if _unimodular(abs(fp), abs(p)):
         return HyperbolicQuotient(f, p, Const(fp), fp)
     if abs(fp) > 1.0:
         raise NotSelfMap(f"|f(p)| = {abs(fp):.17g} > 1: f is not a self-map "
                          "of the ball")
-    result = StarMul(StarInv(Moebius(p)), Bullet(fp, f))
-    return HyperbolicQuotient(f, p, result, detect_unimodular_constant(result))
+    hq = HyperbolicQuotient(f, p, StarMul(StarInv(Moebius(p)), Bullet(fp, f)))
+    return HyperbolicQuotient(f, p, hq.result, detect_unimodular_constant(hq))
 
 
 def quotient_on_sphere(fs: TaylorSeries, points):

@@ -62,9 +62,6 @@ class Quaternion:
     def re(self) -> float:
         return self.w
 
-    def imag(self) -> "Quaternion":
-        return Quaternion(0.0, self.x, self.y, self.z)
-
     def abs2(self) -> float:
         return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
 
@@ -212,4 +209,4 @@ def same_sphere(a: Quaternion, b: Quaternion, tol=DEFAULT_SPHERE_TOL) -> bool:
     """True iff a and b lie on the same similarity sphere within tol."""
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    return abs(a.w - b.w) <= tol and abs(a.im_norm() - b.im_norm()) <= tol
+    return SimilaritySphere.of(a).contains(b, tol)

@@ -107,9 +107,9 @@ class TaylorSeries:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_quaternions(cls, qs, coeff_bound=None, growth_rate=None, exact=False):
+    def from_quaternions(cls, qs, exact=False):
         arr = np.array([q.components() for q in qs], dtype=float)
-        return cls(arr, coeff_bound, growth_rate, exact)
+        return cls(arr, exact=exact)
 
     @classmethod
     def constant(cls, c: Quaternion):

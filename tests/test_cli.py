@@ -168,6 +168,14 @@ class TestVerify:
                        "--count", "50"])
         assert rc == 1 and one_line_error(capsys)
 
+    @pytest.mark.parametrize("suite", ["multi", "spl3"])
+    def test_quotients_of_a_constant_next_to_the_sphere(self, suite, capsys):
+        # the quotients of a constant inside the ball are 0; the tree of each
+        # is singular on every sample, |f(p)| lying next to the unit sphere
+        rc = cli.main(["verify", "--suite", suite, "--f", "[0.9999999,0,0,0]"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+
     def test_missing_kind(self, capsys):
         rc = cli.main(["verify", "--suite", "spl", "--f",
                        '{"p":[0.1,0,0,0]}'])

@@ -5,7 +5,12 @@ import pytest
 
 from slicereg import qarray, series as se
 from slicereg import hyperbolic
-from slicereg.errors import DegenerateAtZero, NotSelfMap, SingularDenominator
+from slicereg.errors import (
+    DegenerateAtZero,
+    NotSelfMap,
+    SingularDenominator,
+    SliceRegError,
+)
 from slicereg.hyperbolic import (
     BallSpec,
     balpha_bounds,
@@ -33,7 +38,12 @@ from slicereg.moebius import (
     StarMul,
     expr_to_series,
 )
-from slicereg.verify import random_blaschke_expr, random_series_self_map
+from slicereg.verify import (
+    SamplerConfig,
+    random_blaschke_expr,
+    random_series_self_map,
+    run_suite,
+)
 from slicereg.quaternion import I, J, K, ONE, Quaternion, ZERO
 from slicereg.series import TaylorSeries
 
@@ -322,6 +332,69 @@ class TestSingleRoute:
             assert got == hq.result.eval(q)  # the tree, not the fallback
             assert abs(got - hq.eval_series(q)) <= 1e-12
 
+    @staticmethod
+    def sphere_points(p, rng, count=6):
+        """p, conj(p) and points x + I y of S_p on other imaginary units."""
+        units = rng.normal(size=(count, 3))
+        units *= p.im_norm() / np.linalg.norm(units, axis=1)[:, None]
+        rows = np.column_stack([np.full(count, p.re), units])
+        return np.vstack([qarray.from_quaternion(p),
+                          qarray.from_quaternion(p.conj()), rows])
+
+    @staticmethod
+    def assert_one_path(hq, pts, on_tree):
+        """eval_many on a batch at one radius, or off S_p, is eval row by
+        row: bitwise on the tree; on the series, which a batch reads by one
+        matmul and a single point by a matrix-vector product, to rounding,
+        and bitwise as that series reads the batch."""
+        got = hq.eval_many(pts)
+        if not on_tree:
+            s = expr_to_series(hq, r_max=qarray.qnorm(pts).max(),
+                               tail_target=hyperbolic._TAIL_TARGET)
+            assert np.array_equal(got, se.evaluate_many(s, pts)[0])
+        for row, q in zip(got, pts):
+            q = qarray.to_quaternion(q)
+            one = qarray.from_quaternion(hq.eval(q))
+            if on_tree:
+                assert np.array_equal(row, one)
+            assert np.abs(row - one).max() <= 4 * np.finfo(float).eps
+            assert abs(qarray.to_quaternion(row) - hq.eval_series(q)) <= 1e-12
+
+    @pytest.mark.parametrize("chain", [None, "origin", "repeated"])
+    def test_eval_many_is_eval_row_by_row(self, chain):
+        # the tree of f*_p is singular on S_p: eval_many reads the whole
+        # batch there from the series, bitwise as eval reads each point
+        rng = np.random.default_rng(17)
+        b = BlaschkeProduct([Quaternion(0.2, 0.1), Quaternion(-0.1, 0.0, 0.2),
+                             Quaternion(0.3, 0.0, 0.1, -0.2)]).to_expr()
+        p = Quaternion(0.3, 0.2, -0.1, 0.2)
+        if chain is None:
+            hq = hyperbolic_quotient(b, p)
+        else:
+            p = ZERO if chain == "origin" else p
+            hq = quotient_chain(b, [p, p])[-1]
+        with pytest.raises(SliceRegError):
+            hq.result.eval_many(qarray.from_quaternion(p, (1,)))
+        self.assert_one_path(hq, self.sphere_points(p, rng), on_tree=False)
+        self.assert_one_path(hq, qarray.uniform_ball(rng, 20, 0.8),
+                             on_tree=True)
+
+    @pytest.mark.parametrize("suite", ["multi", "spl3"])
+    def test_suites_on_a_constant_next_to_the_sphere(self, suite):
+        # f(p) = 0.9999999 puts the Bullet of every quotient tree next to
+        # its pole; the quotients, read from their series, are 0
+        rep = run_suite(suite, Const(0.9999999), SamplerConfig(count=200))
+        assert rep.passed
+
+    @pytest.mark.parametrize("eps", [1e-5, 3e-6, 1e-6, 5e-7, 3e-7, 1e-7, 0.0])
+    def test_verdict_next_to_the_sphere(self, eps):
+        # f*_p of a degree-1 map is unimodular; p = eps i lies next to 0,
+        # so the new quotient is judged at 1/2, far from S_p
+        f = Moebius(Quaternion(0.3, 0.2, -0.1, 0.2), u=Quaternion(0.5, 0.5, -0.5, 0.5))
+        hq = hyperbolic_quotient(f, Quaternion(0.0, eps))
+        assert hq.is_unimodular_constant
+        assert abs(1.0 - abs(hq.unimodular_value)) <= 1e-14
+
 
 class TestBoundArrays:
     def test_array_forms_equal_scalar_forms(self):
@@ -391,7 +464,7 @@ class TestIterated:
             assert np.array_equal(hq.eval_many(pts), ref.eval_many(pts))
 
     def test_quotient_of_quotient_reuses_verdict(self, monkeypatch):
-        # the verdict on f.result is f's own; only the new result is probed
+        # the verdict on f is f's own; only the new quotient node is probed
         f = BlaschkeProduct([Quaternion(0.2, 0.1), Quaternion(0.3)]).to_expr()
         hq = hyperbolic_quotient(f, Quaternion(0.1))
         assert not hq.is_unimodular_constant
@@ -400,7 +473,7 @@ class TestIterated:
         monkeypatch.setattr(hyperbolic, "detect_unimodular_constant",
                             lambda e: probed.append(e) or detect(e))
         hq2 = hyperbolic_quotient(hq, Quaternion(0.2, 0.1))
-        assert probed == [hq2.result]
+        assert len(probed) == 1 and probed[0].result is hq2.result
 
     def test_extra_quotient_of_unimodular_stays_constant(self):
         hq = iterated_quotient(Q2, [ZERO, ZERO, Quaternion(0.4)])
@@ -494,12 +567,12 @@ class TestUnimodularRule:
                                          Quaternion(0.3, 0.2)) == inside.value
 
     def test_quotient_at_origin_is_probed_at_one_half(self):
-        # f*_0 of the identity is 1; its tree is singular at 0, so the one
-        # value it is judged by is taken at 1/2
+        # f*_0 of the identity is 1; 1/2 lies farther than 0 from S_0 = {0},
+        # so the one value it is judged by is taken at 1/2, on the tree
         tree = PointSpy(StarMul(StarInv(Moebius(ZERO)), Bullet(ZERO, Identity())))
-        u = hyperbolic.detect_unimodular_constant(tree)
-        assert [x.tolist() for x in tree.points] == \
-            [[[0.0, 0.0, 0.0, 0.0]], [[0.5, 0.0, 0.0, 0.0]]]
+        node = hyperbolic.HyperbolicQuotient(Identity(), ZERO, tree)
+        u = hyperbolic.detect_unimodular_constant(node)
+        assert [x.tolist() for x in tree.points] == [[0.5 + 0j]]
         assert abs(u - ONE) <= 1e-15
         hq = hyperbolic_quotient(Identity(), ZERO)
         assert hq.is_unimodular_constant and abs(hq.unimodular_value - ONE) <= 1e-15
@@ -507,6 +580,12 @@ class TestUnimodularRule:
         tree = PointSpy(hyperbolic_quotient(Q2, Quaternion(0.3, 0.2)).result)
         assert hyperbolic.detect_unimodular_constant(tree) is None
         assert [x.tolist() for x in tree.points] == [[[0.0, 0.0, 0.0, 0.0]]]
+        # and so is a quotient node at |p| >= 1/4, on its tree
+        p = Quaternion(0.3, 0.2)
+        tree = PointSpy(tree.inner)
+        node = hyperbolic.HyperbolicQuotient(SeriesFunc(Q2), p, tree)
+        assert hyperbolic.detect_unimodular_constant(node) is None
+        assert [x.tolist() for x in tree.points] == [[0j]]
 
 
 class TestSchwarzPick:
