@@ -27,7 +27,7 @@ from .interpolation import (
 )
 from .moebius import FunctionExpr, expr_from_json
 from .quaternion import Quaternion
-from .verify import SamplerConfig, crosscheck, run_suite
+from .verify import SUITES, SamplerConfig, crosscheck, run_suite
 
 __all__ = ["main"]
 
@@ -98,22 +98,25 @@ def cmd_interpolate(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    f = _load_expr_arg(args.f)
-    cfg = SamplerConfig(seed=args.seed, count=args.count,
-                        radius_cap=args.radius_cap)
-    report = run_suite(args.suite, f, cfg)
+def _sampler(args) -> SamplerConfig:
+    return SamplerConfig(seed=args.seed, count=args.count,
+                         radius_cap=args.radius_cap)
+
+
+def _print_report(report) -> int:
+    """Print a verification report; exit code 4 when it fails."""
     print(_dump(report.to_json()))
     return 0 if report.passed else 4
+
+
+def cmd_verify(args) -> int:
+    return _print_report(run_suite(args.suite, _load_expr_arg(args.f),
+                                   _sampler(args)))
 
 
 def cmd_crosscheck(args) -> int:
-    f = _load_expr_arg(args.f)
-    cfg = SamplerConfig(seed=args.seed, count=args.count,
-                        radius_cap=args.radius_cap)
-    report = crosscheck(f, cfg, order=args.order)
-    print(_dump(report.to_json()))
-    return 0 if report.passed else 4
+    return _print_report(crosscheck(_load_expr_arg(args.f), _sampler(args),
+                                    order=args.order))
 
 
 def _parse_slice(spec: str) -> Quaternion:
@@ -176,9 +179,7 @@ def main(argv=None) -> int:
                        error_prefix="malformed problem input: ")
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
-    p_ver.add_argument("--suite", required=True,
-                       choices=["spl", "spl3", "multi", "dieudonne",
-                                "goluzin", "balpha"])
+    p_ver.add_argument("--suite", required=True, choices=list(SUITES))
     p_ver.add_argument("--f", required=True)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--count", type=int, default=1000)

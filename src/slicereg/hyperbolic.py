@@ -224,7 +224,9 @@ def hyperbolic_quotient(f, p: Quaternion) -> HyperbolicQuotient:
     (anywhere for an exact series).  When f(p) shows f to be a unimodular
     constant u, the quotient is u as well; else one value of the new
     quotient node decides (:func:`detect_unimodular_constant`).  Raises
-    NotSelfMap when |f(p)| > 1.
+    NotSelfMap when |f(p)| > 1, and SingularDenominator when f is not judged
+    a unimodular constant but |f(p)| lies within 1e-13 of the unit sphere,
+    where M_{f(p)} is refused.
     """
     if isinstance(p, (int, float)):
         p = Quaternion(p)
@@ -236,6 +238,10 @@ def hyperbolic_quotient(f, p: Quaternion) -> HyperbolicQuotient:
     if abs(fp) > 1.0:
         raise NotSelfMap(f"|f(p)| = {abs(fp):.17g} > 1: f is not a self-map "
                          "of the ball")
+    if abs(fp) >= 1.0 - 1e-13:
+        raise SingularDenominator(
+            f"|f(p)| = {abs(fp):.17g} lies {1.0 - abs(fp):.3g} inside the unit "
+            "sphere: too close for M_{f(p)}, too far for a unimodular constant")
     hq = HyperbolicQuotient(f, p, StarMul(StarInv(Moebius(p)), Bullet(fp, f)))
     return HyperbolicQuotient(f, p, hq.result, detect_unimodular_constant(hq))
 

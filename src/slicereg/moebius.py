@@ -699,18 +699,6 @@ def expr_to_series(e: FunctionExpr, r_max=0.95,
 # -- Moebius maps and Blaschke products -------------------------------
 
 
-def moebius_regular_inverse_image(m: Moebius, t: Quaternion) -> Quaternion:
-    """Solve m(q) = t for q, via T_p^{-1} = T_{conj(p)}."""
-    s = t * m.u.conj()
-    p = m.p
-    # classical inverse M_{-p}
-    w = (Quaternion(1.0) + s * p.conj()).inverse() * (s + p)
-    if p.is_real():
-        return w
-    den = Quaternion(1.0) - w * p.conj()
-    return den.inverse() * w * den
-
-
 class BlaschkeProduct:
     """Finite *-product of Moebius factors times a unimodular constant."""
 

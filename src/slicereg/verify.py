@@ -1,16 +1,18 @@
 """Sampling-based verification suites for the inequalities of the library.
 
-Each suite draws deterministic samples from a seeded generator, measures the
-worst violation of the inequality it checks, and reports pass/fail against
-its tolerance.  Suites: spl (two-point Schwarz-Pick), spl3 (three-point),
-multi (iterated quotients), dieudonne, goluzin, balpha, plus the backend
-cross-check between exact expression trees and truncated series.
+Suites: spl (two-point Schwarz-Pick), spl3 (three-point), multi (iterated
+quotients), dieudonne, goluzin and balpha.  A suite is its inequality: from
+seeded samples it yields (violations, points, label) triples, a violation
+above the suite's tolerance failing, where label prefixes the worst input
+([p] for spl, [p, s] for spl3, empty otherwise).  :func:`run_suite` alone checks that f is
+a self-map, keeps the worst case and builds the report; :func:`crosscheck`
+of exact trees against truncated series reports through the same helper.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,7 +85,7 @@ class VerificationReport:
     max_violation: float
     worst_input: tuple
     tolerance: float
-    passed: bool = field(default=False)
+    passed: bool
 
     def to_json(self):
         return {
@@ -97,11 +99,21 @@ class VerificationReport:
         }
 
 
-def _report(suite, cfg, max_violation, worst_input):
+def _report(suite, cfg, cases) -> VerificationReport:
+    """The report of the worst of (violations, points, label) cases, the
+    first winning a tie: label, then the point of its largest violation.  A
+    NaN violation is worse than any number, so that it fails the report."""
+    worst, worst_input = (False, -np.inf), ((0, 0, 0, 0),)
+    for v, points, label in cases:
+        if len(v):
+            idx = int(np.argmax(v))  # the first NaN, if there is one
+            key = (bool(np.isnan(v[idx])), v[idx])
+            if key > worst:
+                worst, worst_input = key, (*label, points[idx].tolist())
+    max_violation = float(worst[1])
     tol = default_tolerance(suite)
-    return VerificationReport(suite, cfg.count, cfg.seed,
-                              float(max_violation), tuple(worst_input), tol,
-                              bool(max_violation <= tol))
+    return VerificationReport(suite, cfg.count, cfg.seed, max_violation,
+                              worst_input, tol, bool(max_violation <= tol))
 
 
 def sample_points(cfg: SamplerConfig) -> np.ndarray:
@@ -122,13 +134,6 @@ def check_self_map(f: FunctionExpr):
         raise NotSelfMap(f"sampled |f| reaches {worst:.6g} > 1")
 
 
-def _worst(points, violations):
-    if len(violations) == 0:
-        return -np.inf, ((0, 0, 0, 0),)
-    idx = int(np.argmax(violations))
-    return violations[idx], (points[idx].tolist(),)
-
-
 # -- Schwarz-Pick suites ----------------------------------------------
 
 
@@ -140,61 +145,43 @@ def _spl_violation(f: FunctionExpr, p: Quaternion, points) -> np.ndarray:
     return lhs - rhs
 
 
-def suite_spl(f: FunctionExpr, cfg: SamplerConfig) -> VerificationReport:
-    check_self_map(f)
+def suite_spl(f: FunctionExpr, cfg: SamplerConfig):
+    """|(M_{f(p)} . f)(q)| <= |M_p(q)| at 4 points p of the 0.8-ball."""
     points = sample_points(cfg)
     rng = np.random.default_rng(cfg.seed + 1)
-    worst_v, worst_in = -np.inf, ((0, 0, 0, 0),)
     for p_arr in qarray.uniform_ball(rng, 4, 0.8):
-        p = qarray.to_quaternion(p_arr)
         # skip samples too close to the equality point p
-        keep = qarray.qnorm(points - p_arr) > 1e-6
-        v = _spl_violation(f, p, points[keep])
-        vmax, win = _worst(points[keep], v)
-        if vmax > worst_v:
-            worst_v, worst_in = vmax, (p_arr.tolist(), *win)
-    return _report("spl", cfg, worst_v, worst_in)
+        pts = points[qarray.qnorm(points - p_arr) > 1e-6]
+        yield (_spl_violation(f, qarray.to_quaternion(p_arr), pts), pts,
+               (p_arr.tolist(),))
 
 
-def suite_spl3(f: FunctionExpr, cfg: SamplerConfig) -> VerificationReport:
-    check_self_map(f)
+def suite_spl3(f: FunctionExpr, cfg: SamplerConfig):
+    """spl on the quotient f*_p, at 3 pairs p, s of the 0.7-ball."""
     points = sample_points(cfg)
     rng = np.random.default_rng(cfg.seed + 2)
-    worst_v, worst_in = -np.inf, ((0, 0, 0, 0),)
     for _ in range(3):
         p, s = (qarray.to_quaternion(x)
                 for x in qarray.uniform_ball(rng, 2, 0.7))
         hq = hyperbolic_quotient(f, p)
         if hq.is_unimodular_constant:
             continue
-        s_arr = qarray.from_quaternion(s)
-        keep = qarray.qnorm(points - s_arr) > 1e-6
-        v = _spl_violation(hq, s, points[keep])
-        vmax, win = _worst(points[keep], v)
-        if vmax > worst_v:
-            worst_v, worst_in = vmax, (p.to_json(), s.to_json(), *win)
-    return _report("spl3", cfg, worst_v, worst_in)
+        pts = points[qarray.qnorm(points - qarray.from_quaternion(s)) > 1e-6]
+        yield _spl_violation(hq, s, pts), pts, (p.to_json(), s.to_json())
 
 
-def suite_multi(f: FunctionExpr, cfg: SamplerConfig) -> VerificationReport:
+def suite_multi(f: FunctionExpr, cfg: SamplerConfig):
     """|f^{n}(q)| <= 1 for iterated quotients at up to 3 random points."""
-    check_self_map(f)
     points = sample_points(cfg)
     rng = np.random.default_rng(cfg.seed + 3)
     nodes = [qarray.to_quaternion(x) for x in qarray.uniform_ball(rng, 3, 0.6)]
-    worst_v, worst_in = -np.inf, ((0, 0, 0, 0),)
     # depths 1, 2 and 3 are the prefixes of one chain of quotients
     for hq in quotient_chain(f, nodes):
         if hq.is_unimodular_constant:
-            v = np.array([abs(abs(hq.unimodular_value) - 1.0)])
-            pts = points[:1]
+            yield (np.array([abs(abs(hq.unimodular_value) - 1.0)]),
+                   points[:1], ())
         else:
-            v = qarray.qnorm(hq.eval_many(points)) - 1.0
-            pts = points
-        vmax, win = _worst(pts, v)
-        if vmax > worst_v:
-            worst_v, worst_in = vmax, win
-    return _report("multi", cfg, worst_v, worst_in)
+            yield qarray.qnorm(hq.eval_many(points)) - 1.0, points, ()
 
 
 # -- estimate suites (require f(0) = 0) -------------------------------
@@ -204,7 +191,6 @@ def _estimate_inputs(f: FunctionExpr, cfg: SamplerConfig):
     """The series of the self-map f, which must vanish at 0, its derivative
     f'(0) = a_1 (0 when the series is the constant 0), and the seeded
     samples q0 of the estimate suites, with |q0| <= 0.9."""
-    check_self_map(f)
     if abs(f.eval(Quaternion(0.0))) > 1e-10:
         raise ValueError("this suite requires f(0) = 0")
     fs = expr_to_series(f)
@@ -213,7 +199,7 @@ def _estimate_inputs(f: FunctionExpr, cfg: SamplerConfig):
     return fs, d0, qarray.uniform_ball(rng, cfg.count, min(0.9, cfg.radius_cap))
 
 
-def suite_dieudonne(f: FunctionExpr, cfg: SamplerConfig) -> VerificationReport:
+def suite_dieudonne(f: FunctionExpr, cfg: SamplerConfig):
     fs, _, pts = _estimate_inputs(f, cfg)
     pts = pts[qarray.qnorm(pts) >= 1e-3]
     fh = quotient_on_sphere(fs, pts)[0]
@@ -223,18 +209,18 @@ def suite_dieudonne(f: FunctionExpr, cfg: SamplerConfig) -> VerificationReport:
     alpha = (1.0 - qarray.qnorm2(fq0)) / (1.0 - r * r)
     v = np.maximum(qarray.qnorm(fh - center) - radius,
                    qarray.qnorm(fh) - dieudonne_sup_rhs(r, alpha))
-    return _report("dieudonne", cfg, *_worst(pts, v))
+    yield v, pts, ()
 
 
-def suite_goluzin(f: FunctionExpr, cfg: SamplerConfig) -> VerificationReport:
+def suite_goluzin(f: FunctionExpr, cfg: SamplerConfig):
     fs, d0, pts = _estimate_inputs(f, cfg)
     dc0 = min(abs(d0), 1.0)
     fh = quotient_on_sphere(fs, pts)[0]
     v = qarray.qnorm(fh) - goluzin_rhs(dc0, qarray.qnorm(pts))
-    return _report("goluzin", cfg, *_worst(pts, v))
+    yield v, pts, ()
 
 
-def suite_balpha(f: FunctionExpr, cfg: SamplerConfig) -> VerificationReport:
+def suite_balpha(f: FunctionExpr, cfg: SamplerConfig):
     fs, d0, pts = _estimate_inputs(f, cfg)
     if not d0.is_real(1e-9) or not 0.0 <= d0.re < 1.0:
         raise ValueError("balpha suite requires real derivative at 0 in [0,1)")
@@ -246,7 +232,7 @@ def suite_balpha(f: FunctionExpr, cfg: SamplerConfig) -> VerificationReport:
     v = np.maximum(lo - fh[:, 0], qarray.qnorm(fh) - hi)
     v_star = np.maximum(lo - star[:, 0], qarray.qnorm(star) - hi)
     v = np.where(r > 1e-3, np.maximum(v, v_star), v)
-    return _report("balpha", cfg, *_worst(pts, v))
+    yield v, pts, ()
 
 
 # -- backend cross-check ----------------------------------------------
@@ -260,8 +246,7 @@ def crosscheck(f: FunctionExpr, cfg: SamplerConfig,
     exact = f.eval_many(points)
     approx, tails = se.evaluate_many(s, points, r_max=cfg.radius_cap)
     v = qarray.qnorm(exact - approx) - tails
-    vmax, win = _worst(points, v)
-    return _report("crosscheck", cfg, vmax, win)
+    return _report("crosscheck", cfg, [(v, points, ())])
 
 
 SUITES = {
@@ -275,13 +260,13 @@ SUITES = {
 
 
 def run_suite(name: str, f, cfg: SamplerConfig) -> VerificationReport:
-    if isinstance(f, TaylorSeries):
-        f = SeriesFunc(f)
-    if name == "crosscheck":
-        return crosscheck(f, cfg)
+    """Check that f is a self-map, then report suite ``name`` on f."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return SUITES[name](f, cfg)
+    if isinstance(f, TaylorSeries):
+        f = SeriesFunc(f)
+    check_self_map(f)
+    return _report(name, cfg, SUITES[name](f, cfg))
 
 
 # -- random self-map generators (used by tests and demos) -------------

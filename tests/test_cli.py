@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from slicereg import cli, qarray
+from slicereg.hyperbolic import hyperbolic_quotient
 from slicereg.moebius import expr_from_json
 from slicereg.quaternion import Quaternion
 
@@ -181,6 +182,18 @@ class TestVerify:
                        '{"p":[0.1,0,0,0]}'])
         assert rc == 1
         assert one_line_error(capsys)
+
+    def test_quotient_next_to_the_sphere_is_a_one_line_error(self, capsys,
+                                                              monkeypatch):
+        # the suites draw p from the 0.7-ball, where |f(p)| within 1e-13 of
+        # the sphere is always a unimodular constant; a quotient at
+        # |p| = 0.9999 is refused instead, and the CLI says so in one line
+        def suite(name, f, cfg):
+            return hyperbolic_quotient(f, Quaternion(0.9999))
+        monkeypatch.setattr(cli, "run_suite", suite)
+        rc = cli.main(["verify", "--suite", "multi", "--f",
+                       json.dumps([1 - 5e-14, 0, 0, 0])])
+        assert rc == 1 and one_line_error(capsys)
 
 
 class TestCrosscheck:

@@ -138,6 +138,15 @@ class TestQuotients:
             with pytest.raises(NotSelfMap, match=r"\|f\(p\)\| = " + shown):
                 hyperbolic_quotient(Const(c), p)
 
+    def test_value_next_to_the_sphere_is_refused_with_its_margin(self):
+        # at |p| = 0.9999 the one-value rule allows only 1.25e-14, so
+        # 1 - 5e-14 is no unimodular constant, yet M_{f(p)} is refused
+        # within 1e-13 of the sphere: the error names |f(p)| and its margin
+        with pytest.raises(SingularDenominator,
+                           match=r"\|f\(p\)\| = 0\.99999999999995004 lies "
+                                 r"5e-14 inside the unit sphere"):
+            hyperbolic_quotient(Const(1 - 5e-14), Quaternion(0.9999))
+
     def test_square_at_origin_is_identity(self, rng):
         hq = hyperbolic_quotient(Q2, ZERO)
         for _ in range(30):

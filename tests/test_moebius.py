@@ -36,7 +36,6 @@ from slicereg.moebius import (
     expr_from_json,
     expr_to_series,
     moebius_classical_eval,
-    moebius_regular_inverse_image,
     neg,
 )
 from slicereg.quaternion import I, J, K, ONE, Quaternion, ZERO
@@ -164,14 +163,6 @@ class TestRegularMoebius:
             Moebius(Quaternion(0.5), Quaternion(0.5))  # u not unimodular
         with pytest.raises(ValueError):
             Moebius(Quaternion(0.0, 1.2))
-
-    def test_bijectivity_inverse_image(self, rng):
-        m = Moebius(Quaternion(0.3, 0.2, -0.1, 0.25), u=J)
-        for _ in range(40):
-            q = rand_q(rng, 0.9)
-            t = m.eval(q)
-            back = moebius_regular_inverse_image(m, t)
-            assert abs(back - q) <= 1e-10
 
 
 class TestExpressions:
