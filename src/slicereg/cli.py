@@ -104,9 +104,12 @@ def _sampler(args) -> SamplerConfig:
 
 
 def _print_report(report) -> int:
-    """Print a verification report; exit code 4 when it fails."""
+    """Print a verification report; exit code 4 when it fails, and 5 when
+    it is inconclusive because no sample was measured."""
     print(_dump(report.to_json()))
-    return 0 if report.passed else 4
+    if report.passed:
+        return 0
+    return 5 if report.max_violation is None else 4
 
 
 def cmd_verify(args) -> int:

@@ -189,9 +189,9 @@ class HyperbolicQuotient(FunctionExpr):
         return self.unimodular_value is not None
 
     @_stem_rule
-    def eval_many(self, z):
+    def eval_many(self, z, memo):
         try:
-            return self.result.eval_many(z)
+            return self.result.eval_many(z, memo)
         except SliceRegError:
             # f*_p itself is regular where its tree is singular
             s = expr_to_series(self, r_max=float(np.abs(z).max()),

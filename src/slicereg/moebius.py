@@ -42,6 +42,7 @@ __all__ = [
     "SchurChain",
     "BlaschkeProduct",
     "moebius_classical_eval",
+    "eval_all",
     "expr_to_series",
     "blaschke_to_expr",
     "dieudonne_det",
@@ -75,18 +76,37 @@ def moebius_classical_eval(p: Quaternion, q: Quaternion) -> Quaternion:
 
 
 def _stem_rule(rule):
-    """Build a node's ``eval_many`` from its stem rule ``rule(self, z)``.
+    """Build a node's ``eval_many(points, memo=None)`` from its stem rule
+    ``rule(self, z, memo)``.
 
     Complex points z return the stem values F(z), a complex (..., 4)
     array; quaternion points q return f(q).  Rules call their children
-    through ``eval_many`` on complex points.
+    through ``eval_many(z, memo)`` on complex points.  A memo, when given,
+    holds the stems at one point set of the nodes already evaluated there,
+    keyed by node identity, so that a node that several trees share is
+    evaluated once (:func:`eval_all`); without one nothing is kept.
     """
     @functools.wraps(rule)
-    def eval_many(self, points):
-        if np.iscomplexobj(points):
-            return rule(self, np.asarray(points))
-        return qarray.on_slices(points, lambda z: rule(self, z))
+    def eval_many(self, points, memo=None):
+        if not np.iscomplexobj(points):
+            return qarray.on_slices(points, lambda z: eval_many(self, z, memo))
+        if memo is None:
+            return rule(self, np.asarray(points), None)
+        # the node is kept with its stem, so that its id is not reused
+        found = memo.get(id(self))
+        if found is None:
+            found = memo[id(self)] = (self, rule(self, np.asarray(points),
+                                                 memo))
+        return found[1]
     return eval_many
+
+
+def eval_all(exprs, points) -> list:
+    """[e.eval_many(points) for e in exprs], with every node that the trees
+    share evaluated once: one memo, local to the call, holds each node's
+    stem at the points."""
+    memo = {}
+    return [e.eval_many(points, memo) for e in exprs]
 
 
 def _scalar_stem(z) -> np.ndarray:
@@ -116,9 +136,13 @@ def _stem_action(F, p: Quaternion, node) -> np.ndarray:
 
 
 class FunctionExpr:
-    """Base node of the expression language; immutable after construction."""
+    """Base node of the expression language; immutable after construction.
 
-    __slots__ = ()
+    ``_probe_max`` is a fact of the map, kept once found: the largest |f|
+    that :func:`slicereg.verify.check_self_map` samples.
+    """
+
+    __slots__ = ("_probe_max",)
 
     def conjugate(self) -> "FunctionExpr":
         """Regular conjugate f^c."""
@@ -130,7 +154,7 @@ class FunctionExpr:
         out = self.eval_many(qarray.from_quaternion(q, (1,)))
         return qarray.to_quaternion(out[0])
 
-    def eval_many(self, points: np.ndarray) -> np.ndarray:
+    def eval_many(self, points: np.ndarray, memo=None) -> np.ndarray:
         raise NotImplementedError
 
     def to_series(self, order=se.DEFAULT_ORDER) -> TaylorSeries:
@@ -152,7 +176,7 @@ class Const(FunctionExpr):
         object.__setattr__(self, "value", value)
 
     @_stem_rule
-    def eval_many(self, z):
+    def eval_many(self, z, memo):
         return np.full(z.shape + (4,), self.value.components(), dtype=complex)
 
     def to_series(self, order=se.DEFAULT_ORDER):
@@ -169,7 +193,7 @@ class Identity(FunctionExpr):
     __slots__ = ()
 
     @_stem_rule
-    def eval_many(self, z):
+    def eval_many(self, z, memo):
         return _scalar_stem(z)
 
     def to_series(self, order=se.DEFAULT_ORDER):
@@ -199,7 +223,7 @@ class Moebius(FunctionExpr):
         object.__setattr__(self, "_pu", p * u)
 
     @_stem_rule
-    def eval_many(self, z):
+    def eval_many(self, z, memo):
         # (1 - z conj(p))^{-1} (z - p) u = (z u - p u)(1 - conj(p u) z u)^{-1}
         # since z commutes with H and |u| = 1: this is M_{pu} . (z u)
         u = qarray.from_quaternion(self.u)
@@ -237,8 +261,8 @@ class Sum(FunctionExpr):
         object.__setattr__(self, "right", right)
 
     @_stem_rule
-    def eval_many(self, z):
-        return self.left.eval_many(z) + self.right.eval_many(z)
+    def eval_many(self, z, memo):
+        return self.left.eval_many(z, memo) + self.right.eval_many(z, memo)
 
     def to_series(self, order=se.DEFAULT_ORDER):
         return se.series_add(self.left.to_series(order), self.right.to_series(order))
@@ -265,8 +289,9 @@ class StarMul(FunctionExpr):
         object.__setattr__(self, "right", right)
 
     @_stem_rule
-    def eval_many(self, z):
-        return qarray.qmul(self.left.eval_many(z), self.right.eval_many(z))
+    def eval_many(self, z, memo):
+        return qarray.qmul(self.left.eval_many(z, memo),
+                           self.right.eval_many(z, memo))
 
     def to_series(self, order=se.DEFAULT_ORDER):
         return se.star_mul(self.left.to_series(order), self.right.to_series(order))
@@ -286,8 +311,8 @@ class StarInv(FunctionExpr):
         object.__setattr__(self, "inner", inner)
 
     @_stem_rule
-    def eval_many(self, z):
-        return _stem_inverse(self.inner.eval_many(z), SingularPoint, self)
+    def eval_many(self, z, memo):
+        return _stem_inverse(self.inner.eval_many(z, memo), SingularPoint, self)
 
     def to_series(self, order=se.DEFAULT_ORDER):
         return se.star_inverse(self.inner.to_series(order), order=order)
@@ -311,8 +336,8 @@ class Conj(FunctionExpr):
         return self.inner
 
     @_stem_rule
-    def eval_many(self, z):
-        return qarray.qconj(self.inner.eval_many(z))
+    def eval_many(self, z, memo):
+        return qarray.qconj(self.inner.eval_many(z, memo))
 
     def to_series(self, order=se.DEFAULT_ORDER):
         return se.conjugate(self.inner.to_series(order))
@@ -337,8 +362,8 @@ class Bullet(FunctionExpr):
         object.__setattr__(self, "inner", inner)
 
     @_stem_rule
-    def eval_many(self, z):
-        return _stem_action(self.inner.eval_many(z), self.p, self)
+    def eval_many(self, z, memo):
+        return _stem_action(self.inner.eval_many(z, memo), self.p, self)
 
     def to_series(self, order=se.DEFAULT_ORDER):
         # _stem_action's closed form, coefficient by coefficient (the stem
@@ -383,7 +408,7 @@ class SeriesFunc(FunctionExpr):
         object.__setattr__(self, "series", series)
 
     @_stem_rule
-    def eval_many(self, z):
+    def eval_many(self, z, memo):
         return se.stem(self.series, z)
 
     def to_series(self, order=se.DEFAULT_ORDER):
@@ -518,7 +543,7 @@ class SchurChain(FunctionExpr):
         return float(moduli.min()) if moduli.size else math.inf
 
     @_stem_rule
-    def eval_many(self, z):
+    def eval_many(self, z, memo):
         nodes, steps = self._step_matrices()
         r = nodes.reshape((-1,) + (1,) * z.ndim)
         w = 1.0 - r * z
@@ -527,7 +552,7 @@ class SchurChain(FunctionExpr):
             raise SingularDenominator(f"{self!r} is singular on a sample")
         b = ((z - r) / w)[..., None]
         x = np.zeros(z.shape + (8,), dtype=complex)
-        x[..., :4] = self.h.eval_many(z)
+        x[..., :4] = self.h.eval_many(z, memo)
         x[..., 4] = 1.0
         norms = [np.ones(z.shape)]
         for bk, step in zip(b[::-1], steps[::-1]):

@@ -4,9 +4,18 @@ Suites: spl (two-point Schwarz-Pick), spl3 (three-point), multi (iterated
 quotients), dieudonne, goluzin and balpha.  A suite is its inequality: from
 seeded samples it yields (violations, points, label) triples, a violation
 above the suite's tolerance failing, where label prefixes the worst input
-([p] for spl, [p, s] for spl3, empty otherwise).  :func:`run_suite` alone checks that f is
-a self-map, keeps the worst case and builds the report; :func:`crosscheck`
-of exact trees against truncated series reports through the same helper.
+([p] for spl, [p, s] for spl3, empty otherwise).  :func:`run_suite` alone
+checks that f is a self-map, keeps the worst case and builds the report; a
+report with no sample measured is inconclusive and fails.
+:func:`crosscheck` of exact trees against truncated series reports through
+the same helper.
+
+Each fact of a map is computed once.  The sampled max |f| of the self-map
+check is kept on the node, so an immutable map is probed once however many
+suites run on it.  spl, spl3 and multi evaluate the trees that they build
+over one f (the Bullets M_{f(p)} . f, the quotients f*_p, the links of a
+chain of quotients) in one stem pass of :func:`~slicereg.moebius.eval_all`,
+which evaluates each node they share once.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ from .moebius import (
     FunctionExpr,
     Moebius,
     SeriesFunc,
+    eval_all,
     expr_to_series,
 )
 from .quaternion import Quaternion
@@ -82,7 +92,7 @@ class VerificationReport:
     suite: str
     count: int
     seed: int
-    max_violation: float
+    max_violation: float  # None when no sample was measured
     worst_input: tuple
     tolerance: float
     passed: bool
@@ -102,18 +112,21 @@ class VerificationReport:
 def _report(suite, cfg, cases) -> VerificationReport:
     """The report of the worst of (violations, points, label) cases, the
     first winning a tie: label, then the point of its largest violation.  A
-    NaN violation is worse than any number, so that it fails the report."""
-    worst, worst_input = (False, -np.inf), ((0, 0, 0, 0),)
+    NaN violation is worse than any number, so that it fails the report.
+    With no sample measured the report is inconclusive: it fails, with no
+    violation and worst input ``((0, 0, 0, 0),)``."""
+    worst, worst_input = None, ((0, 0, 0, 0),)
     for v, points, label in cases:
         if len(v):
             idx = int(np.argmax(v))  # the first NaN, if there is one
             key = (bool(np.isnan(v[idx])), v[idx])
-            if key > worst:
+            if worst is None or key > worst:
                 worst, worst_input = key, (*label, points[idx].tolist())
-    max_violation = float(worst[1])
+    max_violation = None if worst is None else float(worst[1])
     tol = default_tolerance(suite)
+    passed = max_violation is not None and max_violation <= tol
     return VerificationReport(suite, cfg.count, cfg.seed, max_violation,
-                              worst_input, tol, bool(max_violation <= tol))
+                              worst_input, tol, passed)
 
 
 def sample_points(cfg: SamplerConfig) -> np.ndarray:
@@ -127,9 +140,13 @@ _SELF_MAP_PROBES = sample_points(SamplerConfig(seed=314159, count=1000))
 
 def check_self_map(f: FunctionExpr):
     """Raise NotSelfMap unless |f| stays within 1 + 1e-9 at the 1,000
-    seeded probes of the 0.95-ball."""
-    vals = f.eval_many(_SELF_MAP_PROBES)
-    worst = float(qarray.qnorm(vals).max())
+    seeded probes of the 0.95-ball.  The sampled max |f| is kept on the
+    node, which is immutable, so that a map is probed once however many
+    suites run on it."""
+    worst = getattr(f, "_probe_max", None)
+    if worst is None:
+        worst = float(qarray.qnorm(f.eval_many(_SELF_MAP_PROBES)).max())
+        object.__setattr__(f, "_probe_max", worst)
     if worst > 1.0 + 1e-9:
         raise NotSelfMap(f"sampled |f| reaches {worst:.6g} > 1")
 
@@ -137,37 +154,45 @@ def check_self_map(f: FunctionExpr):
 # -- Schwarz-Pick suites ----------------------------------------------
 
 
-def _spl_violation(f: FunctionExpr, p: Quaternion, points) -> np.ndarray:
-    """|(M_{f(p)} . f)(q)| - |M_p(q)| pointwise (should be <= 0)."""
-    fp = f.eval(p)
-    lhs = qarray.qnorm(Bullet(fp, f).eval_many(points))
-    rhs = qarray.qnorm(Moebius(p).eval_many(points))
-    return lhs - rhs
+def _spl_cases(maps, values, ps, points, labels):
+    """|(M_{f(p)} . f)(q)| - |M_p(q)| (should be <= 0) for each map f with
+    its value f(p) at its point p, one case per map, the trees of all maps
+    in one stem pass.  Samples within 1e-6 of p, where equality holds, are
+    skipped."""
+    trees = [Bullet(v, f) for f, v in zip(maps, values)]
+    trees += [Moebius(p) for p in ps]
+    norms = [qarray.qnorm(v) for v in eval_all(trees, points)]
+    for p, lhs, rhs, label in zip(ps, norms, norms[len(ps):], labels):
+        keep = qarray.qnorm(points - qarray.from_quaternion(p)) > 1e-6
+        yield (lhs - rhs)[keep], points[keep], label
 
 
 def suite_spl(f: FunctionExpr, cfg: SamplerConfig):
     """|(M_{f(p)} . f)(q)| <= |M_p(q)| at 4 points p of the 0.8-ball."""
     points = sample_points(cfg)
     rng = np.random.default_rng(cfg.seed + 1)
-    for p_arr in qarray.uniform_ball(rng, 4, 0.8):
-        # skip samples too close to the equality point p
-        pts = points[qarray.qnorm(points - p_arr) > 1e-6]
-        yield (_spl_violation(f, qarray.to_quaternion(p_arr), pts), pts,
-               (p_arr.tolist(),))
+    p_arr = qarray.uniform_ball(rng, 4, 0.8)
+    ps = [qarray.to_quaternion(x) for x in p_arr]
+    values = [qarray.to_quaternion(x) for x in f.eval_many(p_arr)]
+    yield from _spl_cases([f] * 4, values, ps, points,
+                          [(x,) for x in p_arr.tolist()])
 
 
 def suite_spl3(f: FunctionExpr, cfg: SamplerConfig):
     """spl on the quotient f*_p, at 3 pairs p, s of the 0.7-ball."""
     points = sample_points(cfg)
     rng = np.random.default_rng(cfg.seed + 2)
+    quotients, ss, labels = [], [], []
     for _ in range(3):
         p, s = (qarray.to_quaternion(x)
                 for x in qarray.uniform_ball(rng, 2, 0.7))
         hq = hyperbolic_quotient(f, p)
-        if hq.is_unimodular_constant:
-            continue
-        pts = points[qarray.qnorm(points - qarray.from_quaternion(s)) > 1e-6]
-        yield _spl_violation(hq, s, pts), pts, (p.to_json(), s.to_json())
+        if not hq.is_unimodular_constant:
+            quotients.append(hq)
+            ss.append(s)
+            labels.append((p.to_json(), s.to_json()))
+    values = [hq.eval(s) for hq, s in zip(quotients, ss)]
+    yield from _spl_cases(quotients, values, ss, points, labels)
 
 
 def suite_multi(f: FunctionExpr, cfg: SamplerConfig):
@@ -175,13 +200,17 @@ def suite_multi(f: FunctionExpr, cfg: SamplerConfig):
     points = sample_points(cfg)
     rng = np.random.default_rng(cfg.seed + 3)
     nodes = [qarray.to_quaternion(x) for x in qarray.uniform_ball(rng, 3, 0.6)]
-    # depths 1, 2 and 3 are the prefixes of one chain of quotients
-    for hq in quotient_chain(f, nodes):
+    # depths 1, 2 and 3 are the prefixes of one chain of quotients, whose
+    # live links are read in one stem pass
+    chain = quotient_chain(f, nodes)
+    values = iter(eval_all([hq for hq in chain
+                            if not hq.is_unimodular_constant], points))
+    for hq in chain:
         if hq.is_unimodular_constant:
             yield (np.array([abs(abs(hq.unimodular_value) - 1.0)]),
                    points[:1], ())
         else:
-            yield qarray.qnorm(hq.eval_many(points)) - 1.0, points, ()
+            yield qarray.qnorm(next(values)) - 1.0, points, ()
 
 
 # -- estimate suites (require f(0) = 0) -------------------------------

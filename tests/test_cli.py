@@ -177,6 +177,16 @@ class TestVerify:
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["pass"] is True
 
+    def test_no_sample_measured_is_inconclusive(self, capsys):
+        # every quotient of the unimodular constant 1 is a unimodular
+        # constant, so spl3 measures no sample; the report is strict JSON
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+        rc = cli.main(["verify", "--suite", "spl3", "--f", "[1,0,0,0]"])
+        report = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert rc == 5
+        assert report["pass"] is False and report["maxViolation"] is None
+
     def test_missing_kind(self, capsys):
         rc = cli.main(["verify", "--suite", "spl", "--f",
                        '{"p":[0.1,0,0,0]}'])

@@ -36,6 +36,8 @@ from slicereg.moebius import (
     SeriesFunc,
     StarInv,
     StarMul,
+    _stem_rule,
+    eval_all,
     expr_to_series,
 )
 from slicereg.verify import (
@@ -405,6 +407,87 @@ class TestSingleRoute:
         assert abs(1.0 - abs(hq.unimodular_value)) <= 1e-14
 
 
+class CountedStem(FunctionExpr):
+    """f, whose stem rule counts how often it runs."""
+
+    def __init__(self, inner):
+        self.inner, self.runs = inner, 0
+
+    @_stem_rule
+    def eval_many(self, z, memo):
+        self.runs += 1
+        return self.inner.eval_many(z)
+
+
+def family_roots(kind):
+    """A family of trees over one self-map, and points to read them at."""
+    rng = np.random.default_rng(29)
+    pts = qarray.uniform_ball(rng, 40, 0.9)
+    b = random_blaschke_expr(rng, 3)
+    if kind == "blaschke":
+        g = random_blaschke_expr(rng, 2)
+        return [b, StarMul(b, g), Bullet(Quaternion(0.3, -0.2), b),
+                b.conjugate(), StarMul(g, StarInv(Moebius(Quaternion(0.1))))], pts
+    if kind == "series":
+        f = SeriesFunc(random_series_self_map(rng))
+        return [f, Bullet(f.eval(Quaternion(0.2, 0.1)), f), StarMul(f, b),
+                f.conjugate()], pts
+    if kind == "chain":
+        return quotient_chain(b, [rand_q(rng, 0.6) for _ in range(3)]), pts
+    # quotients on their S_p: the tree refuses the batch, read from the series
+    p = Quaternion(0.3, 0.2, -0.1, 0.2)
+    hq = hyperbolic_quotient(b, p)
+    with pytest.raises(SliceRegError):
+        hq.result.eval_many(qarray.from_quaternion(p, (1,)))
+    sphere = TestSingleRoute.sphere_points(p, rng)
+    return [hq, Bullet(Quaternion(0.1, 0.3), hq), hq.conjugate(),
+            hyperbolic_quotient(hq, Quaternion(-0.2, 0.1))], sphere
+
+
+class TestFamilyStemPass:
+    """eval_all reads a family of trees with one stem per shared node."""
+
+    @pytest.mark.parametrize("kind", ["blaschke", "series", "chain", "sphere"])
+    def test_bitwise_as_one_root_at_a_time(self, kind):
+        roots, pts = family_roots(kind)
+        for points in (pts, pts[:, 0] + 1j * qarray.qnorm(pts[:, 1:])):
+            got = eval_all(roots, points)
+            want = [r.eval_many(points) for r in roots]
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_chain_reads_its_map_once(self):
+        rng = np.random.default_rng(31)
+        f = CountedStem(random_blaschke_expr(rng, 3))
+        chain = quotient_chain(f, [rand_q(rng, 0.6) for _ in range(3)])
+        pts = qarray.uniform_ball(rng, 50, 0.9)
+        f.runs = 0
+        eval_all(chain, pts)
+        assert f.runs == 1
+        # one root at a time, each link reads f again
+        f.runs = 0
+        for hq in chain:
+            hq.eval_many(pts)
+        assert f.runs == 3
+
+    def test_spl_bullets_read_their_map_once(self):
+        rng = np.random.default_rng(37)
+        f = CountedStem(random_blaschke_expr(rng, 2))
+        ps = qarray.uniform_ball(rng, 4, 0.8)
+        values = [qarray.to_quaternion(v) for v in f.eval_many(ps)]
+        f.runs = 0
+        eval_all([Bullet(v, f) for v in values], qarray.uniform_ball(rng, 50, 0.9))
+        assert f.runs == 1
+
+    def test_a_refused_root_raises_its_error(self):
+        pts = np.array([[0.2, 0.1, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+        roots = [Moebius(Quaternion(0.3)), StarInv(Identity())]
+        with pytest.raises(SliceRegError) as one:
+            roots[1].eval_many(pts)
+        with pytest.raises(one.type):
+            eval_all(roots, pts)
+
+
 class TestBoundArrays:
     def test_array_forms_equal_scalar_forms(self):
         rng = np.random.default_rng(9)
@@ -518,9 +601,9 @@ class PointSpy(FunctionExpr):
     def __init__(self, inner):
         self.inner, self.points = inner, []
 
-    def eval_many(self, points):
+    def eval_many(self, points, memo=None):
         self.points.append(np.array(points))
-        return self.inner.eval_many(points)
+        return self.inner.eval_many(points, memo)
 
 
 class TestUnimodularRule:

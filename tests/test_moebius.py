@@ -239,9 +239,9 @@ class TestStemEvaluation:
         calls = []
         for cls in (Const, Identity, Moebius, Sum, StarMul, StarInv, Conj,
                     Bullet, SeriesFunc):
-            def counted(self, points, orig=cls.eval_many):
+            def counted(self, points, memo=None, orig=cls.eval_many):
                 calls.append(self)
-                return orig(self, points)
+                return orig(self, points, memo)
             monkeypatch.setattr(cls, "eval_many", counted)
         v = f.eval(Quaternion(0.1, 0.2, -0.1, 0.3))
         assert abs(v) < 1.0

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from slicereg import qarray, verify
+from slicereg.errors import NotSelfMap
+from slicereg.moebius import Const
 from slicereg.quaternion import ONE, ZERO
 from slicereg.series import TaylorSeries
 from slicereg.verify import (
@@ -11,6 +13,8 @@ from slicereg.verify import (
     run_suite,
     sample_points,
 )
+
+from test_hyperbolic import PointSpy
 
 # q^2 vanishes at 0 with the real derivative 0 there, as every suite needs
 Q2 = TaylorSeries.from_quaternions([ZERO, ZERO, ONE], exact=True)
@@ -62,6 +66,32 @@ def test_run_suite_alone_checks_the_self_map(suite, monkeypatch):
     assert all(len(v) == len(pts) for v, pts, _ in cases)
 
 
+def probes(spy):
+    """How often the spy was read at the self-map probes."""
+    return sum(np.array_equal(p, verify._SELF_MAP_PROBES) for p in spy.points)
+
+
+@pytest.mark.parametrize("suite", ["spl", "multi"])
+def test_self_map_is_probed_once_per_node(suite):
+    f, cfg = PointSpy(self_map(suite)), SamplerConfig(seed=3, count=20)
+    first = run_suite(suite, f, cfg)
+    assert probes(f) == 1
+    for name in ("spl", "spl3", "multi", suite):
+        run_suite(name, f, cfg)
+    assert probes(f) == 1
+    assert run_suite(suite, f, cfg) == first
+
+
+def test_non_self_map_is_refused_on_every_call():
+    f = PointSpy(Const(1.5))
+    for _ in range(3):
+        with pytest.raises(NotSelfMap, match="1.5 > 1"):
+            verify.check_self_map(f)
+        with pytest.raises(NotSelfMap):
+            run_suite("spl", f, SamplerConfig(count=10))
+    assert probes(f) == 1
+
+
 def test_crosscheck_is_no_suite():
     with pytest.raises(ValueError, match="unknown suite 'crosscheck'"):
         run_suite("crosscheck", Q2, SamplerConfig(count=10))
@@ -86,7 +116,9 @@ class TestWorstCase:
         assert np.isnan(report.max_violation) and not report.passed
         assert report.worst_input == ([0.2, 0, 0, 0],)
 
-    def test_no_case_is_no_violation(self):
-        report = verify._report("spl3", self.CFG, [(np.empty(0), self.PTS[:0], ())])
-        assert report.max_violation == -np.inf and report.passed
-        assert report.worst_input == ((0, 0, 0, 0),)
+    def test_no_case_is_inconclusive(self):
+        for cases in ([], [(np.empty(0), self.PTS[:0], ())]):
+            report = verify._report("spl3", self.CFG, cases)
+            assert report.max_violation is None and not report.passed
+            assert report.worst_input == ((0, 0, 0, 0),)
+            assert report.to_json()["maxViolation"] is None
