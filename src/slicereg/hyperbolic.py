@@ -18,6 +18,9 @@ gives |f - a| <= (1 - |a|^2) m / (1 - m) there.  Hence
 r = 0.6.  A quotient's input is judged at q0 = p, from the f(p) that the
 quotient needs anyway; the new quotient at whichever of 0 and 1/2 lies
 farther from S_p; and a series at q0 = 0, from its constant coefficient.
+One batch reads f at p and at the new quotient's q0, and the probe of the
+new quotient reuses the stem of f at q0, so that building a quotient reads
+f once and evaluates only its own new nodes.
 """
 
 from __future__ import annotations
@@ -134,13 +137,19 @@ def _unimodular(modulus: float, r0: float) -> bool:
     return abs(1.0 - modulus) <= _UNIMODULAR_TOL * (1.0 - m) / (1.0 + m)
 
 
-def detect_unimodular_constant(f: FunctionExpr):
+def _probe_point(p: Quaternion) -> float:
+    """The real point q0 at which a quotient f*_p is judged: whichever of 0
+    and 1/2 lies farther from its S_p, 1/2 when |p| < 1/4."""
+    return 0.5 if abs(p) < 0.25 else 0.0
+
+
+def detect_unimodular_constant(f: FunctionExpr, memo=None):
     """u if the self-map f is a unimodular constant u, from one value u =
-    f(q0).  A quotient f*_p is read at whichever of q0 = 0 and q0 = 1/2 lies
-    farther from its S_p, 1/2 when |p| < 1/4; any other f at q0 = 0.  None
-    when f is not one."""
-    r0 = 0.5 if isinstance(f, HyperbolicQuotient) and abs(f.p) < 0.25 else 0.0
-    a = f.eval_many(np.array([[r0, 0.0, 0.0, 0.0]]))[0]
+    f(q0).  A quotient f*_p is read at q0 = _probe_point(p), any other f at
+    q0 = 0.  ``memo`` holds the stems at q0 of nodes already evaluated there
+    (see :func:`~slicereg.moebius.eval_all`).  None when f is not one."""
+    r0 = _probe_point(f.p) if isinstance(f, HyperbolicQuotient) else 0.0
+    a = f.eval_many(np.array([[r0, 0.0, 0.0, 0.0]]), memo)[0]
     if _unimodular(float(np.linalg.norm(a)), r0):
         return qarray.to_quaternion(a)
     return None
@@ -223,7 +232,9 @@ def hyperbolic_quotient(f, p: Quaternion) -> HyperbolicQuotient:
     becomes a SeriesFunc leaf that reads f inside its certified radius
     (anywhere for an exact series).  When f(p) shows f to be a unimodular
     constant u, the quotient is u as well; else one value of the new
-    quotient node decides (:func:`detect_unimodular_constant`).  Raises
+    quotient node decides (:func:`detect_unimodular_constant`).  f is read
+    once, at p and at that value's point, and the probe reuses its stem
+    there, so that it evaluates only the new nodes.  Raises
     NotSelfMap when |f(p)| > 1, and SingularDenominator when f is not judged
     a unimodular constant but |f(p)| lies within 1e-13 of the unit sphere,
     where M_{f(p)} is refused.
@@ -232,7 +243,14 @@ def hyperbolic_quotient(f, p: Quaternion) -> HyperbolicQuotient:
         p = Quaternion(p)
     if isinstance(f, TaylorSeries):
         f = SeriesFunc(f)
-    fp = f.eval(p)
+    q0 = _probe_point(p)
+    stems = []
+
+    def stem(z):
+        stems.append(f.eval_many(z))
+        return stems[-1]
+    batch = np.array([p.components(), (q0, 0.0, 0.0, 0.0)])
+    fp = qarray.to_quaternion(qarray.on_slices(batch, stem)[0])
     if _unimodular(abs(fp), abs(p)):
         return HyperbolicQuotient(f, p, Const(fp), fp)
     if abs(fp) > 1.0:
@@ -243,7 +261,9 @@ def hyperbolic_quotient(f, p: Quaternion) -> HyperbolicQuotient:
             f"|f(p)| = {abs(fp):.17g} lies {1.0 - abs(fp):.3g} inside the unit "
             "sphere: too close for M_{f(p)}, too far for a unimodular constant")
     hq = HyperbolicQuotient(f, p, StarMul(StarInv(Moebius(p)), Bullet(fp, f)))
-    return HyperbolicQuotient(f, p, hq.result, detect_unimodular_constant(hq))
+    memo = {id(f): (f, stems[0][1:])}  # the stem of f at q0
+    return HyperbolicQuotient(f, p, hq.result,
+                              detect_unimodular_constant(hq, memo))
 
 
 def quotient_on_sphere(fs: TaylorSeries, points):

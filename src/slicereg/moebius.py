@@ -124,12 +124,16 @@ def _stem_inverse(F, error, node) -> np.ndarray:
     return qarray.qconj(F) / n[..., None]
 
 
-def _stem_action(F, p: Quaternion, node) -> np.ndarray:
+def _stem_action(F, p, node) -> np.ndarray:
     """M_p . F = (F - p)(1 - conj(p) F)^{-1} in the closed form of
     :func:`slicereg.qarray.moebius_action`, raising SingularDenominator where
-    its scalar denominator d = n(1 - conj(p) F) vanishes.
+    its scalar denominator d = n(1 - conj(p) F) vanishes.  p is a Quaternion
+    or a real array broadcastable against F, so that one call acts with a
+    family of points p on a stack of stems.
     """
-    num, d = qarray.moebius_action(F, qarray.from_quaternion(p))
+    if isinstance(p, Quaternion):
+        p = qarray.from_quaternion(p)
+    num, d = qarray.moebius_action(F, p)
     if np.any(np.abs(d) <= _SING_TOL):
         raise SingularDenominator(f"{node!r} is singular on a sample")
     return num / d[..., None]

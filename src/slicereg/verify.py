@@ -13,13 +13,16 @@ the same helper.
 Each fact of a map is computed once.  The sampled max |f| of the self-map
 check is kept on the node, so an immutable map is probed once however many
 suites run on it.  spl, spl3 and multi evaluate the trees that they build
-over one f (the Bullets M_{f(p)} . f, the quotients f*_p, the links of a
-chain of quotients) in one stem pass of :func:`~slicereg.moebius.eval_all`,
-which evaluates each node they share once.
+over one f (the quotients f*_p, the links of a chain of quotients) in one
+stem pass of :func:`~slicereg.moebius.eval_all`, which evaluates each node
+they share once.  The Schwarz-Pick cases of a family of B maps stack their
+stems as (B, P, 4), and all B actions M_{f(p)} take one broadcast call, as
+do all B maps M_p.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -37,10 +40,11 @@ from .hyperbolic import (
     quotient_on_sphere,
 )
 from .moebius import (
-    Bullet,
     FunctionExpr,
-    Moebius,
     SeriesFunc,
+    _check_ball,
+    _scalar_stem,
+    _stem_action,
     eval_all,
     expr_to_series,
 )
@@ -83,6 +87,8 @@ class SamplerConfig:
     radius_cap: float = 0.95
 
     def __post_init__(self):
+        if self.count < 0:
+            raise ValueError(f"count must be nonnegative, got {self.count}")
         if not 0.0 < self.radius_cap <= 0.95:
             raise ValueError("radius_cap must be in (0, 0.95]")
 
@@ -98,11 +104,18 @@ class VerificationReport:
     passed: bool
 
     def to_json(self):
+        """The report as JSON data.  A NaN or infinite worst violation, for
+        which JSON has no number, is the string "NaN", "Infinity" or
+        "-Infinity"."""
+        v = self.max_violation
+        if v is not None and not math.isfinite(v):
+            v = "NaN" if math.isnan(v) else ("Infinity" if v > 0
+                                             else "-Infinity")
         return {
             "suite": self.suite,
             "count": self.count,
             "seed": self.seed,
-            "maxViolation": self.max_violation,
+            "maxViolation": v,
             "worstInput": [list(x) for x in self.worst_input],
             "tolerance": self.tolerance,
             "pass": self.passed,
@@ -156,14 +169,22 @@ def check_self_map(f: FunctionExpr):
 
 def _spl_cases(maps, values, ps, points, labels):
     """|(M_{f(p)} . f)(q)| - |M_p(q)| (should be <= 0) for each map f with
-    its value f(p) at its point p, one case per map, the trees of all maps
-    in one stem pass.  Samples within 1e-6 of p, where equality holds, are
-    skipped."""
-    trees = [Bullet(v, f) for f, v in zip(maps, values)]
-    trees += [Moebius(p) for p in ps]
-    norms = [qarray.qnorm(v) for v in eval_all(trees, points)]
+    its value f(p) at its point p, rows of the (B, 4) arrays ``values`` and
+    ``ps``, one case per map.  The stems of all maps come from one stem
+    pass, and the B actions M_{f(p)} and the B maps M_p each take one
+    broadcast action on them.  Samples within 1e-6 of p, where equality
+    holds, are skipped."""
+    for v in values:  # M_{f(p)} needs |f(p)| < 1, as Bullet does
+        _check_ball(qarray.to_quaternion(v))
+
+    def stem(z):
+        bullets = _stem_action(np.stack(eval_all(maps, z)), values[:, None],
+                               "M_{f(p)} . f")
+        return np.concatenate(
+            [bullets, _stem_action(_scalar_stem(z), ps[:, None], "M_p")])
+    norms = qarray.qnorm(qarray.on_slices(points, stem))
     for p, lhs, rhs, label in zip(ps, norms, norms[len(ps):], labels):
-        keep = qarray.qnorm(points - qarray.from_quaternion(p)) > 1e-6
+        keep = qarray.qnorm(points - p) > 1e-6
         yield (lhs - rhs)[keep], points[keep], label
 
 
@@ -171,11 +192,9 @@ def suite_spl(f: FunctionExpr, cfg: SamplerConfig):
     """|(M_{f(p)} . f)(q)| <= |M_p(q)| at 4 points p of the 0.8-ball."""
     points = sample_points(cfg)
     rng = np.random.default_rng(cfg.seed + 1)
-    p_arr = qarray.uniform_ball(rng, 4, 0.8)
-    ps = [qarray.to_quaternion(x) for x in p_arr]
-    values = [qarray.to_quaternion(x) for x in f.eval_many(p_arr)]
-    yield from _spl_cases([f] * 4, values, ps, points,
-                          [(x,) for x in p_arr.tolist()])
+    ps = qarray.uniform_ball(rng, 4, 0.8)
+    yield from _spl_cases([f] * 4, f.eval_many(ps), ps, points,
+                          [(x,) for x in ps.tolist()])
 
 
 def suite_spl3(f: FunctionExpr, cfg: SamplerConfig):
@@ -184,14 +203,17 @@ def suite_spl3(f: FunctionExpr, cfg: SamplerConfig):
     rng = np.random.default_rng(cfg.seed + 2)
     quotients, ss, labels = [], [], []
     for _ in range(3):
-        p, s = (qarray.to_quaternion(x)
-                for x in qarray.uniform_ball(rng, 2, 0.7))
-        hq = hyperbolic_quotient(f, p)
+        p, s = qarray.uniform_ball(rng, 2, 0.7)
+        hq = hyperbolic_quotient(f, qarray.to_quaternion(p))
         if not hq.is_unimodular_constant:
             quotients.append(hq)
             ss.append(s)
-            labels.append((p.to_json(), s.to_json()))
-    values = [hq.eval(s) for hq, s in zip(quotients, ss)]
+            labels.append((p.tolist(), s.tolist()))
+    if not quotients:
+        return  # every f*_p is a unimodular constant: no case
+    ss = np.array(ss)
+    # f*_p(s) of each pair is the diagonal of one pass at every s
+    values = np.array([v[k] for k, v in enumerate(eval_all(quotients, ss))])
     yield from _spl_cases(quotients, values, ss, points, labels)
 
 
@@ -270,6 +292,8 @@ def suite_balpha(f: FunctionExpr, cfg: SamplerConfig):
 def crosscheck(f: FunctionExpr, cfg: SamplerConfig,
                order: int = None) -> VerificationReport:
     """max over samples of |exact(f) - series(f)| - certified tail."""
+    if order is not None and order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
     s = f.to_series(order) if order is not None else expr_to_series(f)
     points = sample_points(cfg)
     exact = f.eval_many(points)

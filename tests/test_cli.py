@@ -193,6 +193,13 @@ class TestVerify:
         assert rc == 1
         assert one_line_error(capsys)
 
+    def test_negative_count_is_a_one_line_error(self, capsys):
+        rc = cli.main(["verify", "--suite", "spl", "--f", json.dumps(Q2_EXPR),
+                       "--count", "-3"])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: count must be nonnegative, got -3\n"
+
     def test_quotient_next_to_the_sphere_is_a_one_line_error(self, capsys,
                                                               monkeypatch):
         # the suites draw p from the 0.7-ball, where |f(p)| within 1e-13 of
@@ -227,6 +234,41 @@ class TestCrosscheck:
                        "--count", "200"])
         report = json.loads(capsys.readouterr().out)
         assert rc == 0 and report["pass"] is True
+
+
+    @pytest.mark.parametrize("order", ["-1", "-5"])
+    def test_negative_order_is_a_one_line_error(self, order, capsys):
+        # order -1 used to end in an IndexError traceback from
+        # Moebius.to_series, and -5 in NumPy's "negative dimensions"
+        expr = {"kind": "star_mul", "left": {"kind": "identity"},
+                "right": {"kind": "moebius", "p": [0.3, 0.1, 0.0, 0.2]}}
+        rc = cli.main(["crosscheck", "--f", json.dumps(expr),
+                       "--order", order])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"error: order must be nonnegative, got {order}\n"
+
+    def test_negative_count_is_a_one_line_error(self, capsys):
+        expr = {"kind": "moebius", "p": [0.3, 0.1, 0.0, 0.2]}
+        rc = cli.main(["crosscheck", "--f", json.dumps(expr), "--count", "-1"])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: count must be nonnegative, got -1\n"
+
+    def test_nan_violation_is_strict_json(self, capsys):
+        # the exact and the series backends both overflow to inf, so every
+        # difference is NaN: the report fails, and its JSON names the NaN
+        # in a string, as JSON has no NaN
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+        expr = {"kind": "series", "exact": True,
+                "coeffs": [[0, 0, 0, 0], [1e308, 0, 0, 0], [1e308, 0, 0, 0]]}
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = cli.main(["crosscheck", "--f", json.dumps(expr),
+                           "--count", "20"])
+        report = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert rc == 4
+        assert report["pass"] is False and report["maxViolation"] == "NaN"
 
 
 class TestGrid:

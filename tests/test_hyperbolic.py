@@ -488,6 +488,35 @@ class TestFamilyStemPass:
             eval_all(roots, pts)
 
 
+class TestQuotientReadsItsBaseOnce:
+    """f(p) and the probe of the new quotient come from one read of f."""
+
+    @pytest.mark.parametrize("p", [Quaternion(0.1, 0.05),
+                                   Quaternion(0.3, -0.2, 0.1, 0.2)])
+    def test_building_a_quotient_runs_the_stem_of_f_once(self, p):
+        # |p| < 1/4 probes the quotient at 1/2, else at 0
+        rng = np.random.default_rng(41)
+        f = CountedStem(random_blaschke_expr(rng, 3))
+        hq = hyperbolic_quotient(f, p)
+        assert f.runs == 1 and not hq.is_unimodular_constant
+        assert hq.eval(Quaternion(0.2, 0.1)) == \
+            hyperbolic_quotient(f.inner, p).eval(Quaternion(0.2, 0.1))
+
+    @pytest.mark.parametrize("p", [Quaternion(0.0, 1e-6),
+                                   Quaternion(0.3, -0.2, 0.1, 0.2)])
+    def test_probe_reads_f_from_the_batch(self, p):
+        # the verdict from the stem of f kept by the batch is the one that
+        # a fresh probe of the new quotient gives
+        f = CountedStem(Moebius(Quaternion(0.3, 0.2, -0.1, 0.2),
+                                u=Quaternion(0.5, 0.5, -0.5, 0.5)))
+        hq = hyperbolic_quotient(f, p)
+        assert f.runs == 1 and hq.is_unimodular_constant
+        fresh = hyperbolic.HyperbolicQuotient(f, p, hq.result)
+        assert hyperbolic.detect_unimodular_constant(fresh) == \
+            hq.unimodular_value
+        assert f.runs == 2
+
+
 class TestBoundArrays:
     def test_array_forms_equal_scalar_forms(self):
         rng = np.random.default_rng(9)
@@ -563,7 +592,8 @@ class TestIterated:
         probed = []
         detect = hyperbolic.detect_unimodular_constant
         monkeypatch.setattr(hyperbolic, "detect_unimodular_constant",
-                            lambda e: probed.append(e) or detect(e))
+                            lambda e, memo=None: probed.append(e)
+                            or detect(e, memo))
         hq2 = hyperbolic_quotient(hq, Quaternion(0.2, 0.1))
         assert len(probed) == 1 and probed[0].result is hq2.result
 

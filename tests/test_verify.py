@@ -1,20 +1,32 @@
+import json
+
 import numpy as np
 import pytest
 
 from slicereg import qarray, verify
 from slicereg.errors import NotSelfMap
-from slicereg.moebius import Const
-from slicereg.quaternion import ONE, ZERO
+from slicereg.moebius import (
+    Bullet,
+    Const,
+    FunctionExpr,
+    Moebius,
+    SeriesFunc,
+    StarMul,
+    eval_all,
+)
+from slicereg.hyperbolic import quotient_chain
+from slicereg.quaternion import ONE, ZERO, Quaternion
 from slicereg.series import TaylorSeries
 from slicereg.verify import (
     SUITES,
     SamplerConfig,
     random_blaschke_expr,
+    random_series_self_map,
     run_suite,
     sample_points,
 )
 
-from test_hyperbolic import PointSpy
+from test_hyperbolic import CountedStem, PointSpy
 
 # q^2 vanishes at 0 with the real derivative 0 there, as every suite needs
 Q2 = TaylorSeries.from_quaternions([ZERO, ZERO, ONE], exact=True)
@@ -92,6 +104,68 @@ def test_non_self_map_is_refused_on_every_call():
     assert probes(f) == 1
 
 
+def spl_family(kind):
+    """Maps, their points p and values f(p), and the samples q of a family
+    of Schwarz-Pick cases."""
+    rng = np.random.default_rng(43)
+    b = random_blaschke_expr(rng, 3)
+    if kind == "blaschke":
+        g = random_blaschke_expr(rng, 2)
+        maps = [b, StarMul(b, g), Bullet(Quaternion(0.3, -0.2), b)]
+    elif kind == "series":
+        f = SeriesFunc(random_series_self_map(rng))
+        maps = [f, StarMul(f, b), Bullet(Quaternion(0.1, 0.2), f)]
+    else:
+        # the third quotient of a degree-3 map is a unimodular constant
+        ps = [qarray.to_quaternion(x) for x in qarray.uniform_ball(rng, 2, 0.6)]
+        maps = quotient_chain(b, ps)
+    ps = qarray.uniform_ball(rng, len(maps), 0.8)
+    values = np.array([m.eval_many(p[None])[0] for m, p in zip(maps, ps)])
+    points = qarray.uniform_ball(rng, 60, 0.95)
+    return maps, values, ps, np.concatenate([points, ps[:1]])
+
+
+class TestSplFamilies:
+    """spl and spl3 act with a family's Moebius maps in one broadcast pass."""
+
+    @pytest.mark.parametrize("kind", ["blaschke", "series", "chain"])
+    def test_bitwise_as_the_per_tree_route(self, kind):
+        maps, values, ps, points = spl_family(kind)
+        labels = [(k,) for k in range(len(maps))]
+        got = list(verify._spl_cases(maps, values, ps, points, labels))
+        # one Bullet and one Moebius tree per map
+        trees = [Bullet(qarray.to_quaternion(v), f)
+                 for f, v in zip(maps, values)]
+        trees += [Moebius(qarray.to_quaternion(p)) for p in ps]
+        norms = [qarray.qnorm(v) for v in eval_all(trees, points)]
+        assert len(got) == len(maps)
+        for k, (v, pts, label) in enumerate(got):
+            keep = qarray.qnorm(points - ps[k]) > 1e-6
+            assert label == (k,)
+            assert np.array_equal(v, (norms[k] - norms[len(maps) + k])[keep])
+            assert np.array_equal(pts, points[keep])
+        # the sample at p itself, where equality holds, is skipped
+        assert len(got[0][1]) == len(points) - 1
+
+    def test_spl3_reads_its_values_in_one_pass(self, monkeypatch):
+        f = CountedStem(random_blaschke_expr(np.random.default_rng(47), 3))
+        cfg = SamplerConfig(seed=6, count=30)
+        ref = list(SUITES["spl3"](f.inner, cfg))
+        evals = []
+        point_eval = FunctionExpr.eval
+        monkeypatch.setattr(FunctionExpr, "eval",
+                            lambda e, q: evals.append(q) or point_eval(e, q))
+        f.runs = 0
+        cases = list(SUITES["spl3"](f, cfg))
+        # one read of f per quotient built, one for the 3 values f*_p(s)
+        # and one for the cases
+        assert f.runs == 5 and not evals
+        assert len(cases) == len(ref) == 3
+        for (v, pts, label), (w, ref_pts, ref_label) in zip(cases, ref):
+            assert label == ref_label and np.array_equal(pts, ref_pts)
+            assert np.abs(v - w).max() <= 1e-14
+
+
 def test_crosscheck_is_no_suite():
     with pytest.raises(ValueError, match="unknown suite 'crosscheck'"):
         run_suite("crosscheck", Q2, SamplerConfig(count=10))
@@ -122,3 +196,12 @@ class TestWorstCase:
             assert report.max_violation is None and not report.passed
             assert report.worst_input == ((0, 0, 0, 0),)
             assert report.to_json()["maxViolation"] is None
+
+    def test_non_finite_violation_is_named_in_json(self):
+        # JSON has no number for NaN or the infinities
+        for v, name in ((np.nan, "NaN"), (np.inf, "Infinity")):
+            report = verify._report("multi", self.CFG,
+                                    [(np.array([-1.0, v]), self.PTS[:2], ())])
+            assert not report.passed
+            assert json.loads(json.dumps(report.to_json()))["maxViolation"] \
+                == name
