@@ -7,8 +7,11 @@ I Im F(x + iy) and the complex unit i commutes with H.  On stems the
 node has a one-line stem rule and one evaluation visits each node once
 (:func:`slicereg.qarray.on_slices` reads the values off the stem).  The
 series backend lowers the same tree to a
-:class:`~slicereg.series.TaylorSeries`.  Tests require the two to agree
-within the certified truncation tail.
+:class:`~slicereg.series.TaylorSeries`.  :func:`expr_to_series` reads a
+tree with a sampled Cauchy certificate off the FFT of its stem on the
+certified circle; each node's recursive ``to_series(order)`` rule serves
+polynomial trees, the fitted route and explicit orders.  Tests require the
+two backends to agree within the certified truncation tail.
 """
 
 from __future__ import annotations
@@ -625,50 +628,61 @@ def _pole_radius(e: FunctionExpr):
     return None
 
 
+def _circle_spectrum(e: FunctionExpr, radius, samples):
+    """(M, c) from the stem F of e at the samples of |z| = radius, or None
+    when the circle does not count: M is the largest |F| over the samples
+    and c the FFT of F over them, so that c_m = N R^m a_m + aliasing.
+
+    The circle counts when F is finite at every sample, no sample is
+    singular and the Laurent part c_{-1} ... c_{-K} of F vanishes relative
+    to the largest coefficient; a singularity inside the circle, or aliasing
+    of a slowly decaying series, shows there.  Stems satisfy F(conj z) =
+    conj F(z), with conj the complex conjugate of each component, so only
+    the upper half circle is evaluated and mirrored.
+    """
+    half = samples // 2
+    roots = np.exp(1j * np.pi * np.arange(half + 1) / half)
+    try:
+        with np.errstate(all="ignore"):
+            F = e.eval_many(radius * roots)
+    except SliceRegError:
+        return None
+    if not np.all(np.isfinite(F)):
+        return None
+    spectrum = np.fft.fft(np.concatenate([F, F[-2:0:-1].conj()]), axis=0)
+    c = np.linalg.norm(spectrum, axis=1)
+    if not (np.isfinite(c.max())
+            and np.all(c[-_LAURENT_TERMS:] <= _LAURENT_TOL * c.max())):
+        return None
+    return float(np.linalg.norm(F, axis=1).max()), spectrum
+
+
 def _cauchy_radius(e: FunctionExpr, poles, r_max):
-    """(R, M) for the largest radius r_max < R < poles on which the stem F
-    of e is analytic, with M the largest |F| over the samples of |z| = R.
+    """(R, M, c) for each radius r_max < R < poles on which the stem F of
+    e is analytic, largest first, with M and c the :func:`_circle_spectrum`
+    of its samples.
 
     The radii are the ladder's and, for a SchurChain, whose poles are the
     roots of n(D), the root rung R = (1 + poles) / 2 in its place among
-    them.  A radius counts
-    when F is finite at every sample, no sample is singular and the Laurent
-    part of F on the circle, read off its FFT, vanishes; a singularity
-    inside the circle, or aliasing of a slowly decaying series, shows there.
-    Aliasing puts about (R / poles)^(N - K) on the K Laurent terms of N
-    samples, so the root rung takes the N that keeps this under the
-    tolerance (at most _CAUCHY_MAX_SAMPLES).  Returns None when no radius
-    counts.  M is a sampled maximum, so the Cauchy estimate |a_m| <=
-    M R^{-m} is a sampled one.  Stems satisfy F(conj z) = conj F(z), with
-    conj the complex conjugate of each component, so only the upper half
-    circle is evaluated.
+    them.  Aliasing puts about (R / poles)^(N - K) on the K Laurent terms
+    of N samples, so the root rung takes the N that keeps this under the
+    tolerance (at most _CAUCHY_MAX_SAMPLES).  Radii are sampled only as the
+    caller asks for the next one.  M is a sampled maximum, so the Cauchy
+    estimate |a_m| <= M R^{-m} is a sampled one.
     """
-    def circle(samples):
-        half = samples // 2
-        return np.exp(1j * np.pi * np.arange(half + 1) / half)
-    ladder = circle(_CAUCHY_SAMPLES)
-    rungs = [(radius, ladder) for radius in _CAUCHY_RADII
+    rungs = [(radius, _CAUCHY_SAMPLES) for radius in _CAUCHY_RADII
              if r_max < radius < poles]
     root = (1.0 + poles) / 2.0
     if isinstance(e, SchurChain) and r_max < root < poles:
         need = _LAURENT_TERMS + math.log(_LAURENT_TOL) / math.log(root / poles)
         samples = max(_CAUCHY_SAMPLES, 2 ** math.ceil(math.log2(need)))
         if samples <= _CAUCHY_MAX_SAMPLES:
-            rungs.append((root, circle(samples)))
+            rungs.append((root, samples))
             rungs.sort(key=lambda rung: -rung[0])
-    for radius, roots in rungs:
-        try:
-            with np.errstate(all="ignore"):
-                F = e.eval_many(radius * roots)
-        except SliceRegError:
-            continue
-        if not np.all(np.isfinite(F)):
-            continue
-        c = np.linalg.norm(np.fft.fft(
-            np.concatenate([F, F[-2:0:-1].conj()]), axis=0), axis=1)
-        if np.all(c[-_LAURENT_TERMS:] <= _LAURENT_TOL * c.max()):
-            return radius, float(np.linalg.norm(F, axis=1).max())
-    return None
+    for radius, samples in rungs:
+        found = _circle_spectrum(e, radius, samples)
+        if found is not None:
+            yield (radius,) + found
 
 
 def _cauchy_order(bound, growth, r, tail_target) -> int:
@@ -685,42 +699,75 @@ def _cauchy_order(bound, growth, r, tail_target) -> int:
     return int(n[ok.argmax()]) if ok.any() else _MAX_ORDER
 
 
+def _is_polynomial(e: FunctionExpr) -> bool:
+    """True for a tree of Const, Identity and exact series leaves under Sum,
+    StarMul and Conj: the trees whose to_series is exact."""
+    if isinstance(e, (Const, Identity)):
+        return True
+    if isinstance(e, SeriesFunc):
+        return e.series.exact
+    if isinstance(e, (Sum, StarMul)):
+        return _is_polynomial(e.left) and _is_polynomial(e.right)
+    return isinstance(e, Conj) and _is_polynomial(e.inner)
+
+
 def expr_to_series(e: FunctionExpr, r_max=0.95,
                    tail_target=1e-12) -> TaylorSeries:
     """Lower an expression to a series at the order its certificate asks for.
 
-    The order comes from a certificate (C, g) with |a_m| <= C g^m.  A tree
-    of rational nodes and exact series leaves whose stem F is analytic on a
-    circle |z| = R of the :func:`_cauchy_radius` ladder gets the sampled
-    Cauchy certificate (M (1 + slack), 1/R).  Any other tree is lowered once
-    at DEFAULT_ORDER and is returned as it is when that meets tail_target at
-    r_max; else it keeps that lowering's own fitted certificate.  An exact
-    series leaf is its own lowering.  A lowering at a given order is the
-    tree's own ``to_series(order)``.
+    The order n is the one :func:`_cauchy_order` gives for a certificate
+    (C, g) with |a_m| <= C g^m at r_max.  A polynomial tree (Const, Identity
+    and exact series leaves under Sum, StarMul and Conj) is lowered exactly
+    by its own ``to_series()``.
 
-    The tree is then lowered once, at the order :func:`_cauchy_order` gives
-    for r_max (_MAX_ORDER when g r_max >= 1).  The result keeps (C, g) when
-    its coefficients obey it, and their own fitted certificate when they do
-    not.  Exact results are returned as they are.
+    A tree of rational nodes and exact series leaves whose stem F counts on
+    a circle |z| = R of the :func:`_cauchy_radius` ladder gets the sampled
+    Cauchy certificate (M (1 + slack), 1/R), and its coefficients are read
+    off the FFT c of the N samples that counted: a_m = Re c_m / (N R^m) for
+    m <= n, with |a_m| R^m <= M by construction.  The Laurent check found
+    the coefficients below N - K free of aliasing; when n reaches past them
+    the same circle is sampled once more at N' = 2^ceil(log2 2 (n + 1 + K))
+    points, a set that holds the first N.  That pass must count on its own
+    and give an n below N' - K, with M and n taken from it; when it does
+    not, the ladder goes on to its next radius.  No recursive series rule
+    is run on this route.
+
+    Any other tree takes the fitted route through its own
+    ``to_series(order)``: it is lowered once at DEFAULT_ORDER and is
+    returned as it is when that meets tail_target at r_max; else it is
+    lowered once more, at the order n for that lowering's fitted (C, g)
+    (_MAX_ORDER when g r_max >= 1), and keeps (C, g) when its coefficients
+    obey it, their own fitted certificate when they do not.
     """
-    if isinstance(e, SeriesFunc) and e.series.exact:
-        return e.series
+    if _is_polynomial(e):
+        return e.to_series()
     poles = _pole_radius(e)
-    found = None if poles is None else _cauchy_radius(e, poles, r_max)
-    if found is not None:
-        radius, m = found
+    circles = () if poles is None else _cauchy_radius(e, poles, r_max)
+    for radius, m, spectrum in circles:
         bound, growth = m * (1.0 + _CAUCHY_SLACK), 1.0 / radius
-        kind = "cauchy-sampled"
-    else:
-        s = e.to_series(se.DEFAULT_ORDER)
-        if s.exact or s.tail_bound(r_max) <= tail_target:
-            return s
-        bound, growth, kind = s.coeff_bound, s.growth_rate, "fitted"
+        n = _cauchy_order(bound, growth, r_max, tail_target)
+        if n >= len(spectrum) - _LAURENT_TERMS:
+            found = _circle_spectrum(e, radius, 2 ** math.ceil(
+                math.log2(2 * (n + 1 + _LAURENT_TERMS))))
+            if found is None:
+                continue
+            m, spectrum = found
+            bound = m * (1.0 + _CAUCHY_SLACK)
+            n = _cauchy_order(bound, growth, r_max, tail_target)
+            if n >= len(spectrum) - _LAURENT_TERMS:
+                continue
+        scale = len(spectrum) * radius ** np.arange(n + 1)
+        return TaylorSeries(spectrum[:n + 1].real / scale[:, None], bound,
+                            growth, certificate="cauchy-sampled")
+    s = e.to_series(se.DEFAULT_ORDER)
+    if s.exact or s.tail_bound(r_max) <= tail_target:
+        return s
+    bound, growth = s.coeff_bound, s.growth_rate
     s = e.to_series(_cauchy_order(bound, growth, r_max, tail_target))
     if s.exact:
         return s
     try:
-        return TaylorSeries(s.coeffs, bound, growth, certificate=kind)
+        return TaylorSeries(s.coeffs, bound, growth, certificate="fitted")
     except ValueError:
         return s
 

@@ -153,14 +153,14 @@ _SELF_MAP_PROBES = sample_points(SamplerConfig(seed=314159, count=1000))
 
 def check_self_map(f: FunctionExpr):
     """Raise NotSelfMap unless |f| stays within 1 + 1e-9 at the 1,000
-    seeded probes of the 0.95-ball.  The sampled max |f| is kept on the
-    node, which is immutable, so that a map is probed once however many
-    suites run on it."""
+    seeded probes of the 0.95-ball; a NaN value is not within it.  The
+    sampled max |f| is kept on the node, which is immutable, so that a map
+    is probed once however many suites run on it."""
     worst = getattr(f, "_probe_max", None)
     if worst is None:
         worst = float(qarray.qnorm(f.eval_many(_SELF_MAP_PROBES)).max())
         object.__setattr__(f, "_probe_max", worst)
-    if worst > 1.0 + 1e-9:
+    if not worst <= 1.0 + 1e-9:
         raise NotSelfMap(f"sampled |f| reaches {worst:.6g} > 1")
 
 

@@ -187,6 +187,19 @@ class TestVerify:
         assert rc == 5
         assert report["pass"] is False and report["maxViolation"] is None
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid:RuntimeWarning")
+    def test_nan_map_is_not_a_self_map(self, capsys):
+        # an exact series S = 1.7e308 (q + q^2) minus itself overflows to
+        # NaN inside the ball: refused with exit 1, not measured with exit 4
+        s = {"kind": "series", "exact": True,
+             "coeffs": [[0, 0, 0, 0], [1.7e308, 0, 0, 0], [1.7e308, 0, 0, 0]]}
+        f = {"kind": "sum", "left": s, "right": {
+            "kind": "star_mul", "left": {"kind": "const", "value": [-1, 0, 0, 0]},
+            "right": s}}
+        rc = cli.main(["verify", "--suite", "multi", "--f", json.dumps(f)])
+        assert rc == 1 and one_line_error(capsys)
+
     def test_missing_kind(self, capsys):
         rc = cli.main(["verify", "--suite", "spl", "--f",
                        '{"p":[0.1,0,0,0]}'])

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -788,8 +789,9 @@ class TestSeriesLowering:
         assert expr_to_series(SeriesFunc(H_SERIES)) is H_SERIES
 
     def test_one_lowering_per_route(self, monkeypatch):
-        # the Cauchy route lowers the tree once; the fitted route lowers it
-        # at DEFAULT_ORDER, then once at the order its certificate asks for
+        # the Cauchy route reads the series off the FFT of the stem and
+        # lowers nothing recursively; the fitted route lowers the tree at
+        # DEFAULT_ORDER, then once at the order its certificate asks for
         orders = []
 
         def recorded(cls, root):
@@ -805,7 +807,7 @@ class TestSeriesLowering:
             [Quaternion(0.3, 0.2), Quaternion(-0.2, 0.0, 0.3, 0.1)]).to_expr())
         recorded(StarMul, tree)
         s = expr_to_series(tree)
-        assert s.certificate == "cauchy-sampled" and orders == [s.order]
+        assert s.certificate == "cauchy-sampled" and orders == []
         orders.clear()
         m = Moebius(Quaternion(0.9))
         recorded(Moebius, m)
@@ -870,6 +872,69 @@ class TestCauchyCertificate:
             assert s.growth_rate < 1.0
             assert np.allclose(tree.to_series(s.order).coeffs, s.coeffs,
                                rtol=0.0, atol=1e-14)
+
+    def test_fft_lowering_matches_the_series_rules(self, criterion_7_lowered):
+        # a certified tree is read off the FFT of its stem, so the recursive
+        # series rules are the oracle: on all 401 cauchy-sampled trees the
+        # coefficients are those of the tree's own lowering at that order
+        kinds = Counter(s.certificate for _, s in criterion_7_lowered)
+        assert kinds == {"cauchy-sampled": 401, "exact": 92, "fitted": 7}
+        for tree, s in criterion_7_lowered:
+            if s.certificate == "cauchy-sampled":
+                assert np.allclose(tree.to_series(s.order).coeffs, s.coeffs,
+                                   rtol=0.0, atol=1e-14), repr(tree)
+
+    def test_order_past_the_samples_resamples_the_circle(self, monkeypatch):
+        # M_{0.8} has its pole at 1.25 and counts first at R = 1.05, where
+        # the 1e-12 target at 0.95 asks for n = 304, past the 256 - 64
+        # alias-free coefficients: the same circle is sampled once more at
+        # 2^ceil(log2 2 (305 + 64)) = 1024 points
+        circles = []
+        spectrum = mo._circle_spectrum
+
+        def recorded(e, radius, samples):
+            circles.append((radius, samples))
+            return spectrum(e, radius, samples)
+        monkeypatch.setattr(mo, "_circle_spectrum", recorded)
+        e = Moebius(Quaternion(0.8))
+        s = expr_to_series(e)
+        assert circles == [(1.2, 256), (1.1, 256), (1.05, 256), (1.05, 1024)]
+        assert s.certificate == "cauchy-sampled" and s.order == 304
+        assert s.growth_rate == 1.0 / 1.05 and s.tail_bound(0.95) <= 1e-12
+        assert np.allclose(e.to_series(s.order).coeffs, s.coeffs,
+                           rtol=0.0, atol=1e-14)
+
+    def test_failed_second_pass_gives_way(self, monkeypatch):
+        # when the resampled circle does not count, the ladder goes on; past
+        # its last rung M_{0.8} takes the fitted route
+        spectrum = mo._circle_spectrum
+        monkeypatch.setattr(mo, "_circle_spectrum", lambda e, radius, samples:
+                            None if samples > 256
+                            else spectrum(e, radius, samples))
+        s = expr_to_series(Moebius(Quaternion(0.8)))
+        assert s.certificate == "fitted"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_spectrum_certifies_no_circle(self):
+        # a stem of about 1e306 on the circle is finite, but its FFT and the
+        # norms of the Laurent check overflow, so that check cannot be read
+        # and no circle counts
+        leaf = SeriesFunc(TaylorSeries(np.array([[1e306, 0, 0, 0]] * 2),
+                                       exact=True))
+        s = expr_to_series(StarMul(leaf, Moebius(Quaternion(0.3))))
+        assert s.certificate == "fitted"
+
+    def test_schur_chain_on_its_root_rung(self):
+        # the rung 1.2 fails its Laurent check and the root rung R = (1 +
+        # R0) / 2 counts with 512 samples, enough for its order
+        table, kind = _chain_problem(6, "zero")
+        f = build_solution(table, kind)
+        s = expr_to_series(f)
+        assert s.certificate == "cauchy-sampled"
+        assert s.growth_rate == 2.0 / (1.0 + f._root_radius())
+        assert s.order < 512 - mo._LAURENT_TERMS
+        assert np.allclose(f.to_series(s.order).coeffs, s.coeffs,
+                           rtol=0.0, atol=1e-14)
 
     def test_tails_meet_target(self, criterion_7_lowered):
         kinds = [s.certificate for _, s in criterion_7_lowered]

@@ -12,6 +12,7 @@ from slicereg.moebius import (
     Moebius,
     SeriesFunc,
     StarMul,
+    Sum,
     eval_all,
 )
 from slicereg.hyperbolic import quotient_chain
@@ -102,6 +103,19 @@ def test_non_self_map_is_refused_on_every_call():
         with pytest.raises(NotSelfMap):
             run_suite("spl", f, SamplerConfig(count=10))
     assert probes(f) == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid:RuntimeWarning")
+def test_nan_map_is_refused():
+    # S - S for the exact series S = 1.7e308 (q + q^2) overflows to inf - inf
+    # inside the ball, so its sampled max |f| is NaN
+    s = SeriesFunc(TaylorSeries(np.array([[0.0] * 4, [1.7e308, 0, 0, 0],
+                                          [1.7e308, 0, 0, 0]]), exact=True))
+    f = Sum(s, StarMul(Const(Quaternion(-1.0)), s))
+    for _ in range(2):
+        with pytest.raises(NotSelfMap, match="nan"):
+            verify.check_self_map(f)
 
 
 def spl_family(kind):
