@@ -18,9 +18,14 @@ gives |f - a| <= (1 - |a|^2) m / (1 - m) there.  Hence
 r = 0.6.  A quotient's input is judged at q0 = p, from the f(p) that the
 quotient needs anyway; the new quotient at whichever of 0 and 1/2 lies
 farther from S_p; and a series at q0 = 0, from its constant coefficient.
-One batch reads f at p and at the new quotient's q0, and the probe of the
-new quotient reuses the stem of f at q0, so that building a quotient reads
-f once and evaluates only its own new nodes.
+Building a quotient reads f once, over slice points that start at p and
+hold q0, and evaluates its four new nodes once, over the rows after p, off
+S_p; the probe reads the new quotient at q0 off that pass.  Several
+quotients of one f, or a chain of them, share one such pass: a caller
+evaluates f once over all its points (the quotient points first, then
+their q0, then its samples) and hands each quotient the memo of stems
+there, which moves to the rows after each p by slicing every stem alike.
+So f is read once in all, and each quotient adds only its own nodes.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from .moebius import (
     SeriesFunc,
     StarInv,
     StarMul,
+    _memo_rows,
     _stem_inverse,
     _stem_rule,
     expr_to_series,
@@ -225,32 +231,45 @@ class HyperbolicQuotient(FunctionExpr):
         return f"HyperbolicQuotient({self.base!r}, {self.p!r})"
 
 
-def hyperbolic_quotient(f, p: Quaternion) -> HyperbolicQuotient:
+def hyperbolic_quotient(f, p: Quaternion, z=None,
+                        memo=None) -> HyperbolicQuotient:
     """Build f*_p = M_p^{-*} * (M_{f(p)} . f) for a self-map f of the ball.
 
     f may be any FunctionExpr, a quotient included, or a TaylorSeries, which
     becomes a SeriesFunc leaf that reads f inside its certified radius
     (anywhere for an exact series).  When f(p) shows f to be a unimodular
     constant u, the quotient is u as well; else one value of the new
-    quotient node decides (:func:`detect_unimodular_constant`).  f is read
-    once, at p and at that value's point, and the probe reuses its stem
-    there, so that it evaluates only the new nodes.  Raises
+    quotient node decides (:func:`detect_unimodular_constant`).  Raises
     NotSelfMap when |f(p)| > 1, and SingularDenominator when f is not judged
     a unimodular constant but |f(p)| lies within 1e-13 of the unit sphere,
     where M_{f(p)} is refused.
+
+    f is read once, over the complex slice points ``z``: the first is that
+    of p, and the rest hold that of the probe point q0 (by default z is
+    just these two).  The four new nodes are evaluated once, over z[1:],
+    the rows after p, and the probe reads its value at q0 off that pass.
+    ``memo``, given with z, holds the stems at z of nodes already evaluated
+    there, f's among them or not (see :func:`~slicereg.moebius.eval_all`);
+    on return it holds the stems at z[1:], every entry sliced alike, and
+    those of the new nodes.
     """
     if isinstance(p, (int, float)):
         p = Quaternion(p)
     if isinstance(f, TaylorSeries):
         f = SeriesFunc(f)
     q0 = _probe_point(p)
-    stems = []
-
-    def stem(z):
-        stems.append(f.eval_many(z))
-        return stems[-1]
-    batch = np.array([p.components(), (q0, 0.0, 0.0, 0.0)])
-    fp = qarray.to_quaternion(qarray.on_slices(batch, stem)[0])
+    ps = qarray.from_quaternion(p, (1,))
+    if z is None:
+        z = qarray.slice_points(np.array([ps[0], (q0, 0.0, 0.0, 0.0)]))
+        memo = None
+    probe = np.flatnonzero(z[1:] == q0)[:1]
+    if z[0] != qarray.slice_points(ps)[0] or not len(probe):
+        raise ValueError("z must start at the slice point of p and hold that "
+                         f"of the probe point {q0}")
+    memo = {} if memo is None else memo
+    F = f.eval_many(z, memo)
+    fp = qarray.to_quaternion(qarray.on_slices(ps, lambda _: F[:1])[0])
+    memo.update(_memo_rows(memo, slice(1, None)))
     if _unimodular(abs(fp), abs(p)):
         return HyperbolicQuotient(f, p, Const(fp), fp)
     if abs(fp) > 1.0:
@@ -261,9 +280,11 @@ def hyperbolic_quotient(f, p: Quaternion) -> HyperbolicQuotient:
             f"|f(p)| = {abs(fp):.17g} lies {1.0 - abs(fp):.3g} inside the unit "
             "sphere: too close for M_{f(p)}, too far for a unimodular constant")
     hq = HyperbolicQuotient(f, p, StarMul(StarInv(Moebius(p)), Bullet(fp, f)))
-    memo = {id(f): (f, stems[0][1:])}  # the stem of f at q0
-    return HyperbolicQuotient(f, p, hq.result,
-                              detect_unimodular_constant(hq, memo))
+    hq.eval_many(z[1:], memo)
+    # the verdict is set before the node leaves this function
+    object.__setattr__(hq, "unimodular_value", detect_unimodular_constant(
+        hq, _memo_rows(memo, probe)))
+    return hq
 
 
 def quotient_on_sphere(fs: TaylorSeries, points):
@@ -330,11 +351,17 @@ def hyperbolic_derivative(f, p: Quaternion) -> Quaternion:
         quotient_on_sphere(fs, qarray.from_quaternion(p))[0])
 
 
-def quotient_chain(f, points) -> list:
-    """The quotients f^{1}, ..., f^{n} of the fold f^{k} = (f^{k-1})*_{p_k}."""
+def quotient_chain(f, points, z=None, memo=None) -> list:
+    """The quotients f^{1}, ..., f^{n} of the fold f^{k} = (f^{k-1})*_{p_k}.
+
+    ``z`` and ``memo`` are as for :func:`hyperbolic_quotient`, with the
+    slice points of p_1, ..., p_n first in z and their probe points among
+    the rest: each link moves the memo on by its own row, so that on return
+    it holds the stems at z[n:] of f and of every link.
+    """
     chain = []
-    for p in points:
-        f = hyperbolic_quotient(f, p)
+    for k, p in enumerate(points):
+        f = hyperbolic_quotient(f, p, None if z is None else z[k:], memo)
         chain.append(f)
     if not chain:
         raise ValueError("iterated_quotient needs at least one point")

@@ -112,6 +112,12 @@ def eval_all(exprs, points) -> list:
     return [e.eval_many(points, memo) for e in exprs]
 
 
+def _memo_rows(memo, rows) -> dict:
+    """The memo at a subset of its point set: every stem sliced alike by
+    ``rows``, so that it still holds the stems at one point set."""
+    return {key: (node, stem[rows]) for key, (node, stem) in memo.items()}
+
+
 def _scalar_stem(z) -> np.ndarray:
     """The stem value z * 1."""
     out = np.zeros(np.shape(z) + (4,), dtype=complex)

@@ -24,6 +24,7 @@ __all__ = [
     "qnorm2",
     "qinv",
     "qrotate",
+    "slice_points",
     "on_slices",
     "powers",
     "moebius_action",
@@ -94,6 +95,12 @@ def qrotate(q, v) -> np.ndarray:
     return qmul(qmul(qinv(v), q), v)
 
 
+def slice_points(points) -> np.ndarray:
+    """The complex slice point z = x + i|v| of each quaternion q = x + v."""
+    q = as_qarray(points)
+    return q[..., 0] + 1j * np.sqrt(qnorm2(q[..., 1:]))
+
+
 def on_slices(points, stem) -> np.ndarray:
     """Values at quaternion points of the slice function with stem ``stem``.
 
@@ -102,8 +109,9 @@ def on_slices(points, stem) -> np.ndarray:
     f(q) = Re F(z) + v Im F(z) / |v| with z = x + i|v|; at real q, v = 0.
     """
     q = as_qarray(points)
-    r = np.sqrt(qnorm2(q[..., 1:]))
-    F = stem(q[..., 0] + 1j * r)
+    z = slice_points(q)
+    F = stem(z)
+    r = z.imag
     v = q.copy()
     v[..., 0] = 0.0
     return F.real + qmul(v, F.imag / np.where(r > 0.0, r, 1.0)[..., None])

@@ -56,8 +56,21 @@ _SYMMETRIZE_TOL = 1e-12
 _DIVISION_TOL = 1e-9
 
 
+def _row_norms(coeffs: np.ndarray) -> np.ndarray:
+    """|a_m| of each coefficient row.  A row whose plain norm overflows,
+    above about 1.3e154, is scaled by its largest component first."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(coeffs, axis=1)
+    big = ~np.isfinite(norms)
+    if big.any():
+        scale = np.abs(coeffs[big]).max(axis=1)
+        norms[big] = scale * np.linalg.norm(coeffs[big] / scale[:, None],
+                                            axis=1)
+    return norms
+
+
 def _fit_certificate(coeffs: np.ndarray):
-    norms = np.linalg.norm(coeffs, axis=1)
+    norms = _row_norms(coeffs)
     cmax = float(norms.max(initial=0.0))
     if cmax == 0.0:
         return 0.0, 0.0
@@ -89,7 +102,7 @@ class TaylorSeries:
             raise ValueError("certificate constants must be nonnegative")
         if certificate not in _CERTIFICATES:
             raise ValueError(f"unknown certificate kind {certificate!r}")
-        norms = np.linalg.norm(coeffs, axis=1)
+        norms = _row_norms(coeffs)
         caps = coeff_bound * growth_rate ** np.arange(len(norms))
         if np.any(norms > caps + _CERT_SLACK * max(1.0, norms.max(initial=0.0))):
             raise ValueError("stored coefficients violate the tail certificate")
@@ -136,7 +149,7 @@ class TaylorSeries:
         return qarray.to_quaternion(self.coeffs[m])
 
     def coefficient_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.coeffs, axis=1)
+        return _row_norms(self.coeffs)
 
     def tail_bound(self, radius: float) -> float:
         """Bound on |sum_{m>N} q^m a_m| for |q| <= radius."""

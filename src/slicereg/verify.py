@@ -12,12 +12,14 @@ the same helper.
 
 Each fact of a map is computed once.  The sampled max |f| of the self-map
 check is kept on the node, so an immutable map is probed once however many
-suites run on it.  spl, spl3 and multi evaluate the trees that they build
-over one f (the quotients f*_p, the links of a chain of quotients) in one
-stem pass of :func:`~slicereg.moebius.eval_all`, which evaluates each node
-they share once.  The Schwarz-Pick cases of a family of B maps stack their
-stems as (B, P, 4), and all B actions M_{f(p)} take one broadcast call, as
-do all B maps M_p.
+suites run on it.  spl, spl3 and multi each read f once, over one point
+set: the quotient points p, their probe points, spl3's points s, then the
+samples.  Each quotient f*_p (or link of a chain of quotients) is built by
+:func:`~slicereg.hyperbolic.hyperbolic_quotient` from the memo of that pass,
+and evaluates only its own nodes, over the rows after its p.  The
+Schwarz-Pick cases of a family of B maps take their stems at the samples
+from that pass, and all B actions M_{f(p)} take one broadcast call, as do
+all B maps M_p.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ import numpy as np
 from . import qarray, series as se
 from .errors import NotSelfMap
 from .hyperbolic import (
+    _probe_point,
+    _unimodular,
     balpha_bounds,
     dieudonne_rhs,
     dieudonne_sup_rhs,
@@ -43,9 +47,9 @@ from .moebius import (
     FunctionExpr,
     SeriesFunc,
     _check_ball,
+    _memo_rows,
     _scalar_stem,
     _stem_action,
-    eval_all,
     expr_to_series,
 )
 from .quaternion import Quaternion
@@ -167,19 +171,19 @@ def check_self_map(f: FunctionExpr):
 # -- Schwarz-Pick suites ----------------------------------------------
 
 
-def _spl_cases(maps, values, ps, points, labels):
+def _spl_cases(stems, values, ps, points, labels):
     """|(M_{f(p)} . f)(q)| - |M_p(q)| (should be <= 0) for each map f with
     its value f(p) at its point p, rows of the (B, 4) arrays ``values`` and
-    ``ps``, one case per map.  The stems of all maps come from one stem
-    pass, and the B actions M_{f(p)} and the B maps M_p each take one
-    broadcast action on them.  Samples within 1e-6 of p, where equality
-    holds, are skipped."""
+    ``ps``, one case per map.  ``stems`` holds the maps' stems at the slice
+    points of the samples q, as (B, P, 4), or (1, P, 4) for one map shared
+    by all.  The B actions M_{f(p)} and the B maps M_p each take one
+    broadcast action.  Samples within 1e-6 of p, where equality holds, are
+    skipped."""
     for v in values:  # M_{f(p)} needs |f(p)| < 1, as Bullet does
-        _check_ball(qarray.to_quaternion(v))
+        _check_ball(qarray.to_quaternion(v), "f(p)")
 
     def stem(z):
-        bullets = _stem_action(np.stack(eval_all(maps, z)), values[:, None],
-                               "M_{f(p)} . f")
+        bullets = _stem_action(stems, values[:, None], "M_{f(p)} . f")
         return np.concatenate(
             [bullets, _stem_action(_scalar_stem(z), ps[:, None], "M_p")])
     norms = qarray.qnorm(qarray.on_slices(points, stem))
@@ -188,51 +192,75 @@ def _spl_cases(maps, values, ps, points, labels):
         yield (lhs - rhs)[keep], points[keep], label
 
 
+def _stem_pass(f, ps, *rest):
+    """One stem pass of f over one point set: the quotient points ``ps``,
+    their probe points, then the rows of ``rest``.  Returns the slice points
+    z of these rows and a memo holding f's stem there."""
+    probes = [(_probe_point(qarray.to_quaternion(p)), 0.0, 0.0, 0.0)
+              for p in ps]
+    z = qarray.slice_points(np.concatenate([ps, np.array(probes), *rest]))
+    memo = {}
+    f.eval_many(z, memo)
+    return z, memo
+
+
 def suite_spl(f: FunctionExpr, cfg: SamplerConfig):
-    """|(M_{f(p)} . f)(q)| <= |M_p(q)| at 4 points p of the 0.8-ball."""
+    """|(M_{f(p)} . f)(q)| <= |M_p(q)| at 4 points p of the 0.8-ball, save
+    those where the one-value rule judges f a unimodular constant."""
     points = sample_points(cfg)
     rng = np.random.default_rng(cfg.seed + 1)
     ps = qarray.uniform_ball(rng, 4, 0.8)
-    yield from _spl_cases([f] * 4, f.eval_many(ps), ps, points,
-                          [(x,) for x in ps.tolist()])
+    F = f.eval_many(qarray.slice_points(np.concatenate([ps, points])))
+    values = qarray.on_slices(ps, lambda _: F[:len(ps)])
+    live = ~_unimodular(qarray.qnorm(values), qarray.qnorm(ps))
+    yield from _spl_cases(F[None, len(ps):], values[live], ps[live], points,
+                          [(x,) for x in ps[live].tolist()])
 
 
 def suite_spl3(f: FunctionExpr, cfg: SamplerConfig):
     """spl on the quotient f*_p, at 3 pairs p, s of the 0.7-ball."""
     points = sample_points(cfg)
     rng = np.random.default_rng(cfg.seed + 2)
-    quotients, ss, labels = [], [], []
-    for _ in range(3):
-        p, s = qarray.uniform_ball(rng, 2, 0.7)
-        hq = hyperbolic_quotient(f, qarray.to_quaternion(p))
+    ps, ss = np.array([qarray.uniform_ball(rng, 2, 0.7)
+                       for _ in range(3)]).transpose(1, 0, 2)
+    n = len(ps)
+    z, memo = _stem_pass(f, ps, ss, points)
+    live, stems = [], []
+    for k, p in enumerate(ps):
+        rows = _memo_rows(memo, slice(k, None))
+        hq = hyperbolic_quotient(f, qarray.to_quaternion(p), z[k:], rows)
         if not hq.is_unimodular_constant:
-            quotients.append(hq)
-            ss.append(s)
-            labels.append((p.tolist(), s.tolist()))
-    if not quotients:
+            live.append(k)
+            # the stem of f*_p at the points s and the samples, z[2n:]
+            stems.append(hq.eval_many(z[k + 1:], rows)[2 * n - k - 1:])
+    if not live:
         return  # every f*_p is a unimodular constant: no case
-    ss = np.array(ss)
-    # f*_p(s) of each pair is the diagonal of one pass at every s
-    values = np.array([v[k] for k, v in enumerate(eval_all(quotients, ss))])
-    yield from _spl_cases(quotients, values, ss, points, labels)
+    stems = np.array(stems)
+    # f*_p(s) of each pair is read off the row of its own s
+    own_s = stems[range(len(live)), live]
+    values = qarray.on_slices(ss[live], lambda _: own_s)
+    yield from _spl_cases(stems[:, n:], values, ss[live], points,
+                          [(ps[k].tolist(), ss[k].tolist()) for k in live])
 
 
 def suite_multi(f: FunctionExpr, cfg: SamplerConfig):
     """|f^{n}(q)| <= 1 for iterated quotients at up to 3 random points."""
     points = sample_points(cfg)
     rng = np.random.default_rng(cfg.seed + 3)
-    nodes = [qarray.to_quaternion(x) for x in qarray.uniform_ball(rng, 3, 0.6)]
-    # depths 1, 2 and 3 are the prefixes of one chain of quotients, whose
-    # live links are read in one stem pass
-    chain = quotient_chain(f, nodes)
-    values = iter(eval_all([hq for hq in chain
-                            if not hq.is_unimodular_constant], points))
+    ps = qarray.uniform_ball(rng, 3, 0.6)
+    n = len(ps)
+    # depths 1, 2 and 3 are the prefixes of one chain of quotients, built
+    # over one stem pass; the memo ends at z[n:], the probes and samples
+    z, memo = _stem_pass(f, ps, points)
+    chain = quotient_chain(f, [qarray.to_quaternion(p) for p in ps], z, memo)
     for hq in chain:
         if hq.is_unimodular_constant:
             yield (np.array([abs(abs(hq.unimodular_value) - 1.0)]),
                    points[:1], ())
         else:
-            yield qarray.qnorm(next(values)) - 1.0, points, ()
+            F = hq.eval_many(z[n:], memo)[n:]
+            values = qarray.on_slices(points, lambda _: F)
+            yield qarray.qnorm(values) - 1.0, points, ()
 
 
 # -- estimate suites (require f(0) = 0) -------------------------------

@@ -187,6 +187,15 @@ class TestVerify:
         assert rc == 5
         assert report["pass"] is False and report["maxViolation"] is None
 
+    def test_spl_skips_a_unimodular_constant(self, capsys):
+        # f(p) = 1 lies on the sphere, where M_{f(p)} is not defined: spl
+        # skips every p at which f is a unimodular constant, as spl3 skips
+        # its unimodular quotients, and so measures no sample
+        rc = cli.main(["verify", "--suite", "spl", "--f", "[1,0,0,0]"])
+        report = json.loads(capsys.readouterr().out)
+        assert rc == 5
+        assert report["pass"] is False and report["maxViolation"] is None
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid:RuntimeWarning")
     def test_nan_map_is_not_a_self_map(self, capsys):

@@ -517,6 +517,36 @@ class TestQuotientReadsItsBaseOnce:
         assert f.runs == 2
 
 
+    def test_a_shared_pass_moves_to_the_rows_after_each_p(self):
+        # a chain over one stem pass: f is read once, each link adds its own
+        # nodes over the rows after its p, and the memo ends at z[n:]
+        rng = np.random.default_rng(61)
+        f = CountedStem(random_blaschke_expr(rng, 3))
+        ps = [rand_q(rng, 0.6) for _ in range(2)]
+        rows = [p.components() for p in ps]
+        rows += [(hyperbolic._probe_point(p), 0.0, 0.0, 0.0) for p in ps]
+        z = qarray.slice_points(np.concatenate(
+            [rows, qarray.uniform_ball(rng, 20, 0.9)]))
+        memo = {}
+        f.eval_many(z, memo)
+        chain = quotient_chain(f, ps, z, memo)
+        assert f.runs == 1
+        assert {len(stem) for _, stem in memo.values()} == {len(z) - 2}
+        for hq, ref in zip(chain, quotient_chain(f.inner, ps)):
+            assert hq.unimodular_value == ref.unimodular_value is None
+            assert np.array_equal(hq.eval_many(z[2:], memo),
+                                  ref.eval_many(z[2:]))
+
+    def test_a_pass_must_start_at_p_and_hold_the_probe(self):
+        f = random_blaschke_expr(np.random.default_rng(67), 2)
+        p = Quaternion(0.3, 0.2)
+        z = np.array([0.3 + 0.2j, 0.0, 0.4 + 0.1j])
+        assert not hyperbolic_quotient(f, p, z).is_unimodular_constant
+        for bad in (z[::-1], z[[0, 2]]):
+            with pytest.raises(ValueError, match="probe point 0.0"):
+                hyperbolic_quotient(f, p, bad)
+
+
 class TestBoundArrays:
     def test_array_forms_equal_scalar_forms(self):
         rng = np.random.default_rng(9)

@@ -14,6 +14,7 @@ from slicereg.errors import (
     OutsideConvergence,
     RealPoint,
 )
+from slicereg.moebius import Moebius, SeriesFunc, StarMul, expr_to_series
 from slicereg.quaternion import I, J, K, ONE, Quaternion, ZERO
 from slicereg.series import TaylorSeries
 
@@ -120,6 +121,22 @@ class TestConstruction:
         norms = f.coefficient_norms()
         caps = f.coeff_bound * f.growth_rate ** np.arange(10)
         assert np.all(norms <= caps + 1e-9)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid:RuntimeWarning")
+    def test_certificate_of_huge_coefficients_is_finite(self):
+        # |a_m|^2 overflows above about 1.3e154, but |a_m| does not
+        leaf = TaylorSeries([[1e300, 0, 0, 0], [1e300, 0, 0, 0]], exact=True)
+        lowered = expr_to_series(StarMul(SeriesFunc(leaf),
+                                         Moebius(Quaternion(0.3))))
+        huge = TaylorSeries([[3e300, 4e300, 0, 0], [0, 0, 1e300, 1e300]])
+        assert huge.coefficient_norms()[0] == 5e300
+        for f in (leaf, lowered, huge):
+            norms = f.coefficient_norms()
+            assert np.isfinite(f.coeff_bound) and np.isfinite(f.growth_rate)
+            assert np.all(norms <= f.coeff_bound
+                          * f.growth_rate ** np.arange(len(norms)))
+        assert math.isfinite(lowered.tail_bound(0.95))
 
     def test_json_roundtrip(self):
         f = poly(I, J, K)

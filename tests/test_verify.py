@@ -15,7 +15,8 @@ from slicereg.moebius import (
     Sum,
     eval_all,
 )
-from slicereg.hyperbolic import quotient_chain
+from slicereg.hyperbolic import hyperbolic_quotient, quotient_chain
+from slicereg.interpolation import build_solution
 from slicereg.quaternion import ONE, ZERO, Quaternion
 from slicereg.series import TaylorSeries
 from slicereg.verify import (
@@ -28,6 +29,7 @@ from slicereg.verify import (
 )
 
 from test_hyperbolic import CountedStem, PointSpy
+from test_moebius import _chain_problem
 
 # q^2 vanishes at 0 with the real derivative 0 there, as every suite needs
 Q2 = TaylorSeries.from_quaternions([ZERO, ZERO, ONE], exact=True)
@@ -146,7 +148,8 @@ class TestSplFamilies:
     def test_bitwise_as_the_per_tree_route(self, kind):
         maps, values, ps, points = spl_family(kind)
         labels = [(k,) for k in range(len(maps))]
-        got = list(verify._spl_cases(maps, values, ps, points, labels))
+        stems = np.stack(eval_all(maps, qarray.slice_points(points)))
+        got = list(verify._spl_cases(stems, values, ps, points, labels))
         # one Bullet and one Moebius tree per map
         trees = [Bullet(qarray.to_quaternion(v), f)
                  for f, v in zip(maps, values)]
@@ -171,13 +174,69 @@ class TestSplFamilies:
                             lambda e, q: evals.append(q) or point_eval(e, q))
         f.runs = 0
         cases = list(SUITES["spl3"](f, cfg))
-        # one read of f per quotient built, one for the 3 values f*_p(s)
-        # and one for the cases
-        assert f.runs == 5 and not evals
+        # one read of f for the 3 quotients, their values f*_p(s) and the
+        # cases
+        assert f.runs == 1 and not evals
         assert len(cases) == len(ref) == 3
         for (v, pts, label), (w, ref_pts, ref_label) in zip(cases, ref):
             assert label == ref_label and np.array_equal(pts, ref_pts)
             assert np.abs(v - w).max() <= 1e-14
+
+
+    @pytest.mark.parametrize("suite", ["spl", "spl3", "multi"])
+    def test_each_suite_reads_its_map_once(self, suite):
+        f = CountedStem(random_blaschke_expr(np.random.default_rng(53), 3))
+        cases = list(SUITES[suite](f, SamplerConfig(seed=8, count=40)))
+        assert f.runs == 1 and len(cases) == 4 - (suite != "spl")
+
+
+def public_route_cases(suite, f, cfg):
+    """The cases of spl, spl3 or multi from quotients built one at a time by
+    hyperbolic_quotient or quotient_chain, and from the trees of each
+    inequality evaluated at the samples."""
+    points = sample_points(cfg)
+    if suite == "multi":
+        rng = np.random.default_rng(cfg.seed + 3)
+        ps = qarray.uniform_ball(rng, 3, 0.6)
+        return [(qarray.qnorm(hq.eval_many(points)) - 1.0, points, ())
+                for hq in quotient_chain(f, map(qarray.to_quaternion, ps))]
+    if suite == "spl":
+        rng = np.random.default_rng(cfg.seed + 1)
+        family = [(f, p, (p.tolist(),))
+                  for p in qarray.uniform_ball(rng, 4, 0.8)]
+    else:
+        rng = np.random.default_rng(cfg.seed + 2)
+        family = []
+        for _ in range(3):
+            p, s = qarray.uniform_ball(rng, 2, 0.7)
+            hq = hyperbolic_quotient(f, qarray.to_quaternion(p))
+            family.append((hq, s, (p.tolist(), s.tolist())))
+    cases = []
+    for g, p, label in family:
+        value = g.eval(qarray.to_quaternion(p))
+        lhs = qarray.qnorm(Bullet(value, g).eval_many(points))
+        rhs = qarray.qnorm(Moebius(qarray.to_quaternion(p)).eval_many(points))
+        keep = qarray.qnorm(points - p) > 1e-6
+        cases.append(((lhs - rhs)[keep], points[keep], label))
+    return cases
+
+
+@pytest.mark.parametrize("kind", ["blaschke", "series", "chain"])
+@pytest.mark.parametrize("suite", ["spl", "spl3", "multi"])
+def test_one_stem_pass_as_the_public_route(suite, kind):
+    # the suites share one stem pass of f among all their quotients; built
+    # one at a time, the quotients read f at their own points
+    rng = np.random.default_rng(59)
+    f = {"blaschke": lambda: random_blaschke_expr(rng, 4),
+         "series": lambda: SeriesFunc(random_series_self_map(rng, 12)),
+         "chain": lambda: build_solution(*_chain_problem(5, "zero"))}[kind]()
+    cfg = SamplerConfig(seed=10, count=80)
+    got = list(SUITES[suite](f, cfg))
+    want = public_route_cases(suite, f, cfg)
+    assert len(got) == len(want) == (4 if suite == "spl" else 3)
+    for (v, pts, label), (w, ref_pts, ref_label) in zip(got, want):
+        assert label == ref_label and np.array_equal(pts, ref_pts)
+        assert np.abs(v - w).max() <= 1e-15
 
 
 def test_crosscheck_is_no_suite():
