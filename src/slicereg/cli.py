@@ -206,7 +206,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError, TypeError, SliceRegError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError,
+            SliceRegError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         print(f"error: {getattr(args, 'error_prefix', '')}{detail}",
               file=sys.stderr)

@@ -12,7 +12,6 @@ lifts a one-slice complex function to its unique slice regular extension.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,10 +62,6 @@ _BAND_TOL = 1e-9
 _CELL_EQ_TOL = 1e-9
 # psd_check accepts eigenvalues down to -_PSD_TOL times the largest modulus
 _PSD_TOL = 1e-10
-# slice_extend checks |f0| <= 1 + 1e-9 at this many points of the slice disk
-# of this radius
-_EXTEND_SAMPLES = 720
-_EXTEND_RADIUS = 0.95
 
 
 class InterpolationProblem:
@@ -376,24 +371,14 @@ def slice_extend(coeffs, axis: Quaternion, exact=False):
 
     coeffs are complex coefficients over the slice of the imaginary unit
     ``axis``; the extension keeps the same coefficients, embedded into the
-    quaternions as Re c + (Im c) * axis.  A self-map check at
-    _EXTEND_SAMPLES points of the slice disk of radius _EXTEND_RADIUS guards
-    the precondition |f0| < 1.
+    quaternions as Re c + (Im c) * axis.  :func:`check_self_map` on the
+    extension guards the precondition |f0| < 1.
     """
     if abs(axis.re) > 1e-12 or abs(abs(axis) - 1.0) > 1e-12:
         raise ValueError("axis must be an imaginary unit")
-    cs = [complex(c) for c in coeffs]
-    if not cs:
+    qs = [Quaternion(c.real) + axis * c.imag for c in map(complex, coeffs)]
+    if not qs:
         raise ValueError("need at least one coefficient")
-    # self-map check on the slice disk
-    idx = np.arange(_EXTEND_SAMPLES)
-    rad = _EXTEND_RADIUS * ((idx % 24) + 1) / 24.0
-    z = rad * np.exp(2j * math.pi * idx / _EXTEND_SAMPLES)
-    mod = np.abs(np.polyval(cs[::-1], z))
-    bad = np.flatnonzero(mod > 1.0 + 1e-9)
-    if bad.size:
-        i = bad[0]
-        raise NotSelfMap(
-            f"|f0({z[i]:.3g})| = {mod[i]:.6g} leaves the unit disk")
-    qs = [Quaternion(c.real) + axis * c.imag for c in cs]
-    return TaylorSeries.from_quaternions(qs, exact=exact)
+    series = TaylorSeries.from_quaternions(qs, exact=exact)
+    check_self_map(SeriesFunc(series))
+    return series

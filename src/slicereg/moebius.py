@@ -50,7 +50,6 @@ __all__ = [
     "blaschke_to_expr",
     "dieudonne_det",
     "expr_from_json",
-    "neg",
 ]
 
 _SING_TOL = 1e-13
@@ -151,11 +150,11 @@ def _stem_action(F, p, node) -> np.ndarray:
 class FunctionExpr:
     """Base node of the expression language; immutable after construction.
 
-    ``_probe_max`` is a fact of the map, kept once found: the largest |f|
-    that :func:`slicereg.verify.check_self_map` samples.
+    ``_ball_max`` is a fact of the map, kept once found: the sup |f| over
+    the closed 0.95-ball that :func:`slicereg.verify.check_self_map` finds.
     """
 
-    __slots__ = ("_probe_max",)
+    __slots__ = ("_ball_max",)
 
     def conjugate(self) -> "FunctionExpr":
         """Regular conjugate f^c."""
@@ -286,12 +285,6 @@ class Sum(FunctionExpr):
 
     def __repr__(self):
         return f"Sum({self.left!r}, {self.right!r})"
-
-
-def neg(e: FunctionExpr) -> FunctionExpr:
-    if isinstance(e, Const):
-        return Const(-e.value)
-    return StarMul(Const(Quaternion(-1.0)), e)
 
 
 class StarMul(FunctionExpr):
@@ -635,9 +628,10 @@ def _pole_radius(e: FunctionExpr):
 
 
 def _circle_spectrum(e: FunctionExpr, radius, samples):
-    """(M, c) from the stem F of e at the samples of |z| = radius, or None
-    when the circle does not count: M is the largest |F| over the samples
-    and c the FFT of F over them, so that c_m = N R^m a_m + aliasing.
+    """(M, c, F) from the stem F of e at the N samples of |z| = radius, or
+    None when the circle does not count: M is the largest |F| over the
+    samples, c the FFT of F over them, so that c_m = N R^m a_m + aliasing,
+    and F the stem at the upper half circle, angles 2 pi k / N, k <= N / 2.
 
     The circle counts when F is finite at every sample, no sample is
     singular and the Laurent part c_{-1} ... c_{-K} of F vanishes relative
@@ -660,7 +654,7 @@ def _circle_spectrum(e: FunctionExpr, radius, samples):
     if not (np.isfinite(c.max())
             and np.all(c[-_LAURENT_TERMS:] <= _LAURENT_TOL * c.max())):
         return None
-    return float(np.linalg.norm(F, axis=1).max()), spectrum
+    return float(np.linalg.norm(F, axis=1).max()), spectrum, F
 
 
 def _cauchy_radius(e: FunctionExpr, poles, r_max):
@@ -688,7 +682,7 @@ def _cauchy_radius(e: FunctionExpr, poles, r_max):
     for radius, samples in rungs:
         found = _circle_spectrum(e, radius, samples)
         if found is not None:
-            yield (radius,) + found
+            yield (radius,) + found[:2]
 
 
 def _cauchy_order(bound, growth, r, tail_target) -> int:
@@ -757,7 +751,7 @@ def expr_to_series(e: FunctionExpr, r_max=0.95,
                 math.log2(2 * (n + 1 + _LAURENT_TERMS))))
             if found is None:
                 continue
-            m, spectrum = found
+            m, spectrum, _ = found
             bound = m * (1.0 + _CAUCHY_SLACK)
             n = _cauchy_order(bound, growth, r_max, tail_target)
             if n >= len(spectrum) - _LAURENT_TERMS:

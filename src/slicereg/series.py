@@ -42,7 +42,6 @@ __all__ = [
     "series_add",
     "series_sub",
     "left_const_mul",
-    "shift_up",
 ]
 
 DEFAULT_ORDER = 64
@@ -441,9 +440,3 @@ def left_const_mul(c: Quaternion, f: TaylorSeries) -> TaylorSeries:
     """Coefficients c * a_m, i.e. the *-product Const(c) * f."""
     carr = qarray.from_quaternion(c)
     return TaylorSeries(qarray.qmul(carr, f.coeffs), exact=f.exact)
-
-
-def shift_up(f: TaylorSeries) -> TaylorSeries:
-    """Multiply by q on the left: coefficients move one slot up."""
-    coeffs = np.vstack([np.zeros((1, 4)), f.coeffs])
-    return TaylorSeries(coeffs, exact=f.exact)

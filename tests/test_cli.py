@@ -148,13 +148,6 @@ class TestVerify:
                        "--count", "100"])
         assert rc == 0
 
-    def test_tolerance_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("SR_TOL", "10.0")
-        rc = cli.main(["verify", "--suite", "spl", "--f",
-                       json.dumps(Q2_EXPR), "--count", "50"])
-        report = json.loads(capsys.readouterr().out)
-        assert rc == 0 and report["tolerance"] == 10.0
-
     def test_non_self_map_rejected(self, capsys):
         bad = {"kind": "const", "value": [2, 0, 0, 0]}
         rc = cli.main(["verify", "--suite", "spl", "--f", json.dumps(bad),
@@ -207,6 +200,39 @@ class TestVerify:
             "kind": "star_mul", "left": {"kind": "const", "value": [-1, 0, 0, 0]},
             "right": s}}
         rc = cli.main(["verify", "--suite", "multi", "--f", json.dumps(f)])
+        assert rc == 1 and one_line_error(capsys)
+
+    def test_cap_map_is_not_a_self_map(self, capsys):
+        # 0.541 (0.9 + q) reaches |f| = 1.001 at q = 0.95, on the sphere only
+        cap = {"kind": "star_mul", "left": {
+            "kind": "sum", "left": {"kind": "const", "value": [0.9, 0, 0, 0]},
+            "right": {"kind": "identity"}},
+            "right": {"kind": "const", "value": [1.001 / 1.85, 0, 0, 0]}}
+        rc = cli.main(["verify", "--suite", "spl", "--f", json.dumps(cap)])
+        assert rc == 1 and one_line_error(capsys)
+
+    def test_interior_pole_is_not_a_self_map(self, capsys):
+        # 0.1 (q + 0.5)^{-*} is unbounded at q = -0.5
+        pole = {"kind": "star_mul", "left": {"kind": "star_inv", "inner": {
+            "kind": "sum", "left": {"kind": "identity"},
+            "right": {"kind": "const", "value": [0.5, 0, 0, 0]}}},
+            "right": {"kind": "const", "value": [0.1, 0, 0, 0]}}
+        rc = cli.main(["verify", "--suite", "spl", "--f", json.dumps(pole)])
+        assert rc == 1 and one_line_error(capsys)
+
+    def test_pole_next_to_the_sphere_passes(self, capsys):
+        rc = cli.main(["verify", "--suite", "spl", "--f",
+                       '{"kind":"moebius","p":[0.99,0,0,0]}'])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+
+    @pytest.mark.parametrize("depth", [600, 3000])
+    def test_deep_expression_is_a_one_line_error(self, depth, capsys):
+        # 600 nested conj exhaust the stack when evaluated, 3,000 already
+        # when the JSON is parsed
+        deep = ('{"kind":"conj","inner":' * depth + '{"kind":"identity"}'
+                + "}" * depth)
+        rc = cli.main(["verify", "--suite", "spl", "--f", deep])
         assert rc == 1 and one_line_error(capsys)
 
     def test_missing_kind(self, capsys):

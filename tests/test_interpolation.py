@@ -1,10 +1,11 @@
+import cmath
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from slicereg import series as se, verify
+from slicereg import series as se
 from slicereg.errors import (
     AmbiguousBoundary,
     KindMismatch,
@@ -192,12 +193,6 @@ class TestBuildSolution:
                                              exact=True)
         with pytest.raises(NotSelfMap):
             build_solution(t, classify(t), h=h)
-
-    def test_self_map_probes_are_the_seeded_sample(self):
-        assert np.array_equal(
-            verify._SELF_MAP_PROBES,
-            verify.sample_points(verify.SamplerConfig(seed=314159,
-                                                      count=1000)))
 
     def test_solution_is_self_map(self, rng):
         prob = three_point_problem(0.2, 0.25)
@@ -512,6 +507,14 @@ class TestSliceExtend:
     def test_not_self_map(self):
         with pytest.raises(NotSelfMap):
             slice_extend([0, 2.0], I)
+
+    def test_peak_between_disk_samples_is_refused(self):
+        # f0 = c (a + z) reaches |f0| = 1.001 only at z = 0.95 a / |a|, at
+        # 17.5 degrees: between samples of a polar grid of the slice disk
+        c = 1.001 / 1.85
+        a = 0.9 * cmath.exp(1j * math.radians(17.5))
+        with pytest.raises(NotSelfMap, match="1.001 > 1"):
+            slice_extend([c * a, c], I)
 
     def test_bad_axis(self):
         with pytest.raises(ValueError):

@@ -37,7 +37,6 @@ from slicereg.moebius import (
     expr_from_json,
     expr_to_series,
     moebius_classical_eval,
-    neg,
 )
 from slicereg.quaternion import I, J, K, ONE, Quaternion, ZERO
 from slicereg.series import TaylorSeries
@@ -189,7 +188,8 @@ class TestExpressions:
     def test_star_inverse_pointwise_law(self, rng):
         # h^{-*} * h = 1 at sampled points via series backend
         p = Quaternion(0.2, 0.15, -0.1, 0.1)
-        h = Sum(Const(ONE), neg(StarMul(Identity(), Const(p))))
+        h = Sum(Const(ONE), StarMul(Const(Quaternion(-1.0)),
+                                       StarMul(Identity(), Const(p))))
         e = StarMul(StarInv(h), h)
         for _ in range(20):
             q = rand_q(rng, 0.8)
@@ -734,11 +734,13 @@ class TestConjugation:
         trees = [
             Moebius(Quaternion(0.2, 0.3, -0.1, 0.1), u=J),
             StarMul(Moebius(Quaternion(0.1, 0.2)), Const(K)),
-            Sum(Const(ONE), neg(StarMul(Identity(), Const(I * 0.5)))),
+            Sum(Const(ONE), StarMul(Const(Quaternion(-1.0)),
+                                    StarMul(Identity(), Const(I * 0.5)))),
             Bullet(Quaternion(0.1, 0.2, 0.0, -0.1),
                    Moebius(Quaternion(0.25, 0.0, 0.1, 0.0))),
             StarInv(Sum(Const(ONE),
-                        neg(StarMul(Identity(), Const(J * 0.4))))),
+                        StarMul(Const(Quaternion(-1.0)),
+                                StarMul(Identity(), Const(J * 0.4))))),
         ]
         pts = np.array([rand_q(rng, 0.6).components() for _ in range(40)])
         for e in trees:

@@ -431,12 +431,6 @@ class TestAddSub:
         s = se.series_add(f, g)
         assert s.order == 20 - 1 and not s.exact
 
-    def test_shift_up_is_left_multiplication_by_q(self):
-        f = poly(I, J)
-        s = se.shift_up(f)
-        assert s.coefficient(0) == ZERO
-        assert s.coefficient(1) == I and s.coefficient(2) == J
-
 
 @settings(max_examples=50, deadline=None)
 @given(quaternions(max_norm=0.9), quaternions(max_norm=0.9),

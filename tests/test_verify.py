@@ -9,8 +9,10 @@ from slicereg.moebius import (
     Bullet,
     Const,
     FunctionExpr,
+    Identity,
     Moebius,
     SeriesFunc,
+    StarInv,
     StarMul,
     Sum,
     eval_all,
@@ -81,19 +83,21 @@ def test_run_suite_alone_checks_the_self_map(suite, monkeypatch):
     assert all(len(v) == len(pts) for v, pts, _ in cases)
 
 
-def probes(spy):
-    """How often the spy was read at the self-map probes."""
-    return sum(np.array_equal(p, verify._SELF_MAP_PROBES) for p in spy.points)
+def circle_passes(spy):
+    """How often the spy was read on the self-map check's circle: the 513
+    samples of the upper half of |z| = 0.95."""
+    return sum(p.shape == (513,) and np.allclose(np.abs(p), 0.95)
+               for p in spy.points)
 
 
 @pytest.mark.parametrize("suite", ["spl", "multi"])
 def test_self_map_is_probed_once_per_node(suite):
     f, cfg = PointSpy(self_map(suite)), SamplerConfig(seed=3, count=20)
     first = run_suite(suite, f, cfg)
-    assert probes(f) == 1
+    assert circle_passes(f) == 1
     for name in ("spl", "spl3", "multi", suite):
         run_suite(name, f, cfg)
-    assert probes(f) == 1
+    assert circle_passes(f) == 1
     assert run_suite(suite, f, cfg) == first
 
 
@@ -104,7 +108,7 @@ def test_non_self_map_is_refused_on_every_call():
             verify.check_self_map(f)
         with pytest.raises(NotSelfMap):
             run_suite("spl", f, SamplerConfig(count=10))
-    assert probes(f) == 1
+    assert circle_passes(f) == 1
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
@@ -118,6 +122,77 @@ def test_nan_map_is_refused():
     for _ in range(2):
         with pytest.raises(NotSelfMap, match="nan"):
             verify.check_self_map(f)
+
+
+def cap_maps():
+    """The 50 maps (a + q) c with |a| = 0.9 and c = 1.001 / 1.85: each
+    reaches |f| = 1.001 only on a cap of the 0.95-sphere, at 0.95 a / |a|."""
+    rng = np.random.default_rng(11)
+    c = Const(Quaternion(1.001 / 1.85))
+    units = rng.standard_normal((50, 4))
+    units /= np.linalg.norm(units, axis=1, keepdims=True)
+    return [StarMul(Sum(Const(qarray.to_quaternion(0.9 * u)), Identity()), c)
+            for u in units]
+
+
+def prototype_maps():
+    """30 Blaschke trees, 30 order-12 series self-maps, and 30 order-12
+    series whose coefficient norms sum to 1.02."""
+    rng = np.random.default_rng(7)
+    maps = [random_blaschke_expr(rng, int(rng.integers(1, 5)))
+            for _ in range(30)]
+    maps += [SeriesFunc(random_series_self_map(rng)) for _ in range(30)]
+    for _ in range(30):
+        raw = rng.standard_normal((13, 4)) * (0.5 ** np.arange(13))[:, None]
+        raw *= 1.02 / np.linalg.norm(raw, axis=1).sum()
+        maps.append(SeriesFunc(TaylorSeries(raw, exact=True)))
+    return maps
+
+
+class TestSphereCheck:
+    """sup |f| over the closed 0.95-ball, read off the stem on |z| = 0.95."""
+
+    def test_cap_maps_are_refused(self):
+        # the 1,000 seeded points of the 0.95-ball miss every cap
+        probes = sample_points(SamplerConfig(seed=314159, count=1000))
+        for f in cap_maps():
+            assert qarray.qnorm(f.eval_many(probes)).max() <= 1.0 + 1e-9
+            with pytest.raises(NotSelfMap, match="1.001 > 1"):
+                verify.check_self_map(f)
+            assert abs(f._ball_max - 1.001) <= 1e-10
+
+    def test_interior_pole_is_refused(self):
+        # 0.1 (q + 0.5)^{-*} is at most 0.1 / 0.45 on the sphere, but its
+        # pole at -0.5 shows in the Laurent test of its circle
+        f = StarMul(StarInv(Sum(Identity(), Const(Quaternion(0.5)))),
+                    Const(Quaternion(0.1)))
+        circle = 0.95 * np.exp(1j * np.linspace(0.0, np.pi, 513))
+        assert verify._slice_max(f.eval_many(circle)).max() < 0.223
+        with pytest.raises(NotSelfMap, match="singular"):
+            verify.check_self_map(f)
+
+    @pytest.mark.parametrize("f", [
+        Moebius(Quaternion(0.99)), Moebius(Quaternion(0.0, 0.9999999)),
+        Bullet(Quaternion(0.9), Moebius(Quaternion(0.95)))],
+        ids=["M_0.99", "M_0.9999999i", "M_0.9.M_0.95"])
+    def test_poles_next_to_the_sphere_pass(self, f):
+        # poles just outside the sphere: a self-map has |a_m| <= 1, so on
+        # 1,024 samples aliasing stays off the 64 Laurent terms
+        verify.check_self_map(f)
+        assert f._ball_max <= 1.0
+
+    def test_kept_maximum_bounds_the_sphere(self):
+        dense = 0.95 * np.exp(1j * np.linspace(0.0, np.pi, 2 ** 15 + 1))
+        g = np.random.default_rng(8).standard_normal((20000, 4))
+        sphere = 0.95 * g / np.linalg.norm(g, axis=1, keepdims=True)
+        for f in prototype_maps():
+            try:
+                verify.check_self_map(f)
+            except NotSelfMap:
+                pass
+            reference = verify._slice_max(f.eval_many(dense)).max()
+            assert f._ball_max >= reference * (1.0 - 1e-12)
+            assert f._ball_max >= qarray.qnorm(f.eval_many(sphere)).max()
 
 
 def spl_family(kind):
