@@ -118,8 +118,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
-    return _print_report(crosscheck(_load_expr_arg(args.f), _sampler(args),
-                                    order=args.order))
+    return _print_report(crosscheck(_load_expr_arg(args.f), _sampler(args)))
 
 
 def _parse_slice(spec: str) -> Quaternion:
@@ -167,8 +166,16 @@ def cmd_grid(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end in one ``error:`` line and exit code 1, as every
+    other error does: argparse's exit code 2 is interpolate's "no solution"."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="slicereg",
         description="Interpolation and verification for slice regular "
                     "self-maps of the quaternionic unit ball.")
@@ -191,7 +198,6 @@ def main(argv=None) -> int:
 
     p_cc = sub.add_parser("crosscheck", help="exact vs series backends")
     p_cc.add_argument("--f", required=True)
-    p_cc.add_argument("--order", type=int, default=None)
     p_cc.add_argument("--seed", type=int, default=0)
     p_cc.add_argument("--count", type=int, default=500)
     p_cc.add_argument("--radius-cap", type=float, default=0.95)
@@ -203,8 +209,9 @@ def main(argv=None) -> int:
     p_grid.add_argument("--res", type=int, default=64)
     p_grid.set_defaults(func=cmd_grid)
 
-    args = parser.parse_args(argv)
+    args = argparse.Namespace()
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except (OSError, ValueError, KeyError, TypeError, RecursionError,
             SliceRegError) as exc:

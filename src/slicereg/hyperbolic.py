@@ -172,12 +172,12 @@ def quotient_series(fs: TaylorSeries, p: Quaternion,
     the result).
     """
     fp, _ = se.evaluate(fs, p)
-    shifted = se.series_sub(fs, TaylorSeries.constant(fp))
-    r_part = se.left_linear_divide(shifted, p)
+    r_part = se.left_linear_divide(fs, p)
     left = se.star_mul(TaylorSeries.linear(Quaternion(1.0), -p.conj()), r_part)
-    den = se.series_sub(TaylorSeries.constant(Quaternion(1.0)),
-                        se.left_const_mul(fp.conj(), fs))
-    return se.star_mul(left, se.star_inverse(den, order=order))
+    den = -qarray.qmul(qarray.from_quaternion(fp.conj()), fs.coeffs)
+    den[0, 0] += 1.0
+    return se.star_mul(left, se.star_inverse(TaylorSeries(den, exact=fs.exact),
+                                             order=order))
 
 
 class HyperbolicQuotient(FunctionExpr):

@@ -10,8 +10,9 @@ series backend lowers the same tree to a
 :class:`~slicereg.series.TaylorSeries`.  :func:`expr_to_series` reads a
 tree with a sampled Cauchy certificate off the FFT of its stem on the
 certified circle; each node's recursive ``to_series(order)`` rule serves
-polynomial trees, the fitted route and explicit orders.  Tests require the
-two backends to agree within the certified truncation tail.
+polynomial trees and the fitted route, and every series of a tree outside
+those rules comes from :func:`expr_to_series`.  Tests require the two
+backends to agree within the certified truncation tail.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from . import qarray, series as se
 from .errors import (
     NotInvertibleAtZero,
+    OutsideConvergence,
     SingularDenominator,
     SingularPoint,
     SliceRegError,
@@ -528,23 +530,20 @@ class SchurChain(FunctionExpr):
             den = np.stack([ubar, -qarray.qmul(ubar, qarray.qconj(hp))])
         else:
             return math.inf
-        nodes, ps = self.nodes, self.ps
-        if nodes and not num.any():
+        nodes, steps = self._step_matrices()
+        if len(nodes) and not num.any():
             # h = 0: the last step gives N = -p_n (1 - r_n q) and
             # D = 1 - r_n q, whose common root 1 / r_n is no pole of f
-            num = np.array([(-ps[-1]).components()])
-            nodes, ps = nodes[:-1], ps[:-1]
-        cols = np.zeros((2, max(len(num), len(den)), 4))
-        cols[0, :len(num)], cols[1, :len(den)] = num, den
-        ps = np.array([p.components() for p in ps]).reshape(-1, 4)
-        left = _left_mul_matrices(ps)
-        left_bar = _left_mul_matrices(qarray.qconj(ps))
-        for r, lp, lp_bar in zip(nodes[::-1], left[::-1], left_bar[::-1]):
-            num, den = np.pad(cols, ((0, 0), (1, 1), (0, 0)))
-            u = num[:-1] - r * num[1:]  # (q - r) N
-            v = den[1:] - r * den[:-1]  # (1 - r q) D
-            cols = np.stack([u - v @ lp, v - u @ lp_bar])
-        den = cols[1]
+            num = np.array([(-self.ps[-1]).components()])
+            nodes, steps = nodes[:-1], steps[:-1]
+        cols = np.zeros((max(len(num), len(den)), 8))
+        cols[:len(num), :4], cols[:len(den), 4:] = num, den
+        for r, step in zip(nodes[::-1], steps[::-1]):
+            x = np.pad(cols, ((1, 1), (0, 0)))
+            # the stem's step on [(q - r) N | (1 - r q) D]
+            cols = np.hstack([x[:-1, :4] - r * x[1:, :4],
+                              x[1:, 4:] - r * x[:-1, 4:]]) @ step.real
+        den = cols[:, 4:]
         moduli = np.abs(np.roots(se._norm_series(den, 2 * len(den) - 2)[::-1]))
         return float(moduli.min()) if moduli.size else math.inf
 
@@ -638,13 +637,16 @@ def _circle_spectrum(e: FunctionExpr, radius, samples):
     to the largest coefficient; a singularity inside the circle, or aliasing
     of a slowly decaying series, shows there.  Stems satisfy F(conj z) =
     conj F(z), with conj the complex conjugate of each component, so only
-    the upper half circle is evaluated and mirrored.
+    the upper half circle is evaluated and mirrored.  A truncated series
+    leaf that cannot reach the circle raises its OutsideConvergence.
     """
     half = samples // 2
     roots = np.exp(1j * np.pi * np.arange(half + 1) / half)
     try:
         with np.errstate(all="ignore"):
             F = e.eval_many(radius * roots)
+    except OutsideConvergence:
+        raise
     except SliceRegError:
         return None
     if not np.all(np.isfinite(F)):
@@ -764,8 +766,6 @@ def expr_to_series(e: FunctionExpr, r_max=0.95,
         return s
     bound, growth = s.coeff_bound, s.growth_rate
     s = e.to_series(_cauchy_order(bound, growth, r_max, tail_target))
-    if s.exact:
-        return s
     try:
         return TaylorSeries(s.coeffs, bound, growth, certificate="fitted")
     except ValueError:

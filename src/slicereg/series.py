@@ -40,8 +40,6 @@ __all__ = [
     "spherical_derivative",
     "left_linear_divide",
     "series_add",
-    "series_sub",
-    "left_const_mul",
 ]
 
 DEFAULT_ORDER = 64
@@ -352,9 +350,9 @@ def stem(f: TaylorSeries, z, r_max=None) -> np.ndarray:
     return _horner(f.coeffs, z)
 
 
-def evaluate(f: TaylorSeries, q: Quaternion, r_max=None):
+def evaluate(f: TaylorSeries, q: Quaternion):
     """Evaluation at one point; returns (value, tail bound)."""
-    vals, tails = evaluate_many(f, qarray.from_quaternion(q, (1,)), r_max)
+    vals, tails = evaluate_many(f, qarray.from_quaternion(q, (1,)))
     return qarray.to_quaternion(vals[0]), float(tails[0])
 
 
@@ -415,28 +413,9 @@ def left_linear_divide(f: TaylorSeries, p: Quaternion) -> TaylorSeries:
 # -- linear helpers used by the expression backend --------------------
 
 
-def _sum_order(f: TaylorSeries, g: TaylorSeries):
-    """Common order and exactness for a sum; exact terms never truncate."""
-    if f.exact and g.exact:
-        return max(f.order, g.order), True
-    if f.exact:
-        return g.order, False
-    if g.exact:
-        return f.order, False
-    return min(f.order, g.order), False
-
-
 def series_add(f: TaylorSeries, g: TaylorSeries) -> TaylorSeries:
-    n, exact = _sum_order(f, g)
+    """f + g at their common order; exact terms never truncate."""
+    exact = f.exact and g.exact
+    n = max(f.order, g.order) if exact else min(
+        s.order for s in (f, g) if not s.exact)
     return TaylorSeries(_pad(f.coeffs, n) + _pad(g.coeffs, n), exact=exact)
-
-
-def series_sub(f: TaylorSeries, g: TaylorSeries) -> TaylorSeries:
-    n, exact = _sum_order(f, g)
-    return TaylorSeries(_pad(f.coeffs, n) - _pad(g.coeffs, n), exact=exact)
-
-
-def left_const_mul(c: Quaternion, f: TaylorSeries) -> TaylorSeries:
-    """Coefficients c * a_m, i.e. the *-product Const(c) * f."""
-    carr = qarray.from_quaternion(c)
-    return TaylorSeries(qarray.qmul(carr, f.coeffs), exact=f.exact)

@@ -47,6 +47,7 @@ from .moebius import (
     SeriesFunc,
     _check_ball,
     _circle_spectrum,
+    _is_polynomial,
     _memo_rows,
     _scalar_stem,
     _stem_action,
@@ -158,10 +159,15 @@ def _ball_max(f: FunctionExpr) -> float:
     :func:`_slice_max` of the stem on |z| = 0.95, once the Laurent test of
     :func:`~slicereg.moebius._circle_spectrum` on 1,024 samples finds no
     singularity inside; a self-map has |a_m| <= 1, so aliasing on that
-    test stays below 0.95^960.  The gap between samples is closed by two
-    zoom passes of 33 angles, over one and then 1/16 sample step on either
-    side of the 4 largest local maxima."""
-    found = _circle_spectrum(f, 0.95, 1024)
+    test stays below 0.95^960.  A polynomial of degree d aliases onto none
+    of the 64 Laurent terms of N >= d + 65 samples, so a polynomial tree
+    takes N = 2^ceil(log2(d + 65)) samples where that exceeds 1,024.  The
+    gap between samples is closed by two zoom passes of 33 angles, over one
+    and then 1/16 sample step on either side of the 4 largest local
+    maxima."""
+    degree = expr_to_series(f).order if _is_polynomial(f) else 0
+    found = _circle_spectrum(f, 0.95, 2 ** max(10, math.ceil(
+        math.log2(degree + 65))))
     if found is None:
         return math.nan
     top = _slice_max(found[2])
@@ -342,12 +348,10 @@ def suite_balpha(f: FunctionExpr, cfg: SamplerConfig):
 # -- backend cross-check ----------------------------------------------
 
 
-def crosscheck(f: FunctionExpr, cfg: SamplerConfig,
-               order: int = None) -> VerificationReport:
-    """max over samples of |exact(f) - series(f)| - certified tail."""
-    if order is not None and order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
-    s = f.to_series(order) if order is not None else expr_to_series(f)
+def crosscheck(f: FunctionExpr, cfg: SamplerConfig) -> VerificationReport:
+    """max over samples of |exact(f) - series(f)| - certified tail, with the
+    series that :func:`~slicereg.moebius.expr_to_series` lowers f to."""
+    s = expr_to_series(f)
     points = sample_points(cfg)
     exact = f.eval_many(points)
     approx, tails = se.evaluate_many(s, points, r_max=cfg.radius_cap)

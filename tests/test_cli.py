@@ -284,17 +284,6 @@ class TestCrosscheck:
         assert rc == 0 and report["pass"] is True
 
 
-    @pytest.mark.parametrize("order", ["-1", "-5"])
-    def test_negative_order_is_a_one_line_error(self, order, capsys):
-        # order -1 used to end in an IndexError traceback from
-        # Moebius.to_series, and -5 in NumPy's "negative dimensions"
-        expr = {"kind": "star_mul", "left": {"kind": "identity"},
-                "right": {"kind": "moebius", "p": [0.3, 0.1, 0.0, 0.2]}}
-        rc = cli.main(["crosscheck", "--f", json.dumps(expr),
-                       "--order", order])
-        assert rc == 1
-        assert capsys.readouterr().err == \
-            f"error: order must be nonnegative, got {order}\n"
 
     def test_negative_count_is_a_one_line_error(self, capsys):
         expr = {"kind": "moebius", "p": [0.3, 0.1, 0.0, 0.2]}
@@ -317,6 +306,48 @@ class TestCrosscheck:
         report = json.loads(capsys.readouterr().out, parse_constant=refuse)
         assert rc == 4
         assert report["pass"] is False and report["maxViolation"] == "NaN"
+
+
+class TestUsageErrors:
+    """A usage error is a one-line error with exit code 1, like every other
+    error, and not argparse's usage block with exit code 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["interpolate"],
+        ["verify", "--suite", "spl", "--f", json.dumps(Q2_EXPR),
+         "--count", "abc"],
+        ["crosscheck", "--f", json.dumps(Q2_EXPR), "--order", "8"],
+        [],
+    ], ids=["missing_file", "count_not_an_int", "order_unknown",
+            "no_command"])
+    def test_one_line_error(self, argv, capsys):
+        assert cli.main(argv) == 1
+        assert one_line_error(capsys)
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["crosscheck", "--help"])
+        assert exc.value.code == 0
+        assert "--order" not in capsys.readouterr().out
+
+
+class TestRefusals:
+    """Refusals of the library reach the CLI as one-line errors."""
+
+    @pytest.mark.parametrize("argv", [
+        # dieudonne needs f(0) = 0
+        ["verify", "--suite", "dieudonne", "--f", "[0.5,0,0,0]"],
+        # balpha needs a real f'(0): q * (i / 2) has f'(0) = i / 2
+        ["verify", "--suite", "balpha", "--f", json.dumps(
+            {"kind": "star_mul", "left": {"kind": "identity"},
+             "right": {"kind": "const", "value": [0, 0.5, 0, 0]}})],
+        ["verify", "--suite", "spl", "--f", json.dumps(Q2_EXPR),
+         "--radius-cap", "1.5"],
+        ["verify", "--suite", "spl", "--f", '{"kind": "nope"}'],
+    ], ids=["dieudonne_f0", "balpha_derivative", "radius_cap", "kind"])
+    def test_one_line_error(self, argv, capsys):
+        assert cli.main(argv) == 1
+        assert one_line_error(capsys)
 
 
 class TestGrid:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from slicereg import qarray, verify
-from slicereg.errors import NotSelfMap
+from slicereg.errors import NotSelfMap, OutsideConvergence
 from slicereg.moebius import (
     Bullet,
     Const,
@@ -180,6 +180,23 @@ class TestSphereCheck:
         # 1,024 samples aliasing stays off the 64 Laurent terms
         verify.check_self_map(f)
         assert f._ball_max <= 1.0
+
+    @pytest.mark.parametrize("degree", [959, 960, 1000])
+    def test_high_degree_polynomial_passes(self, degree):
+        # q^d sampled at N points aliases onto the Laurent term N - d when
+        # d >= N - 64: from d = 960 a polynomial takes more than 1,024
+        coeffs = np.zeros((degree + 1, 4))
+        coeffs[-1, 0] = 1.0
+        f = SeriesFunc(TaylorSeries(coeffs, exact=True))
+        verify.check_self_map(f)
+        assert f._ball_max == pytest.approx(0.95 ** degree, rel=1e-12)
+
+    def test_truncated_leaf_short_of_the_sphere_names_its_radius(self):
+        # g = 1.1 certifies the series only on |q| < 1 / 1.1 < 0.95
+        f = SeriesFunc(TaylorSeries([[0.1, 0, 0, 0], [0.2, 0, 0, 0]], 1.0,
+                                    1.1))
+        with pytest.raises(OutsideConvergence, match="g = 1.1"):
+            verify.check_self_map(f)
 
     def test_kept_maximum_bounds_the_sphere(self):
         dense = 0.95 * np.exp(1j * np.linspace(0.0, np.pi, 2 ** 15 + 1))
