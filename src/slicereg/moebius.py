@@ -584,16 +584,21 @@ class SchurChain(FunctionExpr):
 
 
 # Cauchy certificates: radii tried largest first, samples per circle (and
-# the most the root rung of _cauchy_radius takes), how many Laurent
-# coefficients c_{-1} ... c_{-K} must vanish relative to the largest
-# coefficient for F to count as analytic on the closed disc, and the margin
-# on the sampled maximum M (20x the largest gap to an 8192-sample maximum
-# seen on the criterion-7 and criterion-8 trees)
+# the most the root rung and the retry of _cauchy_radius take), how many
+# Laurent coefficients c_{-1} ... c_{-K} must vanish relative to the largest
+# coefficient for F to count as analytic on the closed disc, the floor above
+# which a failed Laurent part is read for its singularity and the margin
+# put on the modulus read, and the margin on the sampled maximum M (20x the
+# largest gap to an 8192-sample maximum seen on the criterion-7 and
+# criterion-8 trees)
 _CAUCHY_RADII = (3.0, 2.0, 1.6, 1.35, 1.2, 1.1, 1.05)
 _CAUCHY_SAMPLES = 256
 _CAUCHY_MAX_SAMPLES = 2 ** 16
+_CAUCHY_RETRY_SAMPLES = 4096
 _LAURENT_TERMS = 64
 _LAURENT_TOL = 1e-13
+_LAURENT_FLOOR = 1e-15
+_LOCATED_MARGIN = 1.02
 _CAUCHY_SLACK = 0.05
 # the highest order expr_to_series lowers to
 _MAX_ORDER = 512
@@ -627,18 +632,27 @@ def _pole_radius(e: FunctionExpr):
 
 
 def _circle_spectrum(e: FunctionExpr, radius, samples):
-    """(M, c, F) from the stem F of e at the N samples of |z| = radius, or
-    None when the circle does not count: M is the largest |F| over the
-    samples, c the FFT of F over them, so that c_m = N R^m a_m + aliasing,
-    and F the stem at the upper half circle, angles 2 pi k / N, k <= N / 2.
+    """((M, c, F), None) from the stem F of e at the N samples of |z| =
+    radius when the circle counts, else (None, rho): M is the largest |F|
+    over the samples, c the FFT of F over them, so that c_m = N R^m a_m +
+    aliasing, and F the stem at the upper half circle, angles 2 pi k / N,
+    k <= N / 2.
 
     The circle counts when F is finite at every sample, no sample is
     singular and the Laurent part c_{-1} ... c_{-K} of F vanishes relative
     to the largest coefficient; a singularity inside the circle, or aliasing
-    of a slowly decaying series, shows there.  Stems satisfy F(conj z) =
-    conj F(z), with conj the complex conjugate of each component, so only
-    the upper half circle is evaluated and mirrored.  A truncated series
-    leaf that cannot reach the circle raises its OutsideConvergence.
+    of a slowly decaying series, shows there.  Either way the Laurent terms
+    change geometrically at the ratio rho / R, with rho the modulus of the
+    singularity nearest the circle: they decay from a pole inside, and the
+    aliasing of a singularity outside grows towards c_{-K}.  So a failed
+    Laurent part locates rho = R (|c_{-k1}| / |c_{-k0}|)^(1 / (k1 - k0))
+    over the first and last of its terms above _LAURENT_FLOOR times the
+    largest coefficient.  rho is None when the circle locates nothing: a
+    singular or non-finite sample, norms that overflow, or one term above
+    the floor.  Stems satisfy F(conj z) = conj F(z), with conj the complex
+    conjugate of each component, so only the upper half circle is evaluated
+    and mirrored.  A truncated series leaf that cannot reach the circle
+    raises its OutsideConvergence.
     """
     half = samples // 2
     roots = np.exp(1j * np.pi * np.arange(half + 1) / half)
@@ -648,43 +662,106 @@ def _circle_spectrum(e: FunctionExpr, radius, samples):
     except OutsideConvergence:
         raise
     except SliceRegError:
-        return None
+        return None, None
     if not np.all(np.isfinite(F)):
-        return None
+        return None, None
     spectrum = np.fft.fft(np.concatenate([F, F[-2:0:-1].conj()]), axis=0)
     c = np.linalg.norm(spectrum, axis=1)
-    if not (np.isfinite(c.max())
-            and np.all(c[-_LAURENT_TERMS:] <= _LAURENT_TOL * c.max())):
-        return None
-    return float(np.linalg.norm(F, axis=1).max()), spectrum, F
+    top = c.max()
+    if not np.isfinite(top):
+        return None, None
+    laurent = c[:-_LAURENT_TERMS - 1:-1]  # c_{-1} ... c_{-K}
+    if np.all(laurent <= _LAURENT_TOL * top):
+        return (float(np.linalg.norm(F, axis=1).max()), spectrum, F), None
+    above = np.flatnonzero(laurent > _LAURENT_FLOOR * top)
+    k0, k1 = int(above[0]), int(above[-1])
+    if k0 == k1:
+        return None, None
+    return None, radius * float(laurent[k1] / laurent[k0]) ** (1 / (k1 - k0))
 
 
-def _cauchy_radius(e: FunctionExpr, poles, r_max):
-    """(R, M, c) for each radius r_max < R < poles on which the stem F of
-    e is analytic, largest first, with M and c the :func:`_circle_spectrum`
-    of its samples.
+def _alias_free_samples(radius, singularity) -> float:
+    """K + log(TOL) / log(R / rho): the fewest samples N of |z| = R for
+    which the aliasing (R / rho)^(N - K) that a singularity at rho > R puts
+    on the K Laurent terms stays under the tolerance; K for rho = inf."""
+    return _LAURENT_TERMS - math.log(_LAURENT_TOL) / math.log(
+        singularity / radius)
+
+
+def _certified_circle(e: FunctionExpr, radius, samples, r_max, tail_target):
+    """((n, C, c), None) when the circle |z| = R counts on N samples and
+    certifies an order n below its N - K alias-free coefficients, with C =
+    M (1 + slack) and c the FFT of the samples that certified; else (None,
+    rho), rho from the :func:`_circle_spectrum` that failed.  When n
+    reaches past the alias-free coefficients the circle is sampled once
+    more at N' = 2^ceil(log2 2 (n + 1 + K)) points, a set that holds the
+    first N, which must count on its own and give an n below N' - K, with
+    M and n taken from it."""
+    for _ in range(2):
+        found, rho = _circle_spectrum(e, radius, samples)
+        if found is None:
+            return None, rho
+        bound = found[0] * (1.0 + _CAUCHY_SLACK)
+        n = _cauchy_order(bound, 1.0 / radius, r_max, tail_target)
+        if n < samples - _LAURENT_TERMS:
+            return (n, bound, found[1]), None
+        samples = 2 ** math.ceil(math.log2(2 * (n + 1 + _LAURENT_TERMS)))
+    return None, None
+
+
+def _cauchy_radius(e: FunctionExpr, poles, r_max, tail_target):
+    """(R, n, C, c) for the largest radius r_max < R < poles of the
+    :func:`_certified_circle` ladder that certifies the stem F of e to
+    order n, or None when none does.
 
     The radii are the ladder's and, for a SchurChain, whose poles are the
     roots of n(D), the root rung R = (1 + poles) / 2 in its place among
     them.  Aliasing puts about (R / poles)^(N - K) on the K Laurent terms
     of N samples, so the root rung takes the N that keeps this under the
-    tolerance (at most _CAUCHY_MAX_SAMPLES).  Radii are sampled only as the
-    caller asks for the next one.  M is a sampled maximum, so the Cauchy
-    estimate |a_m| <= M R^{-m} is a sampled one.
+    tolerance (at most _CAUCHY_MAX_SAMPLES).  Every circle whose Laurent
+    test fails locates a singularity (:func:`_circle_spectrum`).  With rho
+    the nearest located so far and rho' = 1.02 rho, a later rung must fail,
+    and is skipped, when R >= rho' or when it has fewer samples than the
+    same rule asks for against rho'.  When the ladder runs out having
+    located one, it retries by need: with N the samples that rule asks for
+    against min(poles, rho), the largest ladder radius below min(poles,
+    rho) whose 2^ceil(log2 2 N) is at most _CAUCHY_RETRY_SAMPLES is sampled
+    once more at that many, when that is more than the ladder took.  rho
+    only decides which circles are sampled: each one certifies by its own
+    checks.  M is a sampled maximum, so the Cauchy estimate
+    |a_m| <= M R^{-m} is a sampled one.
     """
     rungs = [(radius, _CAUCHY_SAMPLES) for radius in _CAUCHY_RADII
              if r_max < radius < poles]
     root = (1.0 + poles) / 2.0
     if isinstance(e, SchurChain) and r_max < root < poles:
-        need = _LAURENT_TERMS + math.log(_LAURENT_TOL) / math.log(root / poles)
+        need = _alias_free_samples(root, poles)
         samples = max(_CAUCHY_SAMPLES, 2 ** math.ceil(math.log2(need)))
         if samples <= _CAUCHY_MAX_SAMPLES:
             rungs.append((root, samples))
             rungs.sort(key=lambda rung: -rung[0])
+    located = math.inf
     for radius, samples in rungs:
-        found = _circle_spectrum(e, radius, samples)
+        near = _LOCATED_MARGIN * located
+        if radius >= near or samples < _alias_free_samples(radius, near):
+            continue
+        found, rho = _certified_circle(e, radius, samples, r_max, tail_target)
         if found is not None:
-            yield (radius,) + found[:2]
+            return (radius,) + found
+        if rho is not None:
+            located = min(located, rho)
+    if located == math.inf:
+        return None
+    nearest = min(poles, located)
+    retry = [(radius, 2 ** math.ceil(math.log2(
+        2.0 * _alias_free_samples(radius, nearest))))
+        for radius in _CAUCHY_RADII if r_max < radius < nearest]
+    radius, samples = next((rung for rung in retry
+                            if rung[1] <= _CAUCHY_RETRY_SAMPLES), (None, 0))
+    if samples <= _CAUCHY_SAMPLES:
+        return None
+    found, _ = _certified_circle(e, radius, samples, r_max, tail_target)
+    return None if found is None else (radius,) + found
 
 
 def _cauchy_order(bound, growth, r, tail_target) -> int:
@@ -727,40 +804,30 @@ def expr_to_series(e: FunctionExpr, r_max=0.95,
     Cauchy certificate (M (1 + slack), 1/R), and its coefficients are read
     off the FFT c of the N samples that counted: a_m = Re c_m / (N R^m) for
     m <= n, with |a_m| R^m <= M by construction.  The Laurent check found
-    the coefficients below N - K free of aliasing; when n reaches past them
-    the same circle is sampled once more at N' = 2^ceil(log2 2 (n + 1 + K))
-    points, a set that holds the first N.  That pass must count on its own
-    and give an n below N' - K, with M and n taken from it; when it does
-    not, the ladder goes on to its next radius.  No recursive series rule
-    is run on this route.
+    the coefficients below N - K free of aliasing, and n lies below them
+    (:func:`_certified_circle`).  A circle that fails its Laurent check
+    locates the singularity nearest it, which sizes the samples of the
+    circles after it and of one retry by need when the ladder runs out.
+    No recursive series rule is run on this route.
 
     Any other tree takes the fitted route through its own
-    ``to_series(order)``: it is lowered once at DEFAULT_ORDER and is
-    returned as it is when that meets tail_target at r_max; else it is
-    lowered once more, at the order n for that lowering's fitted (C, g)
-    (_MAX_ORDER when g r_max >= 1), and keeps (C, g) when its coefficients
-    obey it, their own fitted certificate when they do not.
+    ``to_series(order)``: a tree with a truncated series leaf, a quotient,
+    or one whose circles locate nothing.  It is lowered once at
+    DEFAULT_ORDER and is returned as it is when that meets tail_target at
+    r_max; else it is lowered once more, at the order n for that lowering's
+    fitted (C, g) (_MAX_ORDER when g r_max >= 1), and keeps (C, g) when its
+    coefficients obey it, their own fitted certificate when they do not.
     """
     if _is_polynomial(e):
         return e.to_series()
     poles = _pole_radius(e)
-    circles = () if poles is None else _cauchy_radius(e, poles, r_max)
-    for radius, m, spectrum in circles:
-        bound, growth = m * (1.0 + _CAUCHY_SLACK), 1.0 / radius
-        n = _cauchy_order(bound, growth, r_max, tail_target)
-        if n >= len(spectrum) - _LAURENT_TERMS:
-            found = _circle_spectrum(e, radius, 2 ** math.ceil(
-                math.log2(2 * (n + 1 + _LAURENT_TERMS))))
-            if found is None:
-                continue
-            m, spectrum, _ = found
-            bound = m * (1.0 + _CAUCHY_SLACK)
-            n = _cauchy_order(bound, growth, r_max, tail_target)
-            if n >= len(spectrum) - _LAURENT_TERMS:
-                continue
+    found = None if poles is None else _cauchy_radius(e, poles, r_max,
+                                                      tail_target)
+    if found is not None:
+        radius, n, bound, spectrum = found
         scale = len(spectrum) * radius ** np.arange(n + 1)
         return TaylorSeries(spectrum[:n + 1].real / scale[:, None], bound,
-                            growth, certificate="cauchy-sampled")
+                            1.0 / radius, certificate="cauchy-sampled")
     s = e.to_series(se.DEFAULT_ORDER)
     if s.exact or s.tail_bound(r_max) <= tail_target:
         return s

@@ -166,7 +166,7 @@ def _ball_max(f: FunctionExpr) -> float:
     and then 1/16 sample step on either side of the 4 largest local
     maxima."""
     degree = expr_to_series(f).order if _is_polynomial(f) else 0
-    found = _circle_spectrum(f, 0.95, 2 ** max(10, math.ceil(
+    found, _ = _circle_spectrum(f, 0.95, 2 ** max(10, math.ceil(
         math.log2(degree + 65))))
     if found is None:
         return math.nan

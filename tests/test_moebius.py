@@ -770,7 +770,7 @@ class TestSeriesLowering:
 
     def test_series_leaf_trees_meet_target(self):
         # an exact series leaf counts like a constant, so the criterion-7
-        # trees with one take the Cauchy route: 199 of 200 meet the 1e-12
+        # trees with one take the Cauchy route: all 200 meet the 1e-12
         # target at r = 0.95 (68 did under the fitted doubling loop)
         from test_acceptance import _random_tree
         rng = np.random.default_rng(55)
@@ -778,9 +778,9 @@ class TestSeriesLowering:
             _random_tree(rng, int(rng.integers(1, 5))))) for _ in range(200)]
         met = sum(s.tail_bound(0.95) <= 1e-12 for s in lowered)
         kinds = [s.certificate for s in lowered]
-        assert met >= 199
+        assert met == 200
         assert kinds.count("cauchy-sampled") >= 165
-        assert kinds.count("fitted") <= 2
+        assert kinds.count("fitted") == 0
 
     def test_exact_series_leaf_is_its_own_lowering(self, monkeypatch):
         # returned as it is, with no stem sample taken
@@ -791,8 +791,10 @@ class TestSeriesLowering:
 
     def test_one_lowering_per_route(self, monkeypatch):
         # the Cauchy route reads the series off the FFT of the stem and
-        # lowers nothing recursively; the fitted route lowers the tree at
-        # DEFAULT_ORDER, then once at the order its certificate asks for
+        # lowers nothing recursively; the fitted route, here for a tree
+        # with a truncated series leaf, which has no pole radius, lowers the
+        # tree at DEFAULT_ORDER, then once at the order its certificate asks
+        # for
         orders = []
 
         def recorded(cls, root):
@@ -810,10 +812,12 @@ class TestSeriesLowering:
         s = expr_to_series(tree)
         assert s.certificate == "cauchy-sampled" and orders == []
         orders.clear()
-        m = Moebius(Quaternion(0.9))
-        recorded(Moebius, m)
-        s = expr_to_series(m)
-        assert s.certificate == "fitted" and orders == [se.DEFAULT_ORDER, 188]
+        tree = Bullet(Quaternion(0.2),
+                      SeriesFunc(Moebius(Quaternion(0.9)).to_series(512)))
+        assert mo._pole_radius(tree) is None
+        recorded(Bullet, tree)
+        s = expr_to_series(tree)
+        assert s.certificate == "fitted" and orders == [se.DEFAULT_ORDER, 229]
         # a truncated leaf whose coefficients grow like 1.1^m: g r >= 1, no
         # order meets the target, and the one further lowering is the cap
         orders.clear()
@@ -876,18 +880,20 @@ class TestCauchyCertificate:
 
     def test_fft_lowering_matches_the_series_rules(self, criterion_7_lowered):
         # a certified tree is read off the FFT of its stem, so the recursive
-        # series rules are the oracle: on all 401 cauchy-sampled trees the
+        # series rules are the oracle: on all 408 cauchy-sampled trees the
         # coefficients are those of the tree's own lowering at that order
         kinds = Counter(s.certificate for _, s in criterion_7_lowered)
-        assert kinds == {"cauchy-sampled": 401, "exact": 92, "fitted": 7}
+        assert kinds == {"cauchy-sampled": 408, "exact": 92}
         for tree, s in criterion_7_lowered:
             if s.certificate == "cauchy-sampled":
                 assert np.allclose(tree.to_series(s.order).coeffs, s.coeffs,
                                    rtol=0.0, atol=1e-14), repr(tree)
 
     def test_order_past_the_samples_resamples_the_circle(self, monkeypatch):
-        # M_{0.8} has its pole at 1.25 and counts first at R = 1.05, where
-        # the 1e-12 target at 0.95 asks for n = 304, past the 256 - 64
+        # M_{0.8} has its pole at 1.25.  R = 1.2 fails its Laurent check and
+        # locates it, so R = 1.1, whose 256 samples alias (1.1 / 1.275)^192
+        # onto the Laurent terms, is skipped; R = 1.05 counts, where the
+        # 1e-12 target at 0.95 asks for n = 304, past the 256 - 64
         # alias-free coefficients: the same circle is sampled once more at
         # 2^ceil(log2 2 (305 + 64)) = 1024 points
         circles = []
@@ -899,7 +905,7 @@ class TestCauchyCertificate:
         monkeypatch.setattr(mo, "_circle_spectrum", recorded)
         e = Moebius(Quaternion(0.8))
         s = expr_to_series(e)
-        assert circles == [(1.2, 256), (1.1, 256), (1.05, 256), (1.05, 1024)]
+        assert circles == [(1.2, 256), (1.05, 256), (1.05, 1024)]
         assert s.certificate == "cauchy-sampled" and s.order == 304
         assert s.growth_rate == 1.0 / 1.05 and s.tail_bound(0.95) <= 1e-12
         assert np.allclose(e.to_series(s.order).coeffs, s.coeffs,
@@ -907,23 +913,91 @@ class TestCauchyCertificate:
 
     def test_failed_second_pass_gives_way(self, monkeypatch):
         # when the resampled circle does not count, the ladder goes on; past
-        # its last rung M_{0.8} takes the fitted route
+        # its last rung and its retry by need, M_{0.8} takes the fitted route
         spectrum = mo._circle_spectrum
         monkeypatch.setattr(mo, "_circle_spectrum", lambda e, radius, samples:
-                            None if samples > 256
+                            (None, None) if samples > 256
                             else spectrum(e, radius, samples))
         s = expr_to_series(Moebius(Quaternion(0.8)))
         assert s.certificate == "fitted"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflowing_spectrum_certifies_no_circle(self):
+    def test_overflowing_spectrum_certifies_no_circle(self, monkeypatch):
         # a stem of about 1e306 on the circle is finite, but its FFT and the
-        # norms of the Laurent check overflow, so that check cannot be read
-        # and no circle counts
+        # norms of the Laurent check overflow, so that check cannot be read:
+        # no circle counts and none locates a singularity, so every rung is
+        # sampled, there is no retry, and the tree goes fitted
+        circles = []
+        spectrum = mo._circle_spectrum
+
+        def recorded(e, radius, samples):
+            found = spectrum(e, radius, samples)
+            circles.append((radius, samples, found))
+            return found
+        monkeypatch.setattr(mo, "_circle_spectrum", recorded)
         leaf = SeriesFunc(TaylorSeries(np.array([[1e306, 0, 0, 0]] * 2),
                                        exact=True))
         s = expr_to_series(StarMul(leaf, Moebius(Quaternion(0.3))))
         assert s.certificate == "fitted"
+        assert [(r, n) for r, n, _ in circles] == [
+            (r, 256) for r in mo._CAUCHY_RADII]
+        assert all(found == (None, None) for _, _, found in circles)
+
+    def test_failed_rung_locates_the_singularity(self, monkeypatch):
+        # (q + 1.5)^{-*} has its pole at 1.5, inside R = 3, whose Laurent
+        # terms decay at the ratio 1.5 / 3 and locate it.  R = 2 and 1.6 lie
+        # past the pole and R = 1.35 would alias (1.35 / 1.53)^192 onto the
+        # Laurent terms of 256 samples, so all three are skipped and R = 1.2
+        # counts, with the order the full ladder gave
+        e = StarInv(Sum(Identity(), Const(1.5)))
+        found, rho = mo._circle_spectrum(e, 3.0, 256)
+        assert found is None and abs(rho / 1.5 - 1.0) <= 0.01
+        circles = []
+        spectrum = mo._circle_spectrum
+
+        def recorded(e, radius, samples):
+            circles.append((radius, samples))
+            return spectrum(e, radius, samples)
+        monkeypatch.setattr(mo, "_circle_spectrum", recorded)
+        s = expr_to_series(e)
+        assert circles == [(3.0, 256), (1.2, 256)]
+        assert s.certificate == "cauchy-sampled" and s.order == 130
+        assert s.growth_rate == 1.0 / 1.2
+
+    def test_skipped_rungs_lose_nothing(self, criterion_7_lowered):
+        # a rung is skipped only where the located singularity makes it
+        # fail: every tree with a counting rung on the full 256-sample
+        # ladder, found here by sampling each rung, is certified on the
+        # largest one
+        checked = 0
+        for tree, s in criterion_7_lowered:
+            if s.exact:
+                continue
+            poles = mo._pole_radius(tree)
+            counting = next((radius for radius in mo._CAUCHY_RADII
+                             if 0.95 < radius < poles and mo._circle_spectrum(
+                                 tree, radius, 256)[0] is not None), None)
+            if counting is not None:
+                assert s.growth_rate == 1.0 / counting, repr(tree)
+                checked += 1
+        assert checked == 401
+
+    def test_ladder_samples_by_need(self, monkeypatch):
+        # on the criterion-7 trees the located singularities skip the rungs
+        # that must fail and size one retry: 762 circle samplings, 1,017
+        # over the full ladder
+        from test_acceptance import _random_tree
+        circles = []
+        spectrum = mo._circle_spectrum
+
+        def recorded(e, radius, samples):
+            circles.append((radius, samples))
+            return spectrum(e, radius, samples)
+        monkeypatch.setattr(mo, "_circle_spectrum", recorded)
+        rng = np.random.default_rng(55)
+        for _ in range(500):
+            expr_to_series(_random_tree(rng, int(rng.integers(1, 5))))
+        assert len(circles) <= 800
 
     def test_schur_chain_on_its_root_rung(self):
         # the rung 1.2 fails its Laurent check and the root rung R = (1 +
@@ -939,9 +1013,9 @@ class TestCauchyCertificate:
 
     def test_tails_meet_target(self, criterion_7_lowered):
         kinds = [s.certificate for _, s in criterion_7_lowered]
-        assert set(kinds) == {"exact", "cauchy-sampled", "fitted"}
+        assert set(kinds) == {"exact", "cauchy-sampled"}
         met = sum(s.tail_bound(0.95) <= 1e-12 for _, s in criterion_7_lowered)
-        assert met >= 475
+        assert met == 500
         # one lowering each, at the order the certificate asks for
         orders = [s.order for _, s in criterion_7_lowered
                   if s.certificate == "cauchy-sampled"]
@@ -956,13 +1030,16 @@ class TestCauchyCertificate:
         assert s.tail_bound(0.95) <= 1e-12
 
     def test_no_radius_takes_fitted_route(self):
-        # singular at 1/0.9 = 1.11: R = 1.1 and 1.05 leave too slow a decay
-        # for 256 samples, so no ladder radius counts and the order-64
-        # lowering's own (C, g) = (0.9, 0.9) sizes the order:
-        # 0.9 * 0.855^{n+1} / 0.145 <= 1e-12 first at n = 188
-        s = expr_to_series(Moebius(Quaternion(0.9)))
-        assert s.certificate == "fitted" and s.growth_rate == 0.9
-        assert s.order == 188 and s.tail_bound(0.95) <= 1e-12
+        # singular at 1/0.9 = 1.11: no ladder radius counts on 256 samples,
+        # which once sent M_{0.9} down the fitted route.  R = 1.1 fails and
+        # locates the pole, so R = 1.05 is skipped at 256 samples, and the
+        # retry by need takes it at 2,048 (R = 1.1 would need 8,192)
+        e = Moebius(Quaternion(0.9))
+        s = expr_to_series(e)
+        assert s.certificate == "cauchy-sampled"
+        assert s.growth_rate == 1.0 / 1.05 and s.tail_bound(0.95) <= 1e-12
+        assert np.allclose(e.to_series(s.order).coeffs, s.coeffs,
+                           rtol=0.0, atol=1e-14)
 
     def test_exact_trees_stay_exact(self):
         s = expr_to_series(StarMul(Sum(Identity(), Const(J)), Conj(Identity())))
