@@ -50,6 +50,7 @@ from .moebius import (
     SeriesFunc,
     StarInv,
     StarMul,
+    _check_ball,
     _memo_rows,
     _stem_inverse,
     _stem_rule,
@@ -240,7 +241,8 @@ def hyperbolic_quotient(f, p: Quaternion, z=None,
     (anywhere for an exact series).  When f(p) shows f to be a unimodular
     constant u, the quotient is u as well; else one value of the new
     quotient node decides (:func:`detect_unimodular_constant`).  Raises
-    NotSelfMap when |f(p)| > 1, and SingularDenominator when f is not judged
+    ValueError, before f is read, unless |p| < 1 - 1e-13, NotSelfMap when
+    |f(p)| > 1, and SingularDenominator when f is not judged
     a unimodular constant but |f(p)| lies within 1e-13 of the unit sphere,
     where M_{f(p)} is refused.
 
@@ -255,6 +257,7 @@ def hyperbolic_quotient(f, p: Quaternion, z=None,
     """
     if isinstance(p, (int, float)):
         p = Quaternion(p)
+    _check_ball(p)
     if isinstance(f, TaylorSeries):
         f = SeriesFunc(f)
     q0 = _probe_point(p)
@@ -302,6 +305,7 @@ def quotient_on_sphere(fs: TaylorSeries, points):
     the accuracy is that of fs.
     """
     pts = qarray.as_qarray(points)
+    _check_ball(qarray.qnorm(pts).max(initial=0.0))
     y = np.sqrt(qarray.qnorm2(pts[..., 1:]))
     z = pts[..., 0] + 1j * y
     F = se.stem(fs, z)
@@ -338,6 +342,7 @@ def hyperbolic_derivative(f, p: Quaternion) -> Quaternion:
     """
     if isinstance(p, (int, float)):
         p = Quaternion(p)
+    _check_ball(p)
     # f^h reads F' at |p|: a tail within _TAIL_TARGET * (rho - |p|) on
     # |q| <= rho has, by Cauchy, a derivative within _TAIL_TARGET at |p|
     r = abs(p)

@@ -11,8 +11,11 @@ series backend lowers the same tree to a
 tree with a sampled Cauchy certificate off the FFT of its stem on the
 certified circle; each node's recursive ``to_series(order)`` rule serves
 polynomial trees and the fitted route, and every series of a tree outside
-those rules comes from :func:`expr_to_series`.  Tests require the two
-backends to agree within the certified truncation tail.
+those rules comes from :func:`expr_to_series`.  The rules are written in
+the public *-algebra of :mod:`slicereg.series` alone: a Bullet's is the
+action (f - p) * (1 - conj(p) f)^{-*} itself, refused at the threshold that
+its stem applies.  Tests require the two backends to agree within the
+certified truncation tail.
 """
 
 from __future__ import annotations
@@ -374,28 +377,16 @@ class Bullet(FunctionExpr):
         return _stem_action(self.inner.eval_many(z, memo), self.p, self)
 
     def to_series(self, order=se.DEFAULT_ORDER):
-        # _stem_action's closed form, coefficient by coefficient (the stem
-        # map is an algebra isomorphism): s = <f, p>, n(f) and
-        # d = n(1 - conj(p) f) = 1 - 2s + |p|^2 n(f) are real series
+        # the action itself in the *-algebra, at the order star_inverse and
+        # star_mul give: the requested one, or a truncated f's if lower
         fs = self.inner.to_series(order)
-        n = order if fs.exact else min(order, fs.order)
-        a = se._pad(fs.coeffs, n)
-        p = qarray.from_quaternion(self.p)
-        w = np.array([1.0, 0.0, 0.0, 0.0]) - qarray.qmul(qarray.qconj(p), a[0])
-        s, nn, p2 = a @ p, se._norm_series(a, n), float(p @ p)
-        d = p2 * nn - 2.0 * s
-        d[0] = w @ w  # 1 - 2 s_0 + |p|^2 n_0 without its cancellation
-        if d[0] <= _SING_TOL:  # the threshold of _stem_action, on the same d
+        num = se.series_add(fs, TaylorSeries.constant(-self.p))
+        den = se.series_add(TaylorSeries.constant(Quaternion(1.0)), se.star_mul(
+            TaylorSeries.constant(-self.p.conj()), fs))
+        w = den.coeffs[0]
+        if w @ w <= _SING_TOL:  # the threshold of _stem_action, on the same d
             raise NotInvertibleAtZero(f"1 - conj(p) f(0) vanishes in {self!r}")
-        num = (1.0 - p2) * a + np.outer(2.0 * s - nn, p)
-        num[0] -= p
-        inv = se._reciprocal(d, n)
-        coeffs = se._real_times(inv, num, n)
-        # star_mul's certificate rule for the factors num and 1/d
-        cb, gr = se._fit_certificate(coeffs)
-        cn, gn = se._fit_certificate(num)
-        ci, gi = se._fit_certificate(inv[:, None])
-        return TaylorSeries(coeffs, max(cb, cn * ci), max(gr, gn, gi))
+        return se.star_mul(num, se.star_inverse(den, order=order))
 
     def to_json(self):
         return {"kind": "bullet", "p": self.p.to_json(),
@@ -543,8 +534,8 @@ class SchurChain(FunctionExpr):
             # the stem's step on [(q - r) N | (1 - r q) D]
             cols = np.hstack([x[:-1, :4] - r * x[1:, :4],
                               x[1:, 4:] - r * x[:-1, 4:]]) @ step.real
-        den = cols[:, 4:]
-        moduli = np.abs(np.roots(se._norm_series(den, 2 * len(den) - 2)[::-1]))
+        nd = se.symmetrize(TaylorSeries(cols[:, 4:], exact=True)).coeffs[:, 0]
+        moduli = np.abs(np.roots(nd[::-1]))
         return float(moduli.min()) if moduli.size else math.inf
 
     @_stem_rule

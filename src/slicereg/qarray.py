@@ -28,7 +28,6 @@ __all__ = [
     "on_slices",
     "powers",
     "moebius_action",
-    "classical_moebius",
     "uniform_ball",
 ]
 
@@ -153,19 +152,6 @@ def moebius_action(F, p):
     num = (1.0 - p2)[..., None] * F + (2.0 * s - 1.0 - n)[..., None] * p
     t = 1.0 - s
     return num, t * t + (p2 * n - s * s)
-
-
-def classical_moebius(p, q) -> np.ndarray:
-    """Classical Moebius map M_p(q) = (1 - q conj(p))^{-1} (q - p), batched.
-
-    ``p`` may be a single Quaternion or an array broadcastable against q.
-    The map equals (q - p)(1 - conj(p) q)^{-1}, the closed form of
-    :func:`moebius_action`, whose denominator is |1 - conj(p) q|^2.
-    """
-    q = as_qarray(q)
-    parr = from_quaternion(p) if isinstance(p, Quaternion) else as_qarray(p)
-    num, d = moebius_action(q, parr)
-    return num / d[..., None]
 
 
 def uniform_ball(rng: np.random.Generator, count: int, radius_cap: float) -> np.ndarray:

@@ -8,7 +8,8 @@ margin; constructors with known geometry (constants, Moebius factors) carry
 exact ones.  ``certificate`` says where (C, g) came from: ``exact`` (a
 polynomial, no tail), ``cauchy-sampled`` (a Cauchy estimate from sampled
 values of the stem, set by :func:`slicereg.moebius.expr_to_series`) or
-``fitted`` (fitted from the coefficients, or given by the caller).
+``fitted`` (fitted from the coefficients, or given by the caller), and
+``exact`` is read off it.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def _fit_certificate(coeffs: np.ndarray):
 class TaylorSeries:
     """Immutable truncated power series with quaternion coefficients."""
 
-    __slots__ = ("coeffs", "coeff_bound", "growth_rate", "exact", "certificate")
+    __slots__ = ("coeffs", "coeff_bound", "growth_rate", "certificate")
 
     def __init__(self, coeffs, coeff_bound=None, growth_rate=None, exact=False,
                  certificate="fitted"):
@@ -99,6 +100,8 @@ class TaylorSeries:
             raise ValueError("certificate constants must be nonnegative")
         if certificate not in _CERTIFICATES:
             raise ValueError(f"unknown certificate kind {certificate!r}")
+        if certificate == "exact" and not exact:
+            raise ValueError("an exact certificate needs exact=True")
         norms = _row_norms(coeffs)
         caps = coeff_bound * growth_rate ** np.arange(len(norms))
         if np.any(norms > caps + _CERT_SLACK * max(1.0, norms.max(initial=0.0))):
@@ -106,8 +109,6 @@ class TaylorSeries:
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "coeff_bound", float(coeff_bound))
         object.__setattr__(self, "growth_rate", float(growth_rate))
-        # exact means the function IS this polynomial: zero truncation tail
-        object.__setattr__(self, "exact", bool(exact))
         object.__setattr__(self, "certificate",
                            "exact" if exact else certificate)
 
@@ -137,6 +138,12 @@ class TaylorSeries:
         return cls(np.array([a0.components(), a1.components()]), exact=True)
 
     # -- views --------------------------------------------------------
+
+    @property
+    def exact(self) -> bool:
+        """Whether the function IS this polynomial, with no truncation tail:
+        the ``exact`` certificate, read off it."""
+        return self.certificate == "exact"
 
     @property
     def order(self) -> int:

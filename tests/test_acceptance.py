@@ -337,7 +337,8 @@ def test_criterion_9_ball_lemma():
     c0 = qarray.uniform_ball(rng, count, 0.9)
     r0 = rng.uniform(0.05, 0.95, count)
     q = qarray.uniform_ball(rng, count, 0.98)
-    rho_vals = qarray.qnorm(qarray.classical_moebius(c0, q))
+    num, d = qarray.moebius_action(q, c0)
+    rho_vals = qarray.qnorm(num / d[:, None])
     in_pseudo = rho_vals < r0
     c0n2 = qarray.qnorm2(c0)
     den = 1.0 - c0n2 * r0 * r0

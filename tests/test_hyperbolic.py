@@ -149,6 +149,26 @@ class TestQuotients:
                                  r"5e-14 inside the unit sphere"):
             hyperbolic_quotient(Const(1 - 5e-14), Quaternion(0.9999))
 
+    def test_quotient_refuses_a_point_outside_the_ball(self):
+        # p is checked before f is read, so f is not blamed for |f(p)| > 1
+        f = PointSpy(Moebius(Quaternion(0.3)))
+        for p in (Quaternion(1.5), Quaternion(0.0, 1.0 - 1e-14)):
+            with pytest.raises(ValueError, match="p must lie strictly inside"):
+                hyperbolic_quotient(f, p)
+        assert f.points == []
+
+    def test_derivative_refuses_a_point_outside_the_ball(self):
+        m = Moebius(Quaternion(0.3))
+        for f in (m, m.to_series(32)):
+            with pytest.raises(ValueError, match="p must lie strictly inside"):
+                hyperbolic_derivative(f, Quaternion(1.2))
+
+    def test_quotient_on_sphere_refuses_points_outside_the_ball(self):
+        fs = Moebius(Quaternion(0.3)).to_series(32)
+        points = np.array([[0.1, 0.2, 0.0, 0.0], [1.2, 0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="p must lie strictly inside"):
+            quotient_on_sphere(fs, points)
+
     def test_square_at_origin_is_identity(self, rng):
         hq = hyperbolic_quotient(Q2, ZERO)
         for _ in range(30):

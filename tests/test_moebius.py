@@ -684,18 +684,20 @@ class TestBulletSeries:
             worst = max(worst, exact_relative_error(got.coeffs, exact))
         assert worst <= 6e-16
 
-    def test_one_series_per_node(self, monkeypatch):
-        # real scalar series only: no pass through the quaternion series
-        # algebra, and one TaylorSeries for each of the three nodes
-        for name in ("symmetrize", "conjugate", "star_mul"):
-            monkeypatch.setattr(se, name, None)
-        created = []
-        init = TaylorSeries.__init__
-        monkeypatch.setattr(TaylorSeries, "__init__", lambda self, *a, **k:
-                            created.append(1) or init(self, *a, **k))
-        e = Bullet(P_IMAG, StarInv(Moebius(Quaternion(0.2, -0.3, 0.1, 0.4))))
-        s = e.to_series(32)
-        assert s.order == 32 and len(created) == 3
+    @pytest.mark.parametrize("g", [1e-5, 1e-6, 3.3e-7])
+    def test_accurate_next_to_the_singular_point(self, g):
+        # |1 - conj(p) a_0| = g, next to the refusal at 1e-13 = d_0 = g^2:
+        # the series is (a_0 - p) / (1 - p a_0) and zeros, within 1.5e-16
+        # relative; the bound leaves room for a few ulps
+        a0 = 2.0 - 2.0 * g
+        s = Bullet(Quaternion(0.5), Const(a0)).to_series(16)
+        exact = (Fraction(a0) - Fraction(1, 2)) / (1 - Fraction(a0) / 2)
+        expect = np.zeros((17, 4), dtype=object)
+        expect[0, 0] = exact
+        err = max(abs(Fraction(float(x)) - y)
+                  for x, y in zip(s.coeffs.ravel(), expect.ravel()))
+        assert s.order == 16
+        assert err <= 1e-15 * abs(exact)
 
     def test_singular_constant_raises(self):
         # 1 - conj(p) a_0 = 1 - 0.5 * 2 = 0
@@ -709,9 +711,9 @@ class TestBulletSeries:
             Bullet(Quaternion(0.5), Const(2.0 - 2e-7)).to_series(16)
         with pytest.raises(SingularDenominator):
             Bullet(Quaternion(0.5), Const(2.0 - 2e-7)).eval(ZERO)
-        # at 1e-6 it lowers.  The closed form's numerator cancels to O(1e-6)
-        # there, so the constant (a_0 - p) / (1 - p a_0) = 1.5e6 is within
-        # 6.7e-11 relative; the bound is twice that
+        # at 1e-6 it lowers, and the constant (a_0 - p) / (1 - p a_0) =
+        # 1.5e6 is within 1.4e-10 relative, a bound that
+        # test_accurate_next_to_the_singular_point tightens to 1e-15
         a0 = 2.0 - 2e-6
         s = Bullet(Quaternion(0.5), Const(a0)).to_series(16)
         exact = (Fraction(a0) - Fraction(1, 2)) / (1 - Fraction(a0) / 2)

@@ -161,6 +161,21 @@ class TestConstruction:
         # the kind is not serialised
         assert f.to_json() == TaylorSeries(coeffs, 1.0, 0.5).to_json()
 
+    def test_exact_is_read_off_the_certificate(self):
+        # a series records its exactness once: an exact certificate without
+        # exact=True is refused, so no series has a tail it claims not to
+        coeffs = [[0.5, 0, 0, 0], [0.3, 0, 0, 0]]
+        with pytest.raises(ValueError, match="exact"):
+            TaylorSeries(coeffs, certificate="exact")
+        f = TaylorSeries(coeffs, exact=True)
+        assert f.exact and f.certificate == "exact"
+        assert f.tail_bound(0.9) == 0.0 and f.to_json()["exact"] is True
+        for kind in ("cauchy-sampled", "fitted"):
+            g = TaylorSeries(coeffs, 1.0, 0.5, certificate=kind)
+            assert not g.exact and g.tail_bound(0.9) > 0.0
+        with pytest.raises(AttributeError):
+            f.exact = False
+
 
 class TestStarMul:
     def test_constants(self):
