@@ -213,8 +213,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (OSError, ValueError, KeyError, TypeError, RecursionError,
-            SliceRegError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError,
+            RecursionError, SliceRegError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         print(f"error: {getattr(args, 'error_prefix', '')}{detail}",
               file=sys.stderr)

@@ -3,9 +3,10 @@
 The hyperbolic difference quotient of a self-map f at p is the slice
 regular function f*_p = M_p^{-*} * (M_{f(p)} . f), an expression node
 (:class:`HyperbolicQuotient`) that evaluates through the stem of its tree,
-whatever f is: an expression, a series or another quotient.  The tree is
-singular on the sphere S_p of p, a removable singularity of f*_p; a batch
-the tree refuses is read from the division-route series
+whatever f is: an expression, a series or another quotient.  M_p^{-*} is
+one leaf, with the closed-form stem (z - p)^{-1} (1 - z conj(p)).  The
+tree is singular on the sphere S_p of p, a removable singularity of f*_p;
+a batch the tree refuses is read from the division-route series
 (:func:`quotient_series`) in the same stem pass.  The hyperbolic derivative
 f^h(p) = f*_p(p) needs neither: the stem of f at the one complex point of p
 fixes f*_p on that whole sphere (:func:`quotient_on_sphere`).
@@ -19,7 +20,7 @@ r = 0.6.  A quotient's input is judged at q0 = p, from the f(p) that the
 quotient needs anyway; the new quotient at whichever of 0 and 1/2 lies
 farther from S_p; and a series at q0 = 0, from its constant coefficient.
 Building a quotient reads f once, over slice points that start at p and
-hold q0, and evaluates its four new nodes once, over the rows after p, off
+hold q0, and evaluates its three new nodes once, over the rows after p, off
 S_p; the probe reads the new quotient at q0 off that pass.  Several
 quotients of one f, or a chain of them, share one such pass: a caller
 evaluates f once over all its points (the quotient points first, then
@@ -46,10 +47,9 @@ from .moebius import (
     Bullet,
     Const,
     FunctionExpr,
-    Moebius,
     SeriesFunc,
-    StarInv,
     StarMul,
+    _MoebiusInverse,
     _check_ball,
     _memo_rows,
     _stem_inverse,
@@ -248,7 +248,7 @@ def hyperbolic_quotient(f, p: Quaternion, z=None,
 
     f is read once, over the complex slice points ``z``: the first is that
     of p, and the rest hold that of the probe point q0 (by default z is
-    just these two).  The four new nodes are evaluated once, over z[1:],
+    just these two).  The three new nodes are evaluated once, over z[1:],
     the rows after p, and the probe reads its value at q0 off that pass.
     ``memo``, given with z, holds the stems at z of nodes already evaluated
     there, f's among them or not (see :func:`~slicereg.moebius.eval_all`);
@@ -282,7 +282,7 @@ def hyperbolic_quotient(f, p: Quaternion, z=None,
         raise SingularDenominator(
             f"|f(p)| = {abs(fp):.17g} lies {1.0 - abs(fp):.3g} inside the unit "
             "sphere: too close for M_{f(p)}, too far for a unimodular constant")
-    hq = HyperbolicQuotient(f, p, StarMul(StarInv(Moebius(p)), Bullet(fp, f)))
+    hq = HyperbolicQuotient(f, p, StarMul(_MoebiusInverse(p), Bullet(fp, f)))
     hq.eval_many(z[1:], memo)
     # the verdict is set before the node leaves this function
     object.__setattr__(hq, "unimodular_value", detect_unimodular_constant(

@@ -5,7 +5,10 @@ through its stem function F: C -> H(x)C, where f(x + Iy) = Re F(x + iy) +
 I Im F(x + iy) and the complex unit i commutes with H.  On stems the
 *-product, the regular conjugate and the *-inverse act pointwise, so every
 node has a one-line stem rule and one evaluation visits each node once
-(:func:`slicereg.qarray.on_slices` reads the values off the stem).  The
+(:func:`slicereg.qarray.on_slices` reads the values off the stem).  A
+Moebius factor's stem is its own rational function of z, with constants
+fixed at construction (:func:`_moebius_stem`); only a Bullet, whose inner
+stem is arbitrary, runs the Sp(1,1) action on stems.  The
 series backend lowers the same tree to a
 :class:`~slicereg.series.TaylorSeries`.  :func:`expr_to_series` reads a
 tree with a sampled Cauchy certificate off the FFT of its stem on the
@@ -33,7 +36,7 @@ from .errors import (
     SingularPoint,
     SliceRegError,
 )
-from .quaternion import Quaternion
+from .quaternion import ONE, Quaternion
 from .series import TaylorSeries
 
 __all__ = [
@@ -137,6 +140,52 @@ def _stem_inverse(F, error, node) -> np.ndarray:
     return qarray.qconj(F) / n[..., None]
 
 
+def _moebius_constants(p: Quaternion, u: Quaternion):
+    """The constants (u, v u, Re p, |Im p|^2) of :func:`_moebius_stem` for
+    M_p u, with v = Im p: the Hamilton product v u is formed in floats."""
+    x, v1, v2, v3 = p.components()
+    u0, u1, u2, u3 = u.components()
+    vu = (-v1 * u1 - v2 * u2 - v3 * u3, v1 * u0 + v2 * u3 - v3 * u2,
+          v2 * u0 + v3 * u1 - v1 * u3, v3 * u0 + v1 * u2 - v2 * u1)
+    return (np.array(u.components()), np.array(vu), x,
+            v1 * v1 + v2 * v2 + v3 * v3)
+
+
+def _moebius_stem(z, u, vu, x, y2, node, inverse=False) -> np.ndarray:
+    """The stem of a Moebius factor at complex points z, from the constants
+    (u, v u, x, y2) of :func:`_moebius_constants` for M_p u, p = x + v.
+
+    As v^2 = -y2, (1 - z conj(p))^{-1} = (1 - z p) / d with d =
+    n(1 - z conj(p)) = (1 - z x)^2 + z^2 y2, and (1 - z p)(z - p) = a - b v
+    with a = (1 - z x)(z - x) - z y2 and b = (1 - z x) + z (z - x): the stem
+    is (a u - b v u) / d.  Kept as products, a and b cancel only where their
+    factors do; expanded, z (1 + p^2) - (1 + z^2) p cancels wherever
+    (z - p)(1 - z p) is small against its terms.  With ``inverse`` and the
+    constants of M_{conj(p)}, it is the stem (z - p)^{-1} (1 - z conj(p)) =
+    (z - conj(p))(1 - z conj(p)) / n(z - p) of M_p^{-*}, n(z - p) =
+    (z - x)^2 + y2.
+
+    It refuses as StarInv(Moebius(p)) does: SingularDenominator where
+    |d| <= _SING_TOL, the threshold of :func:`_stem_action`, then, for the
+    inverse, SingularPoint where |n(z - p)| <= _SING_TOL |d|, that is where
+    n(M_p(z)) <= _SING_TOL.  Constants stacked over a family of factors
+    broadcast against z, and every step is elementwise, so that the family
+    and each factor alone agree bitwise.
+    """
+    w, s = 1.0 - z * x, z - x
+    zy2 = z * y2
+    d = w * w + z * zy2
+    size = np.abs(d)
+    if (size <= _SING_TOL).any():
+        raise SingularDenominator(f"{node!r} is singular on a sample")
+    if inverse:
+        d = s * s + y2
+        if (np.abs(d) <= _SING_TOL * size).any():
+            raise SingularPoint(f"{node!r} is singular on a sample")
+    a, b = w * s - zy2, w + z * s
+    return (a[..., None] * u - b[..., None] * vu) / d[..., None]
+
+
 def _stem_action(F, p, node) -> np.ndarray:
     """M_p . F = (F - p)(1 - conj(p) F)^{-1} in the closed form of
     :func:`slicereg.qarray.moebius_action`, raising SingularDenominator where
@@ -226,7 +275,7 @@ class Identity(FunctionExpr):
 class Moebius(FunctionExpr):
     """Regular Moebius transformation M_p followed by a right factor u."""
 
-    __slots__ = ("p", "u", "_pu")
+    __slots__ = ("p", "u", "_consts")
 
     def __init__(self, p: Quaternion, u: Quaternion = Quaternion(1.0)):
         if isinstance(p, (int, float)):
@@ -237,14 +286,11 @@ class Moebius(FunctionExpr):
         _check_unimodular(u)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "u", u)
-        object.__setattr__(self, "_pu", p * u)
+        object.__setattr__(self, "_consts", _moebius_constants(p, u))
 
     @_stem_rule
     def eval_many(self, z, memo):
-        # (1 - z conj(p))^{-1} (z - p) u = (z u - p u)(1 - conj(p u) z u)^{-1}
-        # since z commutes with H and |u| = 1: this is M_{pu} . (z u)
-        u = qarray.from_quaternion(self.u)
-        return _stem_action(z[..., None] * u, self._pu, self)
+        return _moebius_stem(z, *self._consts, self)
 
     def to_series(self, order=se.DEFAULT_ORDER):
         # a_0 = -p u and a_m = (1 - |p|^2) conj(p)^{m-1} u for m >= 1
@@ -266,6 +312,29 @@ class Moebius(FunctionExpr):
 
     def __repr__(self):
         return f"Moebius({self.p!r}, {self.u!r})"
+
+
+class _MoebiusInverse(FunctionExpr):
+    """M_p^{-*}, the left factor of a hyperbolic quotient, as one leaf: its
+    stem (z - p)^{-1} (1 - z conj(p)) is that of M_{conj(p)} over n(z - p)
+    (:func:`_moebius_stem`).  A quotient lowers through its division-route
+    series, never through its tree, so the leaf has no series or JSON."""
+
+    __slots__ = ("p", "_consts")
+
+    def __init__(self, p: Quaternion):
+        _check_ball(p)
+        u, vu, x, y2 = _moebius_constants(p, ONE)
+        object.__setattr__(self, "p", p)
+        # the constants of M_{conj(p)}, whose imaginary part is -v
+        object.__setattr__(self, "_consts", (u, -vu, x, y2))
+
+    @_stem_rule
+    def eval_many(self, z, memo):
+        return _moebius_stem(z, *self._consts, self, inverse=True)
+
+    def __repr__(self):
+        return f"_MoebiusInverse({self.p!r})"
 
 
 class Sum(FunctionExpr):

@@ -15,6 +15,7 @@ values of the stem, set by :func:`slicereg.moebius.expr_to_series`) or
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -174,9 +175,21 @@ class TaylorSeries:
 
     @classmethod
     def from_json(cls, d):
-        return cls(np.asarray(d["coeffs"], dtype=float),
-                   d.get("coeffBound"), d.get("growthRate"),
-                   d.get("exact", False))
+        """The series of :meth:`to_json` data.  ``exact`` must be a JSON
+        boolean, and ``coeffBound`` and ``growthRate`` finite numbers given
+        together, or both left out for a fitted certificate; anything else
+        raises ValueError rather than reading as another certificate."""
+        exact = d.get("exact", False)
+        if not isinstance(exact, bool):
+            raise ValueError(f'series "exact" must be true or false, got '
+                             f'{exact!r}')
+        cert = [d.get(k) for k in ("coeffBound", "growthRate")]
+        if cert != [None, None] and not all(
+                isinstance(c, (int, float)) and not isinstance(c, bool)
+                and abs(c) <= sys.float_info.max for c in cert):
+            raise ValueError('series "coeffBound" and "growthRate" must be '
+                             f'finite numbers given together, got {cert!r}')
+        return cls(np.asarray(d["coeffs"], dtype=float), *cert, exact)
 
     def __repr__(self):
         return (f"TaylorSeries(order={self.order}, C={self.coeff_bound:.3g}, "

@@ -18,8 +18,9 @@ samples.  Each quotient f*_p (or link of a chain of quotients) is built by
 :func:`~slicereg.hyperbolic.hyperbolic_quotient` from the memo of that pass,
 and evaluates only its own nodes, over the rows after its p.  The
 Schwarz-Pick cases of a family of B maps take their stems at the samples
-from that pass, and all B actions M_{f(p)} take one broadcast call, as do
-all B maps M_p.
+from that pass, and all B actions M_{f(p)} take one broadcast call.  All B
+maps M_p take one broadcast call of the closed-form Moebius stem, over the
+stacked constants of their Moebius nodes.
 """
 
 from __future__ import annotations
@@ -44,12 +45,13 @@ from .hyperbolic import (
 )
 from .moebius import (
     FunctionExpr,
+    Moebius,
     SeriesFunc,
     _check_ball,
     _circle_spectrum,
     _is_polynomial,
     _memo_rows,
-    _scalar_stem,
+    _moebius_stem,
     _stem_action,
     expr_to_series,
 )
@@ -207,16 +209,19 @@ def _spl_cases(stems, values, ps, points, labels):
     its value f(p) at its point p, rows of the (B, 4) arrays ``values`` and
     ``ps``, one case per map.  ``stems`` holds the maps' stems at the slice
     points of the samples q, as (B, P, 4), or (1, P, 4) for one map shared
-    by all.  The B actions M_{f(p)} and the B maps M_p each take one
-    broadcast action.  Samples within 1e-6 of p, where equality holds, are
-    skipped."""
+    by all.  The B actions M_{f(p)} take one broadcast action, and the B
+    maps M_p one broadcast call of the stem of their Moebius nodes.
+    Samples within 1e-6 of p, where equality holds, are skipped."""
+    if not len(ps):
+        return  # no map, no case
     for v in values:  # M_{f(p)} needs |f(p)| < 1, as Bullet does
         _check_ball(qarray.to_quaternion(v), "f(p)")
+    maps = [np.array(c)[:, None] for c in zip(*(
+        Moebius(qarray.to_quaternion(p))._consts for p in ps))]
 
     def stem(z):
         bullets = _stem_action(stems, values[:, None], "M_{f(p)} . f")
-        return np.concatenate(
-            [bullets, _stem_action(_scalar_stem(z), ps[:, None], "M_p")])
+        return np.concatenate([bullets, _moebius_stem(z, *maps, "M_p")])
     norms = qarray.qnorm(qarray.on_slices(points, stem))
     for p, lhs, rhs, label in zip(ps, norms, norms[len(ps):], labels):
         keep = qarray.qnorm(points - p) > 1e-6

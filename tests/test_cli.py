@@ -285,6 +285,22 @@ class TestCrosscheck:
 
 
 
+    @pytest.mark.parametrize("fields", [
+        {"exact": "false"}, {"coeffBound": 1.0},
+        {"coeffBound": True, "growthRate": 0.6},
+        {"coeffBound": 10 ** 400, "growthRate": 0.6},
+    ], ids=["exact_string", "bound_alone", "bound_bool", "bound_overflows"])
+    def test_malformed_series_certificate_is_a_one_line_error(self, fields,
+                                                              capsys):
+        # "exact": "false" made the series exact, so that the check passed
+        # with no tail; the lone or boolean constant became another (C, g);
+        # an integer beyond the float range raised OverflowError, which
+        # ended in a traceback
+        expr = {"kind": "series",
+                "coeffs": [[0.5, 0, 0, 0], [0.3, 0, 0, 0]], **fields}
+        assert cli.main(["crosscheck", "--f", json.dumps(expr)]) == 1
+        assert one_line_error(capsys)
+
     def test_negative_count_is_a_one_line_error(self, capsys):
         expr = {"kind": "moebius", "p": [0.3, 0.1, 0.0, 0.2]}
         rc = cli.main(["crosscheck", "--f", json.dumps(expr), "--count", "-1"])

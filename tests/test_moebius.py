@@ -13,6 +13,7 @@ from slicereg.errors import (
     NotInvertibleAtZero,
     SingularDenominator,
     SingularPoint,
+    SliceRegError,
 )
 from slicereg.interpolation import (
     InterpolationProblem,
@@ -417,6 +418,133 @@ class TestExactStems:
     def test_interpolant(self, rng):
         # about 0.15 s a point in exact arithmetic
         self._check(_interpolant_8(), rng, count=4, per_circle=2)
+
+
+def _exact_inverse_stem(p: Quaternion, z: _ExactC):
+    """The stem (z - p)^{-1} (1 - z conj(p)) of M_p^{-*} in exact
+    arithmetic."""
+    zz, q = _h_scalar(z), _h(p)
+    den = _h_sub(_h_scalar(_ExactC(1)), _h_mul(zz, _h_conj(q)))
+    return _h_mul(_h_inv(_h_sub(zz, q), []), den)
+
+
+def _relative_errors(got, exact, floor=0.0):
+    """|got - exact| / max(floor, |exact|) row by row, for exact stems
+    given as 4-tuples of _ExactC."""
+    exact = np.array([[complex(float(c.a), float(c.b)) for c in x]
+                      for x in exact])
+    return np.linalg.norm(got - exact, axis=1) / np.maximum(
+        floor, np.linalg.norm(exact, axis=1))
+
+
+# a unit quaternion whose floating-point norm is 1 - 1.1e-16, and points p
+# with real ones among them
+U_ROUNDED = Quaternion(*(np.array([1.0, -2.0, 3.0, 4.0]) / math.sqrt(30.0)))
+CLOSED_FORM_PS = [Quaternion(0.9), Quaternion(-0.3), P_IMAG,
+                  Quaternion(-0.7, 0.1, 0.0, 0.3), ZERO]
+
+
+class TestClosedFormStems:
+    """The closed-form stems (a u - b v u) / d of Moebius(p, u) and of the
+    quotient's M_p^{-*} leaf (moebius._moebius_stem) against their defining
+    formulas (1 - z conj(p))^{-1} (z - p) u and (z - p)^{-1} (1 - z conj(p))
+    in exact arithmetic."""
+
+    @staticmethod
+    def sphere(p: Quaternion):
+        """x + iy and x - iy, where n(z - p) vanishes: S_p on the slice."""
+        return [complex(p.w, p.im_norm()), complex(p.w, -p.im_norm())]
+
+    def poles(self, p: Quaternion):
+        """(x + iy) / |p|^2 and its conjugate, where n(1 - z conj(p))
+        vanishes: the poles of M_p."""
+        return [z / p.abs2() for z in self.sphere(p)]
+
+    @staticmethod
+    def next_to(z0, distance=1e-3):
+        """Points at relative distance ``distance`` from z0, on 7 angles."""
+        return z0 * (1.0 + distance * np.exp(1j * np.linspace(0.3, 6.0, 7)))
+
+    def test_on_the_disc(self):
+        # 24 points of the 0.95-disc, errors relative to max(1, |F|): the
+        # worst is 3.3e-16 for Moebius and 3.5e-16 for M_p^{-*}; the general
+        # action that Moebius ran before was off by 1.0e-14 at p = 0.9,
+        # z = 0.95, and StarInv(Moebius(p)) by 1.5e-14
+        rng = np.random.default_rng(61)
+        zs = np.concatenate([[0.0, 0.95, -0.95, 0.95j], 0.95 * np.sqrt(
+            rng.random(20)) * np.exp(1j * np.pi * rng.random(20))])
+        for p in CLOSED_FORM_PS:
+            for u in (U_ROUNDED, U):
+                e = Moebius(p, u)
+                exact = [_exact_stem(e, _ExactC(z.real, z.imag), [])
+                         for z in zs]
+                assert _relative_errors(e.eval_many(zs), exact, 1.0).max() \
+                    <= 1e-15
+            e = mo._MoebiusInverse(p)
+            zs_off = zs[zs != 0.0] if p == ZERO else zs
+            exact = [_exact_inverse_stem(p, _ExactC(z.real, z.imag))
+                     for z in zs_off]
+            assert _relative_errors(e.eval_many(zs_off), exact, 1.0).max() \
+                <= 1e-15
+
+    def test_next_to_the_pole(self):
+        # at relative distance 1e-3 from a pole of M_p, and for M_p^{-*}
+        # also from its zeros there and from its own poles on S_p, the worst
+        # relative error is 1.5e-13.  The general action that Moebius ran
+        # before was off by 3.3e-10 at the real p = 0.9 and -0.3 with u =
+        # U_ROUNDED, and StarInv(Moebius(p)) by 2.2e-10 at its zeros and
+        # 4.0e-13 next to S_p
+        worst = 0.0
+        for p in CLOSED_FORM_PS[:-1]:
+            e, inv = Moebius(p, U_ROUNDED), mo._MoebiusInverse(p)
+            for z0 in self.poles(p):
+                zs = self.next_to(z0)
+                for node, rule in (
+                        (e, lambda z: _exact_stem(e, z, [])),
+                        (inv, lambda z: _exact_inverse_stem(p, z))):
+                    exact = [rule(_ExactC(z.real, z.imag)) for z in zs]
+                    worst = max(worst, _relative_errors(
+                        node.eval_many(zs), exact).max())
+            for z0 in self.sphere(p):
+                zs = self.next_to(z0)
+                exact = [_exact_inverse_stem(p, _ExactC(z.real, z.imag))
+                         for z in zs]
+                worst = max(worst, _relative_errors(inv.eval_many(zs),
+                                                    exact).max())
+        assert worst <= 1e-12
+
+    @staticmethod
+    def refusal(node, z):
+        try:
+            node.eval_many(np.atleast_1d(z))
+        except SliceRegError as exc:
+            return type(exc)
+        return None
+
+    @pytest.mark.parametrize("p", CLOSED_FORM_PS)
+    def test_refuses_where_the_inverse_of_moebius_refuses(self, p):
+        # on S_p, inside the band n(M_p(z)) <= 1e-13 and a factor 10 outside
+        # it, and at a pole of M_p, alone or in a batch with a point of S_p:
+        # the leaf raises exactly where StarInv(Moebius(p)) raises, with the
+        # same exception type
+        leaf, tree = mo._MoebiusInverse(p), StarInv(Moebius(p))
+        x, y = p.w, p.im_norm()
+        sphere = self.sphere(p)[0]
+        d = abs((1.0 - sphere * x) ** 2 + sphere ** 2 * y * y)
+        cases = [(sphere, SingularPoint)]
+        for ratio, raises in ((1e-15, True), (1e-14, True), (1e-12, False),
+                              (1e-11, False)):
+            # n(z - p) = 2 i y eps + eps^2 next to x + iy
+            eps = ratio * d / (2.0 * y) if y else math.sqrt(ratio * d)
+            cases += [(z, SingularPoint if raises else None)
+                      for z in (sphere + eps, sphere + 1j * eps)]
+        if p != ZERO:
+            pole = self.poles(p)[0]
+            cases += [(pole, SingularDenominator),
+                      (np.array([sphere, pole]), SingularDenominator)]
+        for z, expect in cases:
+            assert self.refusal(tree, z) is expect
+            assert self.refusal(leaf, z) is expect
 
 
 def _nested(nodes, ps, h):

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 from fractions import Fraction
 
@@ -143,6 +144,30 @@ class TestConstruction:
         g = TaylorSeries.from_json(f.to_json())
         assert np.array_equal(f.coeffs, g.coeffs)
         assert g.exact
+
+    def test_json_roundtrip_keeps_the_certificate(self):
+        coeffs = [[0.5, 0, 0, 0], [0.3, 0, 0, 0]]
+        for f in (TaylorSeries(coeffs), TaylorSeries(coeffs, 1.0, 0.6),
+                  TaylorSeries(coeffs, 1.0, 0.5, certificate="cauchy-sampled")):
+            g = TaylorSeries.from_json(json.loads(json.dumps(f.to_json())))
+            assert g.to_json() == f.to_json() and not g.exact
+
+    @pytest.mark.parametrize("fields", [
+        {"exact": "false"}, {"exact": 0}, {"exact": None},
+        {"coeffBound": 1.0}, {"growthRate": 0.6},
+        {"coeffBound": True, "growthRate": 0.6},
+        {"coeffBound": 1.0, "growthRate": "0.6"},
+        {"coeffBound": float("nan"), "growthRate": 0.6},
+        {"coeffBound": 10 ** 400, "growthRate": 0.6},
+    ], ids=["exact_string", "exact_int", "exact_null", "bound_alone",
+            "growth_alone", "bound_bool", "growth_string", "bound_nan",
+            "bound_overflows"])
+    def test_json_refuses_a_malformed_certificate(self, fields):
+        # each was read as another certificate: "false" as exact, a lone
+        # constant as a fitted (C, g), true as C = 1
+        data = {"coeffs": [[0.5, 0, 0, 0], [0.3, 0, 0, 0]], **fields}
+        with pytest.raises(ValueError):
+            TaylorSeries.from_json(data)
 
     def test_certificate_kind(self):
         coeffs = [[1, 0, 0, 0], [0.5, 0, 0, 0]]
