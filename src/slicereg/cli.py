@@ -146,23 +146,25 @@ def cmd_grid(args) -> int:
     # outer index and x varies fastest
     half = 0.95 / math.sqrt(2.0)
     coords = np.linspace(-half, half, res) if res > 1 else np.array([0.0])
-    ys, xs = (c.ravel() for c in np.meshgrid(coords, coords, indexing="ij"))
-    pts = np.zeros((res * res, 4))
-    pts[:, 0] = xs
-    pts[:, 1:] = ys[:, None] * np.array([axis.x, axis.y, axis.z])
-    vals = f.eval_many(pts)
-    imag_along = vals[:, 1] * axis.x + vals[:, 2] * axis.y + vals[:, 3] * axis.z
-    cols = (xs, ys, qarray.qnorm(vals), vals[:, 0], imag_along)
     row = "%.17g,%.17g,%.17g,%.17g,%.17g\n".__mod__
     sys.stdout.write("x,y,abs,re,arg\n")
-    # written _GRID_ROWS rows at a time, so that only one block of lines is
-    # held as Python strings
-    for start in range(0, res * res, _GRID_ROWS * res):
-        x, y, mod, re_w, imag = (c[start:start + _GRID_ROWS * res].tolist()
-                                 for c in cols)
+    # evaluated and written _GRID_ROWS rows at a time, so that only one
+    # block of points, values and lines is held at once
+    for start in range(0, res, _GRID_ROWS):
+        ys, xs = (c.ravel() for c in np.meshgrid(
+            coords[start:start + _GRID_ROWS], coords, indexing="ij"))
+        pts = np.zeros((len(xs), 4))
+        pts[:, 0] = xs
+        pts[:, 1:] = ys[:, None] * np.array([axis.x, axis.y, axis.z])
+        vals = f.eval_many(pts)
+        imag = (vals[:, 1] * axis.x + vals[:, 2] * axis.y
+                + vals[:, 3] * axis.z).tolist()
+        re_w = vals[:, 0].tolist()
         # math.atan2 per element: np.arctan2 can differ in the last digit
         angles = map(math.atan2, imag, re_w)
-        sys.stdout.write("".join(map(row, zip(x, y, mod, re_w, angles))))
+        sys.stdout.write("".join(map(row, zip(
+            xs.tolist(), ys.tolist(), qarray.qnorm(vals).tolist(), re_w,
+            angles))))
     return 0
 
 
@@ -212,7 +214,9 @@ def main(argv=None) -> int:
     args = argparse.Namespace()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # a non-finite value is reported as such, never warned about
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (OSError, ValueError, KeyError, TypeError, OverflowError,
             RecursionError, SliceRegError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc

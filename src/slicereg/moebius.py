@@ -526,7 +526,7 @@ class SchurChain(FunctionExpr):
     polynomial entries sum to about prod(1 + |r_k|), while |D(z)| can be as
     small as prod |1 - r_k z| next to clustered nodes, so neither the stem
     nor the lowering works from them: to_series lowers the nested chain,
-    and the polynomial D only gives the pole radius (:meth:`_root_radius`).
+    and the circles of :func:`_cauchy_radius` locate the poles of f.
     The step matrices are formed on first use, so that building a solution
     costs no more than storing r_k, p_k and h.
     """
@@ -568,45 +568,6 @@ class SchurChain(FunctionExpr):
                                                 steps.astype(complex)))
         return self._steps
 
-    def _root_radius(self):
-        """The smallest root modulus R0 of the real polynomial n(D) = D D^c
-        when h is a constant, an exact series or a Moebius factor, with N
-        and D the recurrence on coefficients from h = N * D^{-*}: (h, 1), or
-        (q - p, conj(u) (1 - q conj(p))) for M_p u.  The stem is then
-        rational, with poles only at those roots.  inf for any other h, or
-        when n(D) is constant.  A root that N shares is no pole, and only
-        costs a smaller R; next to clustered nodes the roots of n(D) are
-        ill-conditioned and R0 can be far off either way, so the Laurent
-        check of :func:`_cauchy_radius` guards the radius taken from it.
-        """
-        h, one = self.h, np.array([[1.0, 0.0, 0.0, 0.0]])
-        if isinstance(h, Const):
-            num, den = np.array([h.value.components()]), one
-        elif isinstance(h, SeriesFunc) and h.series.exact:
-            num, den = h.series.coeffs, one
-        elif isinstance(h, Moebius):
-            hp, ubar = (qarray.from_quaternion(x) for x in (h.p, h.u.conj()))
-            num = np.stack([-hp, one[0]])
-            den = np.stack([ubar, -qarray.qmul(ubar, qarray.qconj(hp))])
-        else:
-            return math.inf
-        nodes, steps = self._step_matrices()
-        if len(nodes) and not num.any():
-            # h = 0: the last step gives N = -p_n (1 - r_n q) and
-            # D = 1 - r_n q, whose common root 1 / r_n is no pole of f
-            num = np.array([(-self.ps[-1]).components()])
-            nodes, steps = nodes[:-1], steps[:-1]
-        cols = np.zeros((max(len(num), len(den)), 8))
-        cols[:len(num), :4], cols[:len(den), 4:] = num, den
-        for r, step in zip(nodes[::-1], steps[::-1]):
-            x = np.pad(cols, ((1, 1), (0, 0)))
-            # the stem's step on [(q - r) N | (1 - r q) D]
-            cols = np.hstack([x[:-1, :4] - r * x[1:, :4],
-                              x[1:, 4:] - r * x[:-1, 4:]]) @ step.real
-        nd = se.symmetrize(TaylorSeries(cols[:, 4:], exact=True)).coeffs[:, 0]
-        moduli = np.abs(np.roots(nd[::-1]))
-        return float(moduli.min()) if moduli.size else math.inf
-
     @_stem_rule
     def eval_many(self, z, memo):
         nodes, steps = self._step_matrices()
@@ -644,7 +605,7 @@ class SchurChain(FunctionExpr):
 
 
 # Cauchy certificates: radii tried largest first, samples per circle (and
-# the most the root rung and the retry of _cauchy_radius take), how many
+# the most a rung that _cauchy_radius places takes), how many
 # Laurent coefficients c_{-1} ... c_{-K} must vanish relative to the largest
 # coefficient for F to count as analytic on the closed disc, the floor above
 # which a failed Laurent part is read for its singularity and the margin
@@ -654,7 +615,6 @@ class SchurChain(FunctionExpr):
 _CAUCHY_RADII = (3.0, 2.0, 1.6, 1.35, 1.2, 1.1, 1.05)
 _CAUCHY_SAMPLES = 256
 _CAUCHY_MAX_SAMPLES = 2 ** 16
-_CAUCHY_RETRY_SAMPLES = 4096
 _LAURENT_TERMS = 64
 _LAURENT_TOL = 1e-13
 _LAURENT_FLOOR = 1e-15
@@ -668,11 +628,9 @@ def _pole_radius(e: FunctionExpr):
     """None when e has a node other than the rational ones and exact series
     leaves (a truncated series leaf); else the smallest radius 1/|p| at which
     a Moebius factor M_p puts poles on the stem of e, or inf.  Poles under a
-    Bullet or StarInv are not counted, since those nodes can cancel them; one
-    counted here that a product cancels only costs a smaller R.  A
-    SchurChain over a constant, an exact series or a Moebius factor has its
-    poles at roots of n(D), and gives the smallest root modulus; over any
-    other h it counts like a Bullet.
+    Bullet, StarInv or SchurChain are not counted, since those nodes can
+    cancel them, and are left to the circles of :func:`_cauchy_radius` to
+    locate; one counted here that a product cancels only costs a smaller R.
     """
     if isinstance(e, (Const, Identity)) or (
             isinstance(e, SeriesFunc) and e.series.exact):
@@ -687,7 +645,7 @@ def _pole_radius(e: FunctionExpr):
     if isinstance(e, (StarInv, Bullet)):
         return None if _pole_radius(e.inner) is None else math.inf
     if isinstance(e, SchurChain):
-        return None if _pole_radius(e.h) is None else e._root_radius()
+        return None if _pole_radius(e.h) is None else math.inf
     return None
 
 
@@ -770,58 +728,47 @@ def _certified_circle(e: FunctionExpr, radius, samples, r_max, tail_target):
 
 
 def _cauchy_radius(e: FunctionExpr, poles, r_max, tail_target):
-    """(R, n, C, c) for the largest radius r_max < R < poles of the
-    :func:`_certified_circle` ladder that certifies the stem F of e to
-    order n, or None when none does.
+    """(R, n, C, c) for the first rung R, largest first, whose
+    :func:`_certified_circle` certifies the stem F of e to order n, or None
+    when none does.
 
-    The radii are the ladder's and, for a SchurChain, whose poles are the
-    roots of n(D), the root rung R = (1 + poles) / 2 in its place among
-    them.  Aliasing puts about (R / poles)^(N - K) on the K Laurent terms
-    of N samples, so the root rung takes the N that keeps this under the
-    tolerance (at most _CAUCHY_MAX_SAMPLES).  Every circle whose Laurent
-    test fails locates a singularity (:func:`_circle_spectrum`).  With rho
-    the nearest located so far and rho' = 1.02 rho, a later rung must fail,
+    The rungs are the ladder radii r_max < R < poles, on _CAUCHY_SAMPLES
+    samples each, and those that located singularities place.  Every
+    circle whose Laurent test fails locates a singularity
+    (:func:`_circle_spectrum`).  When one locates a rho nearer than any
+    before, the rung R = (1 + rho) / 2, when r_max < R < rho, joins the
+    rungs still to come in its place among them.  Aliasing puts about
+    (R / rho)^(N - K) on the K Laurent terms of N samples, so it takes the
+    N that keeps this under the tolerance, at least _CAUCHY_SAMPLES, and is
+    left out when that is more than _CAUCHY_MAX_SAMPLES.  With rho the
+    nearest located so far and rho' = 1.02 rho, a later rung must fail,
     and is skipped, when R >= rho' or when it has fewer samples than the
-    same rule asks for against rho'.  When the ladder runs out having
-    located one, it retries by need: with N the samples that rule asks for
-    against min(poles, rho), the largest ladder radius below min(poles,
-    rho) whose 2^ceil(log2 2 N) is at most _CAUCHY_RETRY_SAMPLES is sampled
-    once more at that many, when that is more than the ladder took.  rho
-    only decides which circles are sampled: each one certifies by its own
-    checks.  M is a sampled maximum, so the Cauchy estimate
-    |a_m| <= M R^{-m} is a sampled one.
+    same rule asks for against rho'.  rho only decides which circles are
+    sampled: each one certifies by its own checks.  M is a sampled maximum,
+    so the Cauchy estimate |a_m| <= M R^{-m} is a sampled one.
     """
     rungs = [(radius, _CAUCHY_SAMPLES) for radius in _CAUCHY_RADII
              if r_max < radius < poles]
-    root = (1.0 + poles) / 2.0
-    if isinstance(e, SchurChain) and r_max < root < poles:
-        need = _alias_free_samples(root, poles)
-        samples = max(_CAUCHY_SAMPLES, 2 ** math.ceil(math.log2(need)))
-        if samples <= _CAUCHY_MAX_SAMPLES:
-            rungs.append((root, samples))
-            rungs.sort(key=lambda rung: -rung[0])
     located = math.inf
-    for radius, samples in rungs:
+    while rungs:
+        radius, samples = rungs.pop(0)
         near = _LOCATED_MARGIN * located
         if radius >= near or samples < _alias_free_samples(radius, near):
             continue
         found, rho = _certified_circle(e, radius, samples, r_max, tail_target)
         if found is not None:
             return (radius,) + found
-        if rho is not None:
-            located = min(located, rho)
-    if located == math.inf:
-        return None
-    nearest = min(poles, located)
-    retry = [(radius, 2 ** math.ceil(math.log2(
-        2.0 * _alias_free_samples(radius, nearest))))
-        for radius in _CAUCHY_RADII if r_max < radius < nearest]
-    radius, samples = next((rung for rung in retry
-                            if rung[1] <= _CAUCHY_RETRY_SAMPLES), (None, 0))
-    if samples <= _CAUCHY_SAMPLES:
-        return None
-    found, _ = _certified_circle(e, radius, samples, r_max, tail_target)
-    return None if found is None else (radius,) + found
+        if rho is None or rho >= located:
+            continue
+        located = rho
+        radius = (1.0 + rho) / 2.0
+        if r_max < radius < rho:
+            samples = max(_CAUCHY_SAMPLES, 2 ** math.ceil(math.log2(
+                _alias_free_samples(radius, rho))))
+            if samples <= _CAUCHY_MAX_SAMPLES:
+                rungs.append((radius, samples))
+                rungs.sort(key=lambda rung: -rung[0])
+    return None
 
 
 def _cauchy_order(bound, growth, r, tail_target) -> int:
@@ -866,8 +813,8 @@ def expr_to_series(e: FunctionExpr, r_max=0.95,
     m <= n, with |a_m| R^m <= M by construction.  The Laurent check found
     the coefficients below N - K free of aliasing, and n lies below them
     (:func:`_certified_circle`).  A circle that fails its Laurent check
-    locates the singularity nearest it, which sizes the samples of the
-    circles after it and of one retry by need when the ladder runs out.
+    locates the singularity nearest it, which skips the rungs after it that
+    must fail and places a rung of its own between it and the unit circle.
     No recursive series rule is run on this route.
 
     Any other tree takes the fitted route through its own

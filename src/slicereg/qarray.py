@@ -82,7 +82,18 @@ def qnorm2(a) -> np.ndarray:
 
 
 def qnorm(a) -> np.ndarray:
-    return np.sqrt(qnorm2(a))
+    """|a|.  Where the plain sum of squares overflows, above about 1.3e154,
+    a finite quaternion is scaled by its largest component first."""
+    a = np.asarray(a)
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(qnorm2(a))
+    big = ~np.isfinite(norms)
+    if not big.any():
+        return norms
+    scale = np.abs(a).max(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = scale * np.sqrt(qnorm2(a / scale[..., None]))
+    return np.where(big & np.isfinite(scale), scaled, norms)[()]
 
 
 def qinv(a) -> np.ndarray:

@@ -308,10 +308,10 @@ def test_criterion_8_q_table_recovery(random_problems):
 
 
 def test_interpolants_lower_with_cauchy_certificates(random_problems):
-    # the criterion-8 interpolants, with the root rung of n(D) among their
-    # Cauchy radii: every one is certified, meets the 1e-12 tail target at
-    # r = 0.95, and its certificate bounds the order-1024 series of
-    # N * D^{-*}, compared in logarithms since C g^m underflows (the nested
+    # the criterion-8 interpolants, with the rungs that their located poles
+    # place among their Cauchy radii: every one is certified, meets the
+    # 1e-12 tail target at r = 0.95, and its certificate bounds the
+    # order-1024 series of N * D^{-*}, compared in logarithms since C g^m underflows (the nested
     # chain's own lowering carries rounding at the poles of its partial
     # chains, which cancel in f, 1e-30 and below at high order)
     from slicereg import series as se

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,14 @@ Q2_EXPR = {"kind": "star_mul",
            "right": {"kind": "identity"}}
 # *-inverse of q: no constant term, singular at 0
 INV_ID = json.dumps({"kind": "star_inv", "inner": {"kind": "identity"}})
+
+
+# an exact series whose q^2 coefficient overflows every sum of squares
+HUGE_SERIES = json.dumps({"kind": "series", "exact": True, "coeffs": [
+    [0, 0, 0, 0], [0.5, 0, 0, 0], [1e300, 0, 0, 0]]})
+# a Blaschke product, evaluated on the slice of a non-unit axis
+GRID_BLASCHKE = {"kind": "blaschke", "u": [0, 0, 1, 0],
+                 "factors": [[0.3, 0.2, 0, 0], [-0.2, 0, 0.3, 0.1]]}
 
 
 def one_line_error(capsys):
@@ -347,6 +356,26 @@ class TestUsageErrors:
         assert "--order" not in capsys.readouterr().out
 
 
+class TestNumpyWarnings:
+    """Overflow reaches the output as a value or as one error line, never as
+    a numpy warning on stderr."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["verify", "--suite", "balpha", "--f", HUGE_SERIES], 1),
+        (["crosscheck", "--f", HUGE_SERIES], 0),
+        (["grid", "--f", HUGE_SERIES, "--res", "3"], 0),
+    ], ids=["verify", "crosscheck", "grid"])
+    def test_overflow_warns_nothing(self, argv, code, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(argv) == code
+        assert not caught
+        if code:
+            assert one_line_error(capsys)
+        else:
+            assert capsys.readouterr().err == ""
+
+
 class TestRefusals:
     """Refusals of the library reach the CLI as one-line errors."""
 
@@ -407,18 +436,12 @@ class TestGrid:
         assert cli.main(["grid", "--f", INV_ID, "--res", "1"]) == 1
         assert one_line_error(capsys)
 
-    def test_matches_per_row_formatting(self, capsys):
-        # the output is byte for byte the row-by-row "%.17g" join of the
-        # five values, with the angle from math.atan2, over the row-major
-        # samples of the inscribed square of the slice
-        expr = {"kind": "blaschke", "u": [0, 0, 1, 0],
-                "factors": [[0.3, 0.2, 0, 0], [-0.2, 0, 0.3, 0.1]]}
-        res = 30
-        rc = cli.main(["grid", "--f", json.dumps(expr), "--res", str(res),
-                       "--slice", "[1,2,3]"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        axis = np.array(cli._parse_slice("[1,2,3]").components()[1:])
+    @staticmethod
+    def whole_grid(expr, res, axis) -> str:
+        """The grid of expr: the row-by-row "%.17g" join of the five values,
+        with the angle from math.atan2, over the row-major samples of the
+        inscribed square of the slice, all evaluated at once."""
+        axis = np.array(cli._parse_slice(axis).components()[1:])
         half = 0.95 / math.sqrt(2.0)
         coords = np.linspace(-half, half, res)
         ys, xs = (c.ravel() for c in np.meshgrid(coords, coords,
@@ -435,7 +458,30 @@ class TestGrid:
             arg = math.atan2(imag[m], vals[m, 0])
             lines.append(",".join(f"{v:.17g}" for v in
                                   (xs[m], ys[m], mods[m], vals[m, 0], arg)))
-        assert out == "\n".join(lines) + "\n"
+        return "\n".join(lines) + "\n"
+
+    def test_matches_per_row_formatting(self, capsys):
+        # the output is byte for byte the grid formatted row by row
+        rc = cli.main(["grid", "--f", json.dumps(GRID_BLASCHKE), "--res",
+                       "30", "--slice", "[1,2,3]"])
+        assert rc == 0
+        assert capsys.readouterr().out == self.whole_grid(GRID_BLASCHKE, 30,
+                                                          "[1,2,3]")
+
+    def test_blocks_of_rows_match_one_evaluation(self, capsys):
+        # at --res 100 the samples are evaluated in blocks of 64 and 36
+        # rows, and the output is that of one evaluation of all 10,000
+        rc = cli.main(["grid", "--f", json.dumps(GRID_BLASCHKE), "--res",
+                       "100", "--slice", "[1,2,3]"])
+        assert rc == 0
+        assert capsys.readouterr().out == self.whole_grid(GRID_BLASCHKE, 100,
+                                                          "[1,2,3]")
+
+    def test_abs_past_the_root_of_the_float_range(self, capsys):
+        # |f|^2 = 2.5e599 overflows, |f| = 5e299 does not
+        assert cli.main(["grid", "--f", "[5e299,0,0,0]", "--res", "1"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert float(row[2]) == 5e299
 
     def test_blocks_of_rows_join_to_one_output(self, capsys, monkeypatch):
         # blocks of 7 rows, the last one short, give the bytes of one block

@@ -617,6 +617,20 @@ def _chain_problem(n, variant, seed=None):
             return table, kind
 
 
+def _record_circles(monkeypatch) -> list:
+    """The (R, N, rho) of every circle that _circle_spectrum samples from
+    here on, rho None where it locates nothing."""
+    circles = []
+    spectrum = mo._circle_spectrum
+
+    def recorded(e, radius, samples):
+        found, rho = spectrum(e, radius, samples)
+        circles.append((radius, samples, rho))
+        return found, rho
+    monkeypatch.setattr(mo, "_circle_spectrum", recorded)
+    return circles
+
+
 class TestSchurChain:
     """build_solution's one node against the nested chain it stands for."""
 
@@ -652,20 +666,23 @@ class TestSchurChain:
             assert got.order == want.order == order
             assert np.abs(got.coeffs - want.coeffs).max() <= 1e-13
 
-    def test_radius_from_denominator_roots(self):
+    def test_radius_from_denominator_roots(self, monkeypatch):
         # R0 is the smallest root modulus of n(D), with D from
-        # chain_fraction; here the rung 1.2 fails its Laurent check and the
-        # root rung R = (1 + R0) / 2 comes next, ahead of 1.1, and the
-        # sampled certificate bounds an order-1024 lowering
+        # chain_fraction: the stem's nearest pole.  The failed rungs locate
+        # it to 1e-4, the rung R = (1 + rho) / 2 that the nearest rho places
+        # certifies, and the sampled certificate bounds an order-1024
+        # lowering
         table, kind = _chain_problem(6, "zero")
         f = build_solution(table, kind)
         den = chain_fraction(f)[1]
         c = den.coeffs
         r0 = np.abs(np.roots(se._norm_series(c, 2 * len(c) - 2)[::-1])).min()
-        assert f._root_radius() == pytest.approx(r0, rel=1e-12)
+        circles = _record_circles(monkeypatch)
         s = expr_to_series(f)
+        rho = min(rho for _, _, rho in circles if rho is not None)
         assert 1.2 < r0 < 1.35 and s.certificate == "cauchy-sampled"
-        assert s.growth_rate == 2.0 / (1.0 + f._root_radius())
+        assert abs(rho / r0 - 1.0) <= 1e-4
+        assert s.growth_rate == 2.0 / (1.0 + rho)
         assert s.tail_bound(0.95) <= 1e-12
         norms = f.to_series(1024).coefficient_norms()
         assert np.all(norms <= s.coeff_bound * s.growth_rate ** np.arange(1025))
@@ -727,33 +744,38 @@ class TestSchurChain:
         assert flags == [raises(f._chain(), z) for z in zs]
         assert sum(flags) == 2
 
-    def test_non_constant_h_is_lowered_like_the_chain(self):
-        # an h that is not a constant, an exact series or a Moebius factor
-        # is treated like the inner tree of a Bullet, so the node takes the
-        # route of its chain: here the fitted one, since the ladder finds no
-        # radius for either
+    def test_non_constant_h_is_lowered_like_the_chain(self, rng):
+        # the node counts like the inner tree of a Bullet, as its chain
+        # does, so both walk the same ladder: no rung of the 256-sample
+        # ladder counts for either (the fitted route gives order 512 and a
+        # tail of about 1e-7), and the rungs that their located poles place
+        # certify both, at order 402 (R = 1.027 on 2,048 samples)
         table, kind = _chain_problem(3, "zero")
         h = StarMul(Moebius(Quaternion(0.3, 0.2)),
                     Moebius(Quaternion(-0.2, 0.1, 0.3)))
-        s = expr_to_series(build_solution(table, kind, h))
+        f = build_solution(table, kind, h)
+        s = expr_to_series(f)
         want = expr_to_series(_hand_chain(table, kind, h))
-        assert s.certificate == want.certificate == "fitted"
-        assert s.order == want.order
-        assert np.abs(s.coeffs - want.coeffs).max() <= 1e-13
+        assert s.certificate == want.certificate == "cauchy-sampled"
+        tail, other = s.tail_bound(0.95), want.tail_bound(0.95)
+        assert tail <= 1e-12 and other <= 1e-12
+        pts = qarray.uniform_ball(rng, 200, 0.95)
+        got = se.evaluate_many(s, pts)[0]
+        assert np.abs(got - f.eval_many(pts)).max() <= tail
+        assert np.abs(got - se.evaluate_many(want, pts)[0]).max() \
+            <= tail + other
         assert mo._pole_radius(build_solution(
             table, kind, TaylorSeries(H_SERIES.coeffs, 1.0, 0.6))) is None
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_moebius_h_takes_the_root_rung(self, n, rng):
-        # M_p u = (q - p) * (conj(u) (1 - q conj(p)))^{-*} starts the
-        # coefficient recurrence, so the node over a Moebius h gets its pole
-        # radius and a Cauchy certificate, where the nested chain goes the
-        # fitted route to order 512 with a tail of about 2e-7
+        # the rungs that fail locate the poles of the node over a Moebius
+        # h, and the rung the nearest one places gives a Cauchy certificate,
+        # where no rung of the 256-sample ladder counts
         table, kind = _chain_problem(n, "zero")
         h = Moebius(Quaternion(0.3, 0.2))
         f = build_solution(table, kind, h)
         s = expr_to_series(f)
-        assert math.isfinite(f._root_radius())
         assert s.certificate == "cauchy-sampled"
         tail = s.tail_bound(0.95)
         assert tail <= 1e-12
@@ -762,6 +784,46 @@ class TestSchurChain:
         got = se.evaluate_many(s, pts)[0]
         assert np.abs(got - se.evaluate_many(ref, pts)[0]).max() <= tail
         assert np.abs(got - f.eval_many(pts)).max() <= tail
+
+    @pytest.mark.parametrize("variant", CHAIN_VARIANTS)
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_chains_lower_with_cauchy_certificates(self, n, variant):
+        table, kind = _chain_problem(n, variant)
+        s = expr_to_series(build_solution(table, kind,
+                                          CHAIN_VARIANTS[variant][0]))
+        assert s.certificate == "cauchy-sampled"
+        assert s.tail_bound(0.95) <= 1e-12
+
+    def test_singular_chain_places_a_nearer_rung(self):
+        # the rung at 3 and the rungs that each failed rung places in turn,
+        # R = 2.03, 1.37 and 1.22, locate singularities down to rho = 1.358,
+        # and the rung (1 + rho) / 2 = 1.18 certifies on 512 samples, below
+        # the order 212 of the ladder radius 1.1
+        table, kind = _chain_problem(8, "singular")
+        s = expr_to_series(build_solution(table, kind))
+        assert s.certificate == "cauchy-sampled"
+        assert s.order < 212 and s.tail_bound(0.95) <= 1e-12
+
+    def test_clustered_nodes_lower_with_a_cauchy_certificate(self, rng):
+        # 8 nodes in [-0.97, -0.90] put the poles of the stem next to the
+        # unit circle, nearer than any ladder rung can certify: the located
+        # rho = 1.003 places R = 1.0016 on 32,768 samples.  The order caps
+        # at 512 with a tail of 3.2e-11, short of the target (the fitted
+        # route gives a fitted tail of 3.9e-8)
+        nodes = list(-np.linspace(0.90, 0.97, 8))
+        b = random_blaschke_expr(np.random.default_rng(5), 9)
+        table = build_q_table(InterpolationProblem(
+            nodes, [b.eval(Quaternion(r)) * 0.9 for r in nodes]))
+        kind = classify(table)
+        assert kind.variant == "non_singular"
+        f = build_solution(table, kind)
+        s = expr_to_series(f)
+        assert s.certificate == "cauchy-sampled"
+        tail = s.tail_bound(0.95)
+        assert tail <= 1e-10
+        pts = qarray.uniform_ball(rng, 200, 0.95)
+        assert np.abs(se.evaluate_many(s, pts)[0] - f.eval_many(pts)).max() \
+            <= tail
 
     def test_stems_take_few_hamilton_products(self, monkeypatch):
         # Moebius and Bullet stems take no Hamilton product, and neither
@@ -1020,30 +1082,28 @@ class TestCauchyCertificate:
                                    rtol=0.0, atol=1e-14), repr(tree)
 
     def test_order_past_the_samples_resamples_the_circle(self, monkeypatch):
-        # M_{0.8} has its pole at 1.25.  R = 1.2 fails its Laurent check and
-        # locates it, so R = 1.1, whose 256 samples alias (1.1 / 1.275)^192
-        # onto the Laurent terms, is skipped; R = 1.05 counts, where the
-        # 1e-12 target at 0.95 asks for n = 304, past the 256 - 64
-        # alias-free coefficients: the same circle is sampled once more at
-        # 2^ceil(log2 2 (305 + 64)) = 1024 points
-        circles = []
-        spectrum = mo._circle_spectrum
-
-        def recorded(e, radius, samples):
-            circles.append((radius, samples))
-            return spectrum(e, radius, samples)
-        monkeypatch.setattr(mo, "_circle_spectrum", recorded)
-        e = Moebius(Quaternion(0.8))
+        # M_{0.93} * M_{0.93}^{-*} * M_{0.75} is M_{0.75}, but the pole
+        # 1/0.93 = 1.075 of its left factor, which the product cancels,
+        # bounds the ladder, so R = 1.05 is its only rung.  It counts on 256
+        # samples, as the pole 1/0.75 aliases only (1.05 / 1.33)^192 onto
+        # the Laurent terms, and the 1e-12 target at 0.95 asks for n = 303,
+        # past the 256 - 64 alias-free coefficients: the same circle is
+        # sampled once more at 2^ceil(log2 2 (304 + 64)) = 1024 points
+        p = Quaternion(0.93)
+        e = StarMul(StarMul(Moebius(p), StarInv(Moebius(p))),
+                    Moebius(Quaternion(0.75)))
+        circles = _record_circles(monkeypatch)
         s = expr_to_series(e)
-        assert circles == [(1.2, 256), (1.05, 256), (1.05, 1024)]
-        assert s.certificate == "cauchy-sampled" and s.order == 304
+        assert circles == [(1.05, 256, None), (1.05, 1024, None)]
+        assert s.certificate == "cauchy-sampled" and s.order == 303
         assert s.growth_rate == 1.0 / 1.05 and s.tail_bound(0.95) <= 1e-12
-        assert np.allclose(e.to_series(s.order).coeffs, s.coeffs,
-                           rtol=0.0, atol=1e-14)
+        assert np.allclose(Moebius(Quaternion(0.75)).to_series(s.order).coeffs,
+                           s.coeffs, rtol=0.0, atol=1e-14)
 
     def test_failed_second_pass_gives_way(self, monkeypatch):
-        # when the resampled circle does not count, the ladder goes on; past
-        # its last rung and its retry by need, M_{0.8} takes the fitted route
+        # when a circle sampled past 256 points does not count, the ladder
+        # goes on: M_{0.8} loses the rung 1.125 that its pole places and
+        # the resample of R = 1.05, its last rung, and takes the fitted route
         spectrum = mo._circle_spectrum
         monkeypatch.setattr(mo, "_circle_spectrum", lambda e, radius, samples:
                             (None, None) if samples > 256
@@ -1056,7 +1116,7 @@ class TestCauchyCertificate:
         # a stem of about 1e306 on the circle is finite, but its FFT and the
         # norms of the Laurent check overflow, so that check cannot be read:
         # no circle counts and none locates a singularity, so every rung is
-        # sampled, there is no retry, and the tree goes fitted
+        # sampled, none is placed, and the tree goes fitted
         circles = []
         spectrum = mo._circle_spectrum
 
@@ -1075,68 +1135,75 @@ class TestCauchyCertificate:
 
     def test_failed_rung_locates_the_singularity(self, monkeypatch):
         # (q + 1.5)^{-*} has its pole at 1.5, inside R = 3, whose Laurent
-        # terms decay at the ratio 1.5 / 3 and locate it.  R = 2 and 1.6 lie
-        # past the pole and R = 1.35 would alias (1.35 / 1.53)^192 onto the
-        # Laurent terms of 256 samples, so all three are skipped and R = 1.2
-        # counts, with the order the full ladder gave
+        # terms decay at the ratio 1.5 / 3 and locate it.  That places the
+        # rung R = (1 + rho) / 2 = 1.25 between 1.35 and 1.2, on the 256
+        # samples that keep (1.25 / 1.5)^(N - 64) under the tolerance.  R =
+        # 2 and 1.6 lie past the pole and R = 1.35 would alias (1.35 /
+        # 1.53)^192 onto the Laurent terms, so all three are skipped, and R =
+        # 1.25 counts, with order 111 (130 on the ladder rung 1.2)
         e = StarInv(Sum(Identity(), Const(1.5)))
         found, rho = mo._circle_spectrum(e, 3.0, 256)
         assert found is None and abs(rho / 1.5 - 1.0) <= 0.01
-        circles = []
-        spectrum = mo._circle_spectrum
-
-        def recorded(e, radius, samples):
-            circles.append((radius, samples))
-            return spectrum(e, radius, samples)
-        monkeypatch.setattr(mo, "_circle_spectrum", recorded)
+        circles = _record_circles(monkeypatch)
         s = expr_to_series(e)
-        assert circles == [(3.0, 256), (1.2, 256)]
-        assert s.certificate == "cauchy-sampled" and s.order == 130
-        assert s.growth_rate == 1.0 / 1.2
+        radius = (1.0 + rho) / 2.0
+        assert circles == [(3.0, 256, rho), (radius, 256, None)]
+        assert s.certificate == "cauchy-sampled" and s.order == 111
+        assert s.growth_rate == 1.0 / radius and s.tail_bound(0.95) <= 1e-12
 
     def test_skipped_rungs_lose_nothing(self, criterion_7_lowered):
         # a rung is skipped only where the located singularity makes it
-        # fail: every tree with a counting rung on the full 256-sample
-        # ladder, found here by sampling each rung, is certified on the
-        # largest one
-        checked = 0
+        # fail, and a located singularity only adds rungs: every tree with a
+        # counting rung on the full 256-sample ladder, found here by sampling
+        # each rung, is certified on it or on a larger rung, and on it
+        # exactly when no rung above it locates a singularity (134 of the
+        # 401 are certified on a placed rung)
+        checked = placed = 0
         for tree, s in criterion_7_lowered:
             if s.exact:
                 continue
             poles = mo._pole_radius(tree)
-            counting = next((radius for radius in mo._CAUCHY_RADII
-                             if 0.95 < radius < poles and mo._circle_spectrum(
-                                 tree, radius, 256)[0] is not None), None)
-            if counting is not None:
-                assert s.growth_rate == 1.0 / counting, repr(tree)
-                checked += 1
-        assert checked == 401
+            located = False
+            for radius in mo._CAUCHY_RADII:
+                if not 0.95 < radius < poles:
+                    continue
+                found, rho = mo._circle_spectrum(tree, radius, 256)
+                if found is not None:
+                    break
+                located = located or rho is not None
+            else:
+                continue
+            assert s.growth_rate <= 1.0 / radius, repr(tree)
+            if not located:
+                assert s.growth_rate == 1.0 / radius, repr(tree)
+            placed += s.growth_rate < 1.0 / radius
+            checked += 1
+        assert checked == 401 and placed == 134
 
     def test_ladder_samples_by_need(self, monkeypatch):
         # on the criterion-7 trees the located singularities skip the rungs
-        # that must fail and size one retry: 762 circle samplings, 1,017
-        # over the full ladder
+        # that must fail and place rungs nearer to them: 750 circle
+        # samplings, 1,017 over the full ladder
         from test_acceptance import _random_tree
-        circles = []
-        spectrum = mo._circle_spectrum
-
-        def recorded(e, radius, samples):
-            circles.append((radius, samples))
-            return spectrum(e, radius, samples)
-        monkeypatch.setattr(mo, "_circle_spectrum", recorded)
+        circles = _record_circles(monkeypatch)
         rng = np.random.default_rng(55)
         for _ in range(500):
             expr_to_series(_random_tree(rng, int(rng.integers(1, 5))))
         assert len(circles) <= 800
 
-    def test_schur_chain_on_its_root_rung(self):
-        # the rung 1.2 fails its Laurent check and the root rung R = (1 +
-        # R0) / 2 counts with 512 samples, enough for its order
+    def test_schur_chain_on_its_root_rung(self, monkeypatch):
+        # the failed rungs locate the poles of the chain, and the rung R =
+        # (1 + rho) / 2 of the nearest rho counts: it is the last circle and
+        # the only one past 256 samples, with 512, enough for its order
         table, kind = _chain_problem(6, "zero")
         f = build_solution(table, kind)
+        circles = _record_circles(monkeypatch)
         s = expr_to_series(f)
+        rho = min(rho for _, _, rho in circles if rho is not None)
+        assert circles[-1] == ((1.0 + rho) / 2.0, 512, None)
+        assert all(samples == 256 for _, samples, _ in circles[:-1])
         assert s.certificate == "cauchy-sampled"
-        assert s.growth_rate == 2.0 / (1.0 + f._root_radius())
+        assert s.growth_rate == 2.0 / (1.0 + rho)
         assert s.order < 512 - mo._LAURENT_TERMS
         assert np.allclose(f.to_series(s.order).coeffs, s.coeffs,
                            rtol=0.0, atol=1e-14)
@@ -1159,15 +1226,21 @@ class TestCauchyCertificate:
         assert s.growth_rate == 1.0 / 1.6
         assert s.tail_bound(0.95) <= 1e-12
 
-    def test_no_radius_takes_fitted_route(self):
+    def test_no_radius_takes_fitted_route(self, monkeypatch):
         # singular at 1/0.9 = 1.11: no ladder radius counts on 256 samples,
         # which once sent M_{0.9} down the fitted route.  R = 1.1 fails and
-        # locates the pole, so R = 1.05 is skipped at 256 samples, and the
-        # retry by need takes it at 2,048 (R = 1.1 would need 8,192)
+        # locates the pole, which places the rung R = (1 + rho) / 2 = 1.056
+        # on the 1,024 samples that keep its aliasing off the Laurent terms;
+        # it counts with order 295, and R = 1.05 is never sampled
         e = Moebius(Quaternion(0.9))
+        circles = _record_circles(monkeypatch)
         s = expr_to_series(e)
-        assert s.certificate == "cauchy-sampled"
-        assert s.growth_rate == 1.0 / 1.05 and s.tail_bound(0.95) <= 1e-12
+        rho = circles[0][2]
+        assert abs(rho * 0.9 - 1.0) <= 1e-6
+        assert circles == [(1.1, 256, rho), ((1.0 + rho) / 2.0, 1024, None)]
+        assert s.certificate == "cauchy-sampled" and s.order == 295
+        assert s.growth_rate == 2.0 / (1.0 + rho)
+        assert s.tail_bound(0.95) <= 1e-12
         assert np.allclose(e.to_series(s.order).coeffs, s.coeffs,
                            rtol=0.0, atol=1e-14)
 

@@ -130,6 +130,19 @@ class TestQArray:
             expect = qarray.to_quaternion(a[m]) * qarray.to_quaternion(b[m])
             assert abs(qarray.to_quaternion(prod[m]) - expect) <= 1e-14
 
+    def test_qnorm_past_the_root_of_the_float_range(self):
+        # a sum of squares past about 1.3e154 overflows: those rows are
+        # scaled first, the others keep the plain result, and a non-finite
+        # row keeps its inf or nan
+        a = np.array([[5e299, 0.0, 0.0, 0.0], [3e200, -4e200, 0.0, 0.0],
+                      [0.3, 0.4, 0.0, 1.2], [np.inf, 1.0, 0.0, 0.0],
+                      [np.nan, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+        got = qarray.qnorm(a)
+        assert got[0] == 5e299 and abs(got[1] / 5e200 - 1.0) <= 1e-15
+        assert got[2] == np.sqrt(qarray.qnorm2(a[2])) and got[5] == 0.0
+        assert got[3] == np.inf and np.isnan(got[4])
+        assert qarray.qnorm(a[0]) == 5e299
+
     def test_qinv_roundtrip(self, rng):
         a = rng.uniform(-1, 1, (20, 4)) + 0.1
         prod = qarray.qmul(a, qarray.qinv(a))
