@@ -105,7 +105,8 @@ def _sampler(args) -> SamplerConfig:
 
 def _print_report(report) -> int:
     """Print a verification report; exit code 4 when it fails, and 5 when
-    it is inconclusive because no sample was measured."""
+    it is inconclusive: no sample was measured, or crosscheck's series tail
+    exceeds its tolerance."""
     print(_dump(report.to_json()))
     if report.passed:
         return 0

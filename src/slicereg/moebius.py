@@ -604,15 +604,14 @@ class SchurChain(FunctionExpr):
                 f"{self.h!r})")
 
 
-# Cauchy certificates: radii tried largest first, samples per circle (and
-# the most a rung that _cauchy_radius places takes), how many
-# Laurent coefficients c_{-1} ... c_{-K} must vanish relative to the largest
-# coefficient for F to count as analytic on the closed disc, the floor above
-# which a failed Laurent part is read for its singularity and the margin
-# put on the modulus read, and the margin on the sampled maximum M (20x the
-# largest gap to an 8192-sample maximum seen on the criterion-7 and
-# criterion-8 trees)
-_CAUCHY_RADII = (3.0, 2.0, 1.6, 1.35, 1.2, 1.1, 1.05)
+# Cauchy certificates: the largest radius tried, samples per circle (the
+# fewest) and the most a circle takes, how many Laurent coefficients c_{-1}
+# ... c_{-K} must vanish relative to the largest coefficient for F to count
+# as analytic on the closed disc, the floor above which a failed Laurent part
+# is read for its singularity and the margin put on the modulus read, and the
+# margin on the sampled maximum M (20x the largest gap to an 8192-sample
+# maximum seen on the criterion-7 and criterion-8 trees)
+_CAUCHY_TOP = 3.0
 _CAUCHY_SAMPLES = 256
 _CAUCHY_MAX_SAMPLES = 2 ** 16
 _LAURENT_TERMS = 64
@@ -628,9 +627,11 @@ def _pole_radius(e: FunctionExpr):
     """None when e has a node other than the rational ones and exact series
     leaves (a truncated series leaf); else the smallest radius 1/|p| at which
     a Moebius factor M_p puts poles on the stem of e, or inf.  Poles under a
-    Bullet, StarInv or SchurChain are not counted, since those nodes can
-    cancel them, and are left to the circles of :func:`_cauchy_radius` to
-    locate; one counted here that a product cancels only costs a smaller R.
+    StarInv or SchurChain are not counted, since those nodes can cancel
+    them, and are left to the circles of :func:`_cauchy_radius` to locate;
+    one counted here that a product cancels only costs a smaller R.  A
+    Bullet cancels the poles of its inner node only to rounding, which
+    leaves residue poles below the Laurent tolerance, so they are counted.
     """
     if isinstance(e, (Const, Identity)) or (
             isinstance(e, SeriesFunc) and e.series.exact):
@@ -640,9 +641,9 @@ def _pole_radius(e: FunctionExpr):
     if isinstance(e, (Sum, StarMul)):
         left, right = _pole_radius(e.left), _pole_radius(e.right)
         return None if left is None or right is None else min(left, right)
-    if isinstance(e, Conj):
+    if isinstance(e, (Conj, Bullet)):
         return _pole_radius(e.inner)
-    if isinstance(e, (StarInv, Bullet)):
+    if isinstance(e, StarInv):
         return None if _pole_radius(e.inner) is None else math.inf
     if isinstance(e, SchurChain):
         return None if _pole_radius(e.h) is None else math.inf
@@ -728,47 +729,43 @@ def _certified_circle(e: FunctionExpr, radius, samples, r_max, tail_target):
 
 
 def _cauchy_radius(e: FunctionExpr, poles, r_max, tail_target):
-    """(R, n, C, c) for the first rung R, largest first, whose
-    :func:`_certified_circle` certifies the stem F of e to order n, or None
-    when none does.
+    """(R, n, C, c) for the first circle whose :func:`_certified_circle`
+    certifies the stem F of e to order n, or None when none does.
 
-    The rungs are the ladder radii r_max < R < poles, on _CAUCHY_SAMPLES
-    samples each, and those that located singularities place.  Every
-    circle whose Laurent test fails locates a singularity
-    (:func:`_circle_spectrum`).  When one locates a rho nearer than any
-    before, the rung R = (1 + rho) / 2, when r_max < R < rho, joins the
-    rungs still to come in its place among them.  Aliasing puts about
-    (R / rho)^(N - K) on the K Laurent terms of N samples, so it takes the
-    N that keeps this under the tolerance, at least _CAUCHY_SAMPLES, and is
-    left out when that is more than _CAUCHY_MAX_SAMPLES.  With rho the
-    nearest located so far and rho' = 1.02 rho, a later rung must fail,
-    and is skipped, when R >= rho' or when it has fewer samples than the
-    same rule asks for against rho'.  rho only decides which circles are
-    sampled: each one certifies by its own checks.  M is a sampled maximum,
-    so the Cauchy estimate |a_m| <= M R^{-m} is a sampled one.
+    One rule places every circle from rho, the nearest singularity known so
+    far: R = min(_CAUCHY_TOP, max((1 + rho) / 2, ratio rho / 1.02)), with
+    ratio = TOL^(1 / (_CAUCHY_SAMPLES - K)) the largest R / rho at which
+    _CAUCHY_SAMPLES samples keep the aliasing (R / rho)^(N - K) that rho puts
+    on the K Laurent terms under the tolerance, and 1.02 the margin put on a
+    located modulus.  N is the fewest power of two, at least
+    _CAUCHY_SAMPLES, that keeps that aliasing under the tolerance.  rho
+    starts at poles.  A circle that fails locates the singularity nearest it
+    (:func:`_circle_spectrum`), which becomes rho when it is nearer; else
+    rho becomes the circle's own R.  After a circle that locates nothing,
+    only circles of _CAUCHY_SAMPLES samples are tried, so a tree whose
+    circles cannot be read stays cheap.  The search ends when R <= r_max, R
+    >= rho or N is past the most allowed.  rho only decides which circles
+    are sampled: each one certifies by its own checks.  M is a sampled
+    maximum, so the Cauchy estimate |a_m| <= M R^{-m} is a sampled one.
     """
-    rungs = [(radius, _CAUCHY_SAMPLES) for radius in _CAUCHY_RADII
-             if r_max < radius < poles]
-    located = math.inf
-    while rungs:
-        radius, samples = rungs.pop(0)
-        near = _LOCATED_MARGIN * located
-        if radius >= near or samples < _alias_free_samples(radius, near):
-            continue
-        found, rho = _certified_circle(e, radius, samples, r_max, tail_target)
+    ratio = _LAURENT_TOL ** (1 / (_CAUCHY_SAMPLES - _LAURENT_TERMS))
+    rho, most = poles, _CAUCHY_MAX_SAMPLES
+    while True:
+        radius = min(_CAUCHY_TOP, max((1.0 + rho) / 2.0,
+                                      ratio * rho / _LOCATED_MARGIN))
+        if radius <= r_max or radius >= rho:
+            return None
+        samples = max(_CAUCHY_SAMPLES, 2 ** math.ceil(math.log2(
+            _alias_free_samples(radius, rho))))
+        if samples > most:
+            return None
+        found, located = _certified_circle(e, radius, samples, r_max,
+                                           tail_target)
         if found is not None:
             return (radius,) + found
-        if rho is None or rho >= located:
-            continue
-        located = rho
-        radius = (1.0 + rho) / 2.0
-        if r_max < radius < rho:
-            samples = max(_CAUCHY_SAMPLES, 2 ** math.ceil(math.log2(
-                _alias_free_samples(radius, rho))))
-            if samples <= _CAUCHY_MAX_SAMPLES:
-                rungs.append((radius, samples))
-                rungs.sort(key=lambda rung: -rung[0])
-    return None
+        if located is None:
+            most = _CAUCHY_SAMPLES
+        rho = located if located is not None and located < rho else radius
 
 
 def _cauchy_order(bound, growth, r, tail_target) -> int:
@@ -807,15 +804,15 @@ def expr_to_series(e: FunctionExpr, r_max=0.95,
     by its own ``to_series()``.
 
     A tree of rational nodes and exact series leaves whose stem F counts on
-    a circle |z| = R of the :func:`_cauchy_radius` ladder gets the sampled
+    a circle |z| = R that :func:`_cauchy_radius` places gets the sampled
     Cauchy certificate (M (1 + slack), 1/R), and its coefficients are read
     off the FFT c of the N samples that counted: a_m = Re c_m / (N R^m) for
     m <= n, with |a_m| R^m <= M by construction.  The Laurent check found
     the coefficients below N - K free of aliasing, and n lies below them
     (:func:`_certified_circle`).  A circle that fails its Laurent check
-    locates the singularity nearest it, which skips the rungs after it that
-    must fail and places a rung of its own between it and the unit circle.
-    No recursive series rule is run on this route.
+    locates the singularity nearest it, which places the next circle
+    between it and the unit circle.  No recursive series rule is run on
+    this route.
 
     Any other tree takes the fitted route through its own
     ``to_series(order)``: a tree with a truncated series leaf, a quotient,

@@ -76,7 +76,8 @@ def _fit_certificate(coeffs: np.ndarray):
     ms = np.nonzero(norms > cmax * 1e-250)[0]
     ms = ms[ms >= 1]
     if len(ms) == 0:
-        return cmax * _SAFETY_C, 0.0
+        # a0 alone says nothing of the tail: no truncated series claims 0
+        return cmax * _SAFETY_C, _SAFETY_G
     g = float(np.max((norms[ms] / cmax) ** (1.0 / ms)))
     return cmax * _SAFETY_C, g * _SAFETY_G
 

@@ -355,8 +355,13 @@ def suite_balpha(f: FunctionExpr, cfg: SamplerConfig):
 
 def crosscheck(f: FunctionExpr, cfg: SamplerConfig) -> VerificationReport:
     """max over samples of |exact(f) - series(f)| - certified tail, with the
-    series that :func:`~slicereg.moebius.expr_to_series` lowers f to."""
+    series that :func:`~slicereg.moebius.expr_to_series` lowers f to.  When
+    that tail at the radius cap exceeds the tolerance no difference could
+    fail the check, so no sample is measured and the report is
+    inconclusive."""
     s = expr_to_series(f)
+    if not s.tail_bound(cfg.radius_cap) <= _SUITE_TOL["crosscheck"]:
+        return _report("crosscheck", cfg, [])
     points = sample_points(cfg)
     exact = f.eval_many(points)
     approx, tails = se.evaluate_many(s, points, r_max=cfg.radius_cap)
@@ -383,21 +388,3 @@ def run_suite(name: str, f, cfg: SamplerConfig) -> VerificationReport:
     check_self_map(f)
     return _report(name, cfg, SUITES[name](f, cfg))
 
-
-# -- random self-map generators (used by tests and demos) -------------
-
-
-def random_blaschke_expr(rng: np.random.Generator, degree: int) -> FunctionExpr:
-    from .moebius import BlaschkeProduct, blaschke_to_expr
-    factors = [qarray.to_quaternion(x)
-               for x in qarray.uniform_ball(rng, degree, 0.7)]
-    u = rng.standard_normal(4)
-    u /= np.linalg.norm(u)
-    return blaschke_to_expr(BlaschkeProduct(factors, qarray.to_quaternion(u)))
-
-
-def random_series_self_map(rng: np.random.Generator, order: int = 12) -> TaylorSeries:
-    """Random truncated self-map: coefficients with total norm <= 1."""
-    raw = rng.standard_normal((order + 1, 4)) * (0.5 ** np.arange(order + 1))[:, None]
-    total = np.linalg.norm(raw, axis=1).sum()
-    return TaylorSeries(raw / max(total / 0.95, 1.0), exact=True)

@@ -43,10 +43,10 @@ from slicereg.series import TaylorSeries
 from slicereg.verify import (
     SamplerConfig,
     crosscheck,
-    random_blaschke_expr,
-    random_series_self_map,
     run_suite,
 )
+
+from conftest import random_blaschke_expr, random_series_self_map
 
 
 def report(number, ok, detail):
@@ -308,8 +308,8 @@ def test_criterion_8_q_table_recovery(random_problems):
 
 
 def test_interpolants_lower_with_cauchy_certificates(random_problems):
-    # the criterion-8 interpolants, with the rungs that their located poles
-    # place among their Cauchy radii: every one is certified, meets the
+    # the criterion-8 interpolants, on the Cauchy circles that their located
+    # poles place: every one is certified, meets the
     # 1e-12 tail target at r = 0.95, and its certificate bounds the
     # order-1024 series of N * D^{-*}, compared in logarithms since C g^m underflows (the nested
     # chain's own lowering carries rounding at the poles of its partial

@@ -292,7 +292,22 @@ class TestCrosscheck:
         report = json.loads(capsys.readouterr().out)
         assert rc == 0 and report["pass"] is True
 
-
+    @pytest.mark.parametrize("bullet", [False, True], ids=["leaf", "bullet"])
+    def test_tail_it_cannot_bound_is_inconclusive(self, bullet, capsys):
+        # a truncated leaf with a0 alone once claimed a zero tail: the leaf
+        # passed on that claim, and M_p acting on leaf * q failed by 0.377
+        # against it.  Its fitted tail at 0.95 exceeds the tolerance, so no
+        # difference could fail the check and no sample is measured
+        leaf = {"kind": "series", "coeffs": [[0.3, 0.1, -0.2, 0.1]],
+                "exact": False}
+        expr = {"kind": "bullet", "p": [0.2, 0.1, 0, 0.1], "inner": {
+            "kind": "star_mul", "left": leaf,
+            "right": {"kind": "identity"}}} if bullet else leaf
+        rc = cli.main(["crosscheck", "--f", json.dumps(expr)])
+        out = capsys.readouterr()
+        assert rc == 5 and out.err == ""
+        report = json.loads(out.out)
+        assert report["pass"] is False and report["maxViolation"] is None
 
     @pytest.mark.parametrize("fields", [
         {"exact": "false"}, {"coeffBound": 1.0},

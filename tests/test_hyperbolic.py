@@ -42,12 +42,12 @@ from slicereg.moebius import (
 )
 from slicereg.verify import (
     SamplerConfig,
-    random_blaschke_expr,
-    random_series_self_map,
     run_suite,
 )
 from slicereg.quaternion import I, J, K, ONE, Quaternion, ZERO
 from slicereg.series import TaylorSeries
+
+from conftest import random_blaschke_expr, random_series_self_map
 
 Q2 = TaylorSeries.from_quaternions([ZERO, ZERO, ONE], exact=True)
 Q3 = TaylorSeries.from_quaternions([ZERO, ZERO, ZERO, ONE], exact=True)

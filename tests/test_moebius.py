@@ -41,8 +41,8 @@ from slicereg.moebius import (
 )
 from slicereg.quaternion import I, J, K, ONE, Quaternion, ZERO
 from slicereg.series import TaylorSeries
-from slicereg.verify import random_blaschke_expr
 
+from conftest import random_blaschke_expr
 from test_interpolation import _hconj, _hmul
 from test_series import (
     dyadic_polynomial,
@@ -343,9 +343,8 @@ def _exact_stem(e, z: _ExactC, dens):
     raise TypeError(f"no exact rule for {e!r}")
 
 
-# the radius ladder of the Cauchy certificates, where stems are evaluated
-# off the unit disc
-LADDER = (1.05, 1.2, 1.6, 2.0, 3.0)
+# radii of Cauchy circles, where stems are evaluated off the unit disc
+CIRCLES = (1.05, 1.2, 1.6, 2.0, 3.0)
 U = Quaternion(0.5, -0.5, 0.5, 0.5)
 P_REAL, P_IMAG = Quaternion(0.5), Quaternion(0.3, -0.4, 0.2, 0.5)
 
@@ -367,8 +366,8 @@ def _interpolant_8():
 class TestExactStems:
     """eval_many at complex points against the defining formulas of the
     stem rules evaluated exactly, with the error relative to max(1, |F|):
-    within 2e-15 at |z| <= 0.99 and within 2e-14 on the ladder circles,
-    where the stems grow and errors propagate through nested nodes.  Ladder
+    within 2e-15 at |z| <= 0.99 and within 2e-14 on Cauchy circles,
+    where the stems grow and errors propagate through nested nodes.  Circle
     points with an inverted n(.) below 1e-2 in modulus are near a pole and
     are skipped.
     """
@@ -392,10 +391,10 @@ class TestExactStems:
             rng.random(count)) * np.exp(1j * np.pi * rng.random(count))])
         worst, kept = self._worst(e, disc)
         assert kept == len(disc) and worst <= 2e-15
-        ladder = np.concatenate([
-            r * np.exp(1j * np.linspace(0.1, 3.0, per_circle)) for r in LADDER])
-        worst, kept = self._worst(e, ladder)
-        assert kept >= len(ladder) // 2 and worst <= 2e-14
+        circles = np.concatenate([r * np.exp(1j * np.linspace(
+            0.1, 3.0, per_circle)) for r in CIRCLES])
+        worst, kept = self._worst(e, circles)
+        assert kept >= len(circles) // 2 and worst <= 2e-14
 
     @pytest.mark.parametrize("p", [P_REAL, P_IMAG, ZERO])
     def test_moebius(self, p, rng):
@@ -668,9 +667,9 @@ class TestSchurChain:
 
     def test_radius_from_denominator_roots(self, monkeypatch):
         # R0 is the smallest root modulus of n(D), with D from
-        # chain_fraction: the stem's nearest pole.  The failed rungs locate
-        # it to 1e-4, the rung R = (1 + rho) / 2 that the nearest rho places
-        # certifies, and the sampled certificate bounds an order-1024
+        # chain_fraction: the stem's nearest pole.  The failed circles locate
+        # it to 1e-4, the circle R = (1 + rho) / 2 that the nearest rho
+        # places certifies, and the sampled certificate bounds an order-1024
         # lowering
         table, kind = _chain_problem(6, "zero")
         f = build_solution(table, kind)
@@ -745,11 +744,10 @@ class TestSchurChain:
         assert sum(flags) == 2
 
     def test_non_constant_h_is_lowered_like_the_chain(self, rng):
-        # the node counts like the inner tree of a Bullet, as its chain
-        # does, so both walk the same ladder: no rung of the 256-sample
-        # ladder counts for either (the fitted route gives order 512 and a
-        # tail of about 1e-7), and the rungs that their located poles place
-        # certify both, at order 402 (R = 1.027 on 2,048 samples)
+        # no circle of 256 samples counts for the node or its chain (the
+        # fitted route gives order 512 and a tail of about 1e-7); the
+        # circles that their located poles place certify both, at order 402
+        # (R = 1.027 on 2,048 samples)
         table, kind = _chain_problem(3, "zero")
         h = StarMul(Moebius(Quaternion(0.3, 0.2)),
                     Moebius(Quaternion(-0.2, 0.1, 0.3)))
@@ -769,9 +767,9 @@ class TestSchurChain:
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_moebius_h_takes_the_root_rung(self, n, rng):
-        # the rungs that fail locate the poles of the node over a Moebius
-        # h, and the rung the nearest one places gives a Cauchy certificate,
-        # where no rung of the 256-sample ladder counts
+        # the circles that fail locate the poles of the node over a Moebius
+        # h, and the circle the nearest one places gives a Cauchy
+        # certificate, where no circle of 256 samples counts
         table, kind = _chain_problem(n, "zero")
         h = Moebius(Quaternion(0.3, 0.2))
         f = build_solution(table, kind, h)
@@ -795,10 +793,10 @@ class TestSchurChain:
         assert s.tail_bound(0.95) <= 1e-12
 
     def test_singular_chain_places_a_nearer_rung(self):
-        # the rung at 3 and the rungs that each failed rung places in turn,
-        # R = 2.03, 1.37 and 1.22, locate singularities down to rho = 1.358,
-        # and the rung (1 + rho) / 2 = 1.18 certifies on 512 samples, below
-        # the order 212 of the ladder radius 1.1
+        # the circle at 3 and the circles that each failed circle places in
+        # turn, R = 2.57, 1.45 and 1.22, locate singularities down to rho =
+        # 1.348, and the circle (1 + rho) / 2 = 1.17 certifies on 512
+        # samples at order 151, below the order 212 of the radius 1.1
         table, kind = _chain_problem(8, "singular")
         s = expr_to_series(build_solution(table, kind))
         assert s.certificate == "cauchy-sampled"
@@ -806,10 +804,10 @@ class TestSchurChain:
 
     def test_clustered_nodes_lower_with_a_cauchy_certificate(self, rng):
         # 8 nodes in [-0.97, -0.90] put the poles of the stem next to the
-        # unit circle, nearer than any ladder rung can certify: the located
-        # rho = 1.003 places R = 1.0016 on 32,768 samples.  The order caps
-        # at 512 with a tail of 3.2e-11, short of the target (the fitted
-        # route gives a fitted tail of 3.9e-8)
+        # unit circle, nearer than a circle of 256 samples can certify: the
+        # located rho = 1.003 places R = 1.0016 on 32,768 samples.  The
+        # order caps at 512 with a tail of 3.2e-11, short of the target (the
+        # fitted route gives a fitted tail of 3.9e-8)
         nodes = list(-np.linspace(0.90, 0.97, 8))
         b = random_blaschke_expr(np.random.default_rng(5), 9)
         table = build_q_table(InterpolationProblem(
@@ -1021,7 +1019,7 @@ class TestSeriesLowering:
         assert s.growth_rate * 0.95 >= 1.0 and orders == [se.DEFAULT_ORDER, 512]
 
     def test_hopeless_orders_are_not_lowered(self):
-        # a node the ladder does not know takes the fitted route.  This one
+        # a node no Cauchy circle can read takes the fitted route.  This one
         # lowers a Blaschke tree with a series leaf, whose fitted g of 1.01
         # misses the 1e-12 target at r = 0.95 at every order below 512, so
         # only 64 and 512 are lowered
@@ -1082,28 +1080,26 @@ class TestCauchyCertificate:
                                    rtol=0.0, atol=1e-14), repr(tree)
 
     def test_order_past_the_samples_resamples_the_circle(self, monkeypatch):
-        # M_{0.93} * M_{0.93}^{-*} * M_{0.75} is M_{0.75}, but the pole
-        # 1/0.93 = 1.075 of its left factor, which the product cancels,
-        # bounds the ladder, so R = 1.05 is its only rung.  It counts on 256
-        # samples, as the pole 1/0.75 aliases only (1.05 / 1.33)^192 onto
-        # the Laurent terms, and the 1e-12 target at 0.95 asks for n = 303,
-        # past the 256 - 64 alias-free coefficients: the same circle is
-        # sampled once more at 2^ceil(log2 2 (304 + 64)) = 1024 points
-        p = Quaternion(0.93)
-        e = StarMul(StarMul(Moebius(p), StarInv(Moebius(p))),
-                    Moebius(Quaternion(0.75)))
+        # 1e90 M_{0.1} has its pole at 10, so its first circle is R = 3 on
+        # 256 samples.  It counts, but M of about 1e90 makes the 1e-12
+        # target at 0.95 ask for n = 205, past the 256 - 64 alias-free
+        # coefficients: the same circle is sampled once more at
+        # 2^ceil(log2 2 (206 + 64)) = 1024 points
+        m = Moebius(Quaternion(0.1))
         circles = _record_circles(monkeypatch)
-        s = expr_to_series(e)
-        assert circles == [(1.05, 256, None), (1.05, 1024, None)]
-        assert s.certificate == "cauchy-sampled" and s.order == 303
-        assert s.growth_rate == 1.0 / 1.05 and s.tail_bound(0.95) <= 1e-12
-        assert np.allclose(Moebius(Quaternion(0.75)).to_series(s.order).coeffs,
-                           s.coeffs, rtol=0.0, atol=1e-14)
+        s = expr_to_series(StarMul(Const(Quaternion(1e90)), m))
+        assert circles == [(3.0, 256, None), (3.0, 1024, None)]
+        assert s.certificate == "cauchy-sampled" and s.order == 205
+        assert s.growth_rate == 1.0 / 3.0 and s.tail_bound(0.95) <= 1e-12
+        assert np.allclose(1e90 * m.to_series(s.order).coeffs, s.coeffs,
+                           rtol=0.0, atol=1e90 * 1e-14)
 
     def test_failed_second_pass_gives_way(self, monkeypatch):
-        # when a circle sampled past 256 points does not count, the ladder
-        # goes on: M_{0.8} loses the rung 1.125 that its pole places and
-        # the resample of R = 1.05, its last rung, and takes the fitted route
+        # when a circle sampled past 256 points does not count, the search
+        # goes on: M_{0.8} loses the circle 1.125 that its pole places,
+        # which locates nothing, so rho becomes 1.125, and the next circle,
+        # R = (1 + 1.125) / 2, would need more than 256 samples; the tree
+        # takes the fitted route
         spectrum = mo._circle_spectrum
         monkeypatch.setattr(mo, "_circle_spectrum", lambda e, radius, samples:
                             (None, None) if samples > 256
@@ -1115,8 +1111,10 @@ class TestCauchyCertificate:
     def test_overflowing_spectrum_certifies_no_circle(self, monkeypatch):
         # a stem of about 1e306 on the circle is finite, but its FFT and the
         # norms of the Laurent check overflow, so that check cannot be read:
-        # no circle counts and none locates a singularity, so every rung is
-        # sampled, none is placed, and the tree goes fitted
+        # no circle counts and none locates a singularity.  From the pole
+        # 1/0.3 each circle takes the last one's R as rho, which steps R
+        # down by TOL^(1/192) / 1.02 = 0.839 on 256 samples, until R =
+        # (1 + rho) / 2 would need 512 and the tree goes fitted
         circles = []
         spectrum = mo._circle_spectrum
 
@@ -1129,71 +1127,40 @@ class TestCauchyCertificate:
                                        exact=True))
         s = expr_to_series(StarMul(leaf, Moebius(Quaternion(0.3))))
         assert s.certificate == "fitted"
-        assert [(r, n) for r, n, _ in circles] == [
-            (r, 256) for r in mo._CAUCHY_RADII]
+        assert [(round(r, 3), n) for r, n, _ in circles] == [
+            (r, 256) for r in (2.796, 2.346, 1.968, 1.651, 1.385)]
         assert all(found == (None, None) for _, _, found in circles)
 
     def test_failed_rung_locates_the_singularity(self, monkeypatch):
         # (q + 1.5)^{-*} has its pole at 1.5, inside R = 3, whose Laurent
         # terms decay at the ratio 1.5 / 3 and locate it.  That places the
-        # rung R = (1 + rho) / 2 = 1.25 between 1.35 and 1.2, on the 256
-        # samples that keep (1.25 / 1.5)^(N - 64) under the tolerance.  R =
-        # 2 and 1.6 lie past the pole and R = 1.35 would alias (1.35 /
-        # 1.53)^192 onto the Laurent terms, so all three are skipped, and R =
-        # 1.25 counts, with order 111 (130 on the ladder rung 1.2)
+        # next circle at R = rho TOL^(1/192) / 1.02 = 1.2575, the largest
+        # radius whose 256 samples keep (R / 1.02 rho)^(N - 64) under the
+        # tolerance, and past (1 + rho) / 2; it counts, with order 108
         e = StarInv(Sum(Identity(), Const(1.5)))
         found, rho = mo._circle_spectrum(e, 3.0, 256)
         assert found is None and abs(rho / 1.5 - 1.0) <= 0.01
         circles = _record_circles(monkeypatch)
         s = expr_to_series(e)
-        radius = (1.0 + rho) / 2.0
+        radius = rho * mo._LAURENT_TOL ** (1 / 192) / mo._LOCATED_MARGIN
+        assert radius > (1.0 + rho) / 2.0 and abs(radius - 1.2575) <= 1e-4
         assert circles == [(3.0, 256, rho), (radius, 256, None)]
-        assert s.certificate == "cauchy-sampled" and s.order == 111
+        assert s.certificate == "cauchy-sampled" and s.order == 108
         assert s.growth_rate == 1.0 / radius and s.tail_bound(0.95) <= 1e-12
 
-    def test_skipped_rungs_lose_nothing(self, criterion_7_lowered):
-        # a rung is skipped only where the located singularity makes it
-        # fail, and a located singularity only adds rungs: every tree with a
-        # counting rung on the full 256-sample ladder, found here by sampling
-        # each rung, is certified on it or on a larger rung, and on it
-        # exactly when no rung above it locates a singularity (134 of the
-        # 401 are certified on a placed rung)
-        checked = placed = 0
-        for tree, s in criterion_7_lowered:
-            if s.exact:
-                continue
-            poles = mo._pole_radius(tree)
-            located = False
-            for radius in mo._CAUCHY_RADII:
-                if not 0.95 < radius < poles:
-                    continue
-                found, rho = mo._circle_spectrum(tree, radius, 256)
-                if found is not None:
-                    break
-                located = located or rho is not None
-            else:
-                continue
-            assert s.growth_rate <= 1.0 / radius, repr(tree)
-            if not located:
-                assert s.growth_rate == 1.0 / radius, repr(tree)
-            placed += s.growth_rate < 1.0 / radius
-            checked += 1
-        assert checked == 401 and placed == 134
-
     def test_ladder_samples_by_need(self, monkeypatch):
-        # on the criterion-7 trees the located singularities skip the rungs
-        # that must fail and place rungs nearer to them: 750 circle
-        # samplings, 1,017 over the full ladder
+        # on the criterion-7 trees the located singularities place each
+        # circle: 631 circle samplings
         from test_acceptance import _random_tree
         circles = _record_circles(monkeypatch)
         rng = np.random.default_rng(55)
         for _ in range(500):
             expr_to_series(_random_tree(rng, int(rng.integers(1, 5))))
-        assert len(circles) <= 800
+        assert len(circles) <= 660
 
     def test_schur_chain_on_its_root_rung(self, monkeypatch):
-        # the failed rungs locate the poles of the chain, and the rung R =
-        # (1 + rho) / 2 of the nearest rho counts: it is the last circle and
+        # the failed circles locate the poles of the chain, and the circle R
+        # = (1 + rho) / 2 of the nearest rho counts: it is the last one and
         # the only one past 256 samples, with 512, enough for its order
         table, kind = _chain_problem(6, "zero")
         f = build_solution(table, kind)
@@ -1213,33 +1180,71 @@ class TestCauchyCertificate:
         assert set(kinds) == {"exact", "cauchy-sampled"}
         met = sum(s.tail_bound(0.95) <= 1e-12 for _, s in criterion_7_lowered)
         assert met == 500
-        # one lowering each, at the order the certificate asks for
+        # one lowering each, at the order the certificate asks for: a mean
+        # of 53.1
         orders = [s.order for _, s in criterion_7_lowered
                   if s.certificate == "cauchy-sampled"]
-        assert np.mean(orders) < 128
+        assert np.mean(orders) <= 55.0
 
-    def test_radius_stays_inside_singularity(self):
-        # M_p has its pole on |z| = 1/|p| = 2, so R = 1.6: the rungs at and
-        # past the pole are skipped, and R = 1.6 leaves no Laurent part
+    def test_radius_stays_inside_singularity(self, monkeypatch):
+        # M_p has its pole on |z| = 1/|p| = 2, so its one circle is R = 2
+        # TOL^(1/192) / 1.02 = 1.6777 on 256 samples, which leaves no
+        # Laurent part
+        circles = _record_circles(monkeypatch)
         s = expr_to_series(Moebius(Quaternion(0.5)))
-        assert s.certificate == "cauchy-sampled"
-        assert s.growth_rate == 1.0 / 1.6
+        assert [(round(r, 4), n) for r, n, _ in circles] == [(1.6777, 256)]
+        assert s.certificate == "cauchy-sampled" and s.order == 53
+        assert s.growth_rate == 1.0 / circles[0][0]
         assert s.tail_bound(0.95) <= 1e-12
 
+    def test_pole_places_the_first_circle(self, monkeypatch):
+        # the pole 1/0.8 = 1.25 of M_{0.8} places R = (1 + 1.25) / 2 =
+        # 1.125 on the 512 samples that keep (1.125 / 1.25)^(N - 64) under
+        # the tolerance, and that first circle certifies
+        e = Moebius(Quaternion(0.8))
+        circles = _record_circles(monkeypatch)
+        s = expr_to_series(e)
+        assert circles == [(1.125, 512, None)]
+        assert s.certificate == "cauchy-sampled" and s.order == 181
+        assert s.growth_rate == 1.0 / 1.125 and s.tail_bound(0.95) <= 1e-12
+        assert np.allclose(e.to_series(s.order).coeffs, s.coeffs,
+                           rtol=0.0, atol=1e-14)
+
+    def test_bullet_counts_the_poles_of_its_inner_node(self, monkeypatch):
+        # M_{0.2 + 0.1i} . M_q cancels the pole of M_q at 1/|q| = 2.236 only
+        # to rounding, so the first circle lies inside it, at 2.236
+        # TOL^(1/192) / 1.02 = 1.8758, not at R = 3
+        q = Quaternion(0.4, 0.0, 0.2)
+        e = Bullet(Quaternion(0.2, 0.1), Moebius(q))
+        assert mo._pole_radius(e) == 1.0 / abs(q)
+        circles = _record_circles(monkeypatch)
+        s = expr_to_series(e)
+        assert round(circles[0][0], 4) == 1.8758 < 1.0 / abs(q)
+        assert s.certificate == "cauchy-sampled"
+        assert s.tail_bound(0.95) <= 1e-12
+
+    def test_bullet_residue_pole_stays_outside(self, criterion_7_lowered):
+        # criterion-7 tree 298 cancels Moebius poles under a Bullet only to
+        # rounding; certified at R = 3 past them, its order-1024 lowering
+        # exceeded C g^m from m = 197 by up to 1.6e13 times
+        tree, s = criterion_7_lowered[298]
+        assert s.certificate == "cauchy-sampled" and s.growth_rate > 1.0 / 3.0
+        norms = tree.to_series(1024).coefficient_norms()
+        assert np.all(norms <= s.coeff_bound * s.growth_rate ** np.arange(
+            len(norms))), repr(tree)
+
     def test_no_radius_takes_fitted_route(self, monkeypatch):
-        # singular at 1/0.9 = 1.11: no ladder radius counts on 256 samples,
-        # which once sent M_{0.9} down the fitted route.  R = 1.1 fails and
-        # locates the pole, which places the rung R = (1 + rho) / 2 = 1.056
-        # on the 1,024 samples that keep its aliasing off the Laurent terms;
-        # it counts with order 295, and R = 1.05 is never sampled
+        # singular at 1/0.9 = 1.11: no circle counts on 256 samples, which
+        # once sent M_{0.9} down the fitted route.  Its pole places the one
+        # circle R = (1 + 1/0.9) / 2 = 1.056 on the 1,024 samples that keep
+        # its aliasing off the Laurent terms; it counts with order 295
         e = Moebius(Quaternion(0.9))
         circles = _record_circles(monkeypatch)
         s = expr_to_series(e)
-        rho = circles[0][2]
-        assert abs(rho * 0.9 - 1.0) <= 1e-6
-        assert circles == [(1.1, 256, rho), ((1.0 + rho) / 2.0, 1024, None)]
+        radius = (1.0 + 1.0 / 0.9) / 2.0
+        assert circles == [(radius, 1024, None)]
         assert s.certificate == "cauchy-sampled" and s.order == 295
-        assert s.growth_rate == 2.0 / (1.0 + rho)
+        assert s.growth_rate == 1.0 / radius
         assert s.tail_bound(0.95) <= 1e-12
         assert np.allclose(e.to_series(s.order).coeffs, s.coeffs,
                            rtol=0.0, atol=1e-14)

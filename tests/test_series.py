@@ -38,7 +38,7 @@ def scalar_fit(coeffs):
     norms = [abs(Quaternion.from_iter(c)) for c in coeffs]
     cmax = max(norms)
     ms = [m for m in range(1, len(norms)) if norms[m] > cmax * 1e-250]
-    g = max((norms[m] / cmax) ** (1.0 / m) for m in ms) if ms else 0.0
+    g = max((norms[m] / cmax) ** (1.0 / m) for m in ms) if ms else 1.0
     return 4.0 * cmax, 1.01 * g
 
 
@@ -122,6 +122,15 @@ class TestConstruction:
         norms = f.coefficient_norms()
         caps = f.coeff_bound * f.growth_rate ** np.arange(10)
         assert np.all(norms <= caps + 1e-9)
+
+    def test_lone_constant_term_claims_no_zero_tail(self):
+        # a0 alone says nothing of the terms the truncation dropped: the fit
+        # takes g = 1.01, as when the largest coefficient is not a0, where it
+        # took g = 0 and a zero tail
+        f = TaylorSeries([[0.3, 0.1, -0.2, 0.1]])
+        assert f.growth_rate == 1.01
+        assert f.coeff_bound == 4.0 * f.coefficient_norms()[0]
+        assert f.tail_bound(0.95) > 1e-9
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid:RuntimeWarning")

@@ -24,11 +24,11 @@ from slicereg.series import TaylorSeries
 from slicereg.verify import (
     SUITES,
     SamplerConfig,
-    random_blaschke_expr,
-    random_series_self_map,
     run_suite,
     sample_points,
 )
+
+from conftest import random_blaschke_expr, random_series_self_map
 
 from test_hyperbolic import CountedStem, PointSpy
 from test_moebius import _chain_problem
