@@ -60,6 +60,17 @@ def _parse_h(raw):
     return expr_from_json(data)
 
 
+def _q_table_margin(table):
+    """The computed cell (k >= 1) whose value lies nearest the unit sphere,
+    as {"cell": [k, l], "margin": ||Q| - 1|}; None for a one-node table."""
+    near = min(((abs(abs(c.value) - 1.0), k, l)
+                for (k, l), c in table.cells.items()
+                if k >= 1 and c.value is not None), default=None)
+    if near is None:
+        return None
+    return {"cell": [near[1], near[2]], "margin": near[0]}
+
+
 def cmd_interpolate(args) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -80,6 +91,7 @@ def cmd_interpolate(args) -> int:
         "kind": kind.to_json(),
         "table": table.to_json(),
         "pickMinEig": min_eig,
+        "qTableMargin": _q_table_margin(table),
         "solution": None,
         "residuals": None,
     }

@@ -12,6 +12,7 @@ lifts a one-slice complex function to its unique slice regular extension.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -325,9 +326,18 @@ def pick_matrix(nodes, values) -> HermitianQuatMatrix:
     (1 - s_m conj(s_l)) / (1 - r_m r_l), in one broadcast Hamilton product
     over all (m, l).  Otherwise x @ (I - L(p_m) R(conj p_l)) = w on the
     components, with x @ L(p) = p x and x @ R(q) = x q, and all n^2 of these
-    4 x 4 real systems are solved in one batched call.
+    4 x 4 real systems are solved in one batched call.  Float nodes stay
+    floats, with the checks and messages of Quaternion nodes.
     """
-    nodes = [Quaternion(r) if isinstance(r, (int, float)) else r for r in nodes]
+    nodes = list(nodes)
+    real = all(isinstance(r, (int, float)) for r in nodes)
+    if real:
+        nodes = [float(r) for r in nodes]
+        if not all(map(math.isfinite, nodes)):
+            raise ValueError("quaternion components must be finite")
+    else:
+        nodes = [Quaternion(r) if isinstance(r, (int, float)) else r
+                 for r in nodes]
     values = [Quaternion(s) if isinstance(s, (int, float)) else s
               for s in values]
     n = len(nodes)
@@ -341,8 +351,8 @@ def pick_matrix(nodes, values) -> HermitianQuatMatrix:
             raise ValueError("values must lie inside the unit ball")
     S = np.array([s.components() for s in values])
     w = (1.0, 0.0, 0.0, 0.0) - qarray.qmul(S[:, None], qarray.qconj(S)[None])
-    if all(p.is_real() for p in nodes):
-        r = np.array([p.w for p in nodes])
+    if real or all(p.is_real() for p in nodes):
+        r = np.array(nodes if real else [p.w for p in nodes])
         return HermitianQuatMatrix(w / (1.0 - np.outer(r, r))[..., None])
     left = _left_mul_matrices(np.array([p.components() for p in nodes]))
     # x conj(p) = conj(p conj(x)), so R(conj p) = C L(p) C with

@@ -74,12 +74,29 @@ def _check_unimodular(u: Quaternion):
 
 
 def moebius_classical_eval(p: Quaternion, q: Quaternion) -> Quaternion:
-    """Classical Moebius map M_p(q) = (1 - q conj(p))^{-1} (q - p)."""
+    """Classical Moebius map M_p(q) = (1 - q conj(p))^{-1} (q - p).
+
+    Computed on the components, in the order of the Quaternion arithmetic
+    (1 - q * p.conj()).inverse() * (q - p), so that the result is bitwise
+    that expression's and only the result is a Quaternion.
+    """
     _check_ball(p)
-    den = Quaternion(1.0) - q * p.conj()
-    if abs(den) <= _SING_TOL:
+    a, b, c, d = q.w, q.x, q.y, q.z
+    e, f, g, h = p.w, -p.x, -p.y, -p.z
+    # 0.0 - t rather than -t: a zero keeps the sign that ONE - t gives it
+    w = 1.0 - (a * e - b * f - c * g - d * h)
+    x = 0.0 - (a * f + b * e + c * h - d * g)
+    y = 0.0 - (a * g - b * h + c * e + d * f)
+    z = 0.0 - (a * h + b * g - c * f + d * e)
+    n2 = w * w + x * x + y * y + z * z
+    if math.sqrt(n2) <= _SING_TOL:
         raise SingularDenominator(f"1 - q conj(p) vanishes at q={q!r}")
-    return den.inverse() * (q - p)
+    w, x, y, z = w / n2, -x / n2, -y / n2, -z / n2
+    e, f, g, h = a - p.w, b - p.x, c - p.y, d - p.z
+    return Quaternion(w * e - x * f - y * g - z * h,
+                      w * f + x * e + y * h - z * g,
+                      w * g - x * h + y * e + z * f,
+                      w * h + x * g - y * f + z * e)
 
 
 # -- stem rules -------------------------------------------------------

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from slicereg import cli, qarray
 from slicereg.hyperbolic import hyperbolic_quotient
@@ -130,6 +134,134 @@ class TestInterpolate:
         cli.main(["interpolate", path])
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestQTableMargin:
+    def test_readme_problem_recomputed_from_table(self, tmp_path, capsys):
+        path = write_problem(tmp_path, [0.0, -0.5, 0.5],
+                             [[0, 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.3, 0]])
+        assert cli.main(["interpolate", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        want = min((abs(math.sqrt(sum(x * x for x in c["value"])) - 1.0),
+                    [c["k"], c["l"]]) for c in report["table"]
+                   if c["k"] >= 1 and c["value"] is not None)
+        got = report["qTableMargin"]
+        assert (got["margin"], got["cell"]) == want
+        assert got["cell"] == [2, 3] and 0.06 < got["margin"] < 0.07
+
+    @pytest.mark.parametrize("lam, mu, code", [(0.3, 0.2, 0), (0.7, 0.7, 2)])
+    def test_two_point_closed_form(self, tmp_path, capsys, lam, mu, code):
+        # criteria 1-2: |Q_1^2|^2 = (25/16)(lam^2 + mu^2) / (1 + lam^2 mu^2)
+        path = write_problem(tmp_path, [-0.5, 0.5],
+                             [[0, lam, 0, 0], [0, 0, mu, 0]])
+        assert cli.main(["interpolate", path]) == code
+        got = json.loads(capsys.readouterr().out)["qTableMargin"]
+        q = math.sqrt(25.0 / 16.0 * (lam * lam + mu * mu)
+                      / (1.0 + lam * lam * mu * mu))
+        assert got["cell"] == [1, 2]
+        assert abs(got["margin"] - abs(q - 1.0)) <= 1e-15
+
+    def test_null_for_one_node(self, tmp_path, capsys):
+        path = write_problem(tmp_path, [0.3], [[0.1, 0.2, 0, 0]])
+        assert cli.main(["interpolate", path]) == 0
+        assert json.loads(capsys.readouterr().out)["qTableMargin"] is None
+
+    def test_ambiguous_report_keeps_its_schema(self, tmp_path, capsys):
+        path = write_problem(tmp_path, [0.0, 0.5],
+                             [[0, 0, 0, 0], [0.5 * (1.0 - 1e-10), 0, 0, 0]])
+        assert cli.main(["interpolate", path]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert sorted(report) == ["cell", "error", "table"]
+
+
+def _unit(draw):
+    v = draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+    n = math.sqrt(sum(x * x for x in v))
+    return [x / n for x in v] if n > 1e-3 else [1.0, 0.0, 0.0, 0.0]
+
+
+# two self-maps, M_p and q (0.5 + 0.1 i), and q + 0.5, which is not one
+H_EXPRS = [
+    {"kind": "moebius", "p": [0.3, -0.2, 0.1, 0.0]},
+    {"kind": "star_mul", "left": {"kind": "identity"},
+     "right": {"kind": "const", "value": [0.5, 0.1, 0, 0]}},
+    {"kind": "sum", "left": {"kind": "identity"},
+     "right": {"kind": "const", "value": [0.5, 0, 0, 0]}},
+]
+
+
+@st.composite
+def problems(draw):
+    """Problem JSON with clustered nodes, nodes next to +-1, values and a
+    table cell next to the sphere, an optional h, and sometimes one
+    malformed field."""
+    n = draw(st.integers(1, 12))
+    nodes = [k / 1000.0 for k in sorted(draw(st.lists(
+        st.integers(-900, 900), min_size=n, max_size=n, unique=True)))]
+    for i in range(1, n):
+        if draw(st.integers(0, 3)) == 0:
+            nodes[i] = nodes[i - 1] + 10.0 ** draw(st.floats(-11.0, -3.0))
+    if draw(st.integers(0, 3)) == 0:
+        nodes[draw(st.integers(0, n - 1))] = draw(st.sampled_from(
+            [1.0 - 1e-14, 1.0 - 5e-15, -1.0 + 1e-14]))
+    if draw(st.integers(0, 4)) == 0:
+        s = [x * (1.0 - 1e-12) for x in _unit(draw)]
+        values = [s] * n
+    else:
+        values = [[x * draw(st.floats(0.0, 0.95)) for x in _unit(draw)]
+                  for _ in range(n)]
+        if draw(st.integers(0, 2)) == 0:
+            values[draw(st.integers(0, n - 1))] = [
+                x * (1.0 - 10.0 ** -draw(st.integers(9, 15)))
+                for x in _unit(draw)]
+        if n > 1 and draw(st.integers(0, 4)) == 0:
+            # with s_1 = 0, Q_1^2 = s_2 / M_{r_1}(r_2): put it next to the
+            # sphere, in and around the boundary band
+            r1, r2 = nodes[0], nodes[1]
+            size = abs((r2 - r1) / (1.0 - r1 * r2)) * (1.0 + draw(
+                st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(
+                    st.floats(-13.0, -8.0)))
+            values[0] = [0.0, 0.0, 0.0, 0.0]
+            values[1] = [x * size for x in _unit(draw)]
+    data = {"nodes": nodes, "values": values}
+    h = draw(st.one_of(st.none(), st.sampled_from(H_EXPRS), st.lists(
+        st.floats(-0.8, 0.8), min_size=4, max_size=4)))
+    if h is not None:
+        data["h"] = h
+    bad = draw(st.sampled_from(
+        [None] * 8 + ["missing", "length", "nonfinite", "string"]))
+    if bad == "missing":
+        del data[draw(st.sampled_from(["nodes", "values"]))]
+    elif bad == "length":
+        data["values"] = values + [[0.0, 0.0, 0.0, 0.0]]
+    elif bad == "nonfinite":
+        values[0] = [draw(st.sampled_from(
+            [math.nan, math.inf, -math.inf]))] + values[0][1:]
+    elif bad == "string":
+        data["nodes"] = ["x"] + nodes[1:]
+    return data
+
+
+class TestInterpolateContract:
+    @settings(derandomize=True, max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.too_slow])
+    @given(data=problems())
+    def test_exit_codes_and_stderr(self, tmp_path, data):
+        path = tmp_path / "prob.json"
+        path.write_text(json.dumps(data))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["interpolate", str(path)])
+        err = err.getvalue()
+        assert code in (0, 1, 2, 3)
+        if code == 1:
+            assert err.startswith("error:") and err.count("\n") == 1
+            return
+        assert err == ""
+        report = json.loads(out.getvalue())
+        if code == 0:
+            assert all(map(math.isfinite, report["residuals"]))
 
 
 class TestVerify:

@@ -28,6 +28,8 @@ from slicereg.moebius import Moebius, StarMul
 from slicereg.qarray import uniform_ball
 from slicereg.quaternion import I, J, K, ONE, Quaternion, ZERO
 
+from conftest import random_blaschke_expr
+
 THREE_NODES = [0.0, -0.5, 0.5]
 
 
@@ -290,6 +292,19 @@ class TestPickMatrix:
         trunc = pick_matrix(near, values)
         assert np.abs(exact.entries - trunc.entries).max() <= 1e-10
 
+    def test_float_nodes_as_quaternion_nodes(self):
+        # float nodes stay floats: the same entries, bit for bit, and the
+        # same refusals as real Quaternion nodes
+        nodes = [0.1, -0.3, 0]
+        values = [I * 0.3, Quaternion(0.1, 0.0, 0.2), ZERO]
+        as_q = pick_matrix([Quaternion(r) for r in nodes], values).entries
+        assert pick_matrix(iter(nodes), values).entries.tobytes() == \
+            as_q.tobytes()
+        for bad, message in ((math.nan, "finite"), (math.inf, "finite"),
+                             (-1.0, "inside the unit ball")):
+            with pytest.raises(ValueError, match=message):
+                pick_matrix([0.1, bad], values[:2])
+
 
 # -- exact oracle ------------------------------------------------------
 # Q-table cells and real-node Pick entries are rational in the inputs, so
@@ -441,6 +456,63 @@ class TestExactOracle:
                 res = tuple(a - b - c for a, b, c in zip(x, pxp, w))
                 worst = max(worst, math.sqrt(float(_habs2(res) / _habs2(w))))
         assert worst <= 1e-15
+
+
+def _object_q_table(prob):
+    """Kinds and values of the cells, by the solver's recurrence written in
+    Quaternion arithmetic: M_a(b) = (1 - b conj(a))^{-1} (b - a)."""
+    r = prob.nodes
+    cells = {(0, l): ("ball", s) for l, s in enumerate(prob.values, start=1)}
+    for k in range(1, prob.n):
+        a = cells[(k - 1, k)]
+        for l in range(k + 1, prob.n + 1):
+            b = cells[(k - 1, l)]
+            if "ambiguous" in (a[0], b[0]):
+                cells[(k, l)] = a if a[0] == "ambiguous" else b
+            elif a[0] == b[0] == "ball":
+                scale = (r[l - 1] - r[k - 1]) / (1.0 - r[k - 1] * r[l - 1])
+                q = (ONE - b[1] * a[1].conj()).inverse() * (b[1] - a[1])
+                q = q / scale
+                kind = _exact_kind(q.abs2())
+                cells[(k, l)] = (kind, q / abs(q) if kind == "unimodular"
+                                 else q)
+            elif (a[0] == b[0] == "unimodular"
+                  and abs(a[1] - b[1]) <= 1e-9):
+                cells[(k, l)] = a
+            else:
+                cells[(k, l)] = ("infinity", None)
+    return cells
+
+
+def _bits(q):
+    return None if q is None else [x.hex() for x in q.components()]
+
+
+class TestFloatKernel:
+    def test_q_table_bitwise_the_quaternion_recurrence(self, rng):
+        # every cell, kind and components, is the one that Quaternion
+        # arithmetic gives: the oracle problems (n = 2..5) and n = 6..8
+        # problems from 0.9 B (ball cells), B of degree n - 1 (unimodular
+        # rows) and random values (infinity cells)
+        probs = _oracle_problems(rng, 64)
+        for n in (6, 7, 8):
+            nodes = np.linspace(-0.7, 0.7, n) + rng.uniform(-0.05, 0.05, n)
+            for degree, scale in ((n + 1, 0.9), (n - 1, 1.0)):
+                f = random_blaschke_expr(rng, degree)
+                probs.append(InterpolationProblem(
+                    nodes, [f.eval(Quaternion(x)) * scale for x in nodes]))
+            probs.append(InterpolationProblem(nodes, [
+                Quaternion.from_iter(v) for v in uniform_ball(rng, n, 0.75)]))
+        probs.append(InterpolationProblem([0.0, 0.5], [
+            ZERO, Quaternion(0.5 * (1.0 - 1e-10))]))
+        kinds = set()
+        for prob in probs:
+            t = build_q_table(prob)
+            for key, (kind, v) in _object_q_table(prob).items():
+                c = t.cell(*key)
+                assert (c.kind, _bits(c.value)) == (kind, _bits(v)), key
+                kinds.add(kind)
+        assert kinds == {"ball", "unimodular", "infinity", "ambiguous"}
 
 
 class TestPsdCheck:

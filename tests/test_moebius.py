@@ -87,6 +87,44 @@ class TestClassicalMoebius:
         with pytest.raises(SingularDenominator):
             moebius_classical_eval(p, Quaternion(2.0))
 
+    def test_bitwise_the_quaternion_formula(self):
+        # the kernel runs on floats in the operation order of this
+        # expression, so every component, signed zeros included, is the
+        # same; it refuses exactly where the expression's |den| <= 1e-13
+        rng = np.random.default_rng(28)
+        pairs = [(Quaternion(0.5), Quaternion(2.0))]
+        for _ in range(400):
+            pairs.append((rand_q(rng, 0.95), rand_q(rng, 1.0)))
+            pairs.append((ZERO, rand_q(rng, 1.0)))
+            pairs.append((Quaternion(rng.uniform(-0.95, 0.95)),
+                          rand_q(rng, 1.0)))
+            pairs.append((Quaternion(rng.uniform(-0.95, 0.95)),
+                          Quaternion(rng.uniform(-3.0, 3.0))))
+            p = rand_q(rng, 0.95)
+            pairs.append((p, p))
+        for _ in range(1000):
+            # q = (1 + e) / conj(p), so that |1 - q conj(p)| = |e| spans
+            # 1e-15 .. 1e-11 around the threshold
+            p = rand_q(rng, 1.0)
+            if rng.random() < 0.3:
+                p = Quaternion(p.w)
+            e = rand_q(rng, 1.0)
+            e = e * (10.0 ** rng.uniform(-15, -11) / abs(e))
+            pairs.append((p, (ONE + e) * p * (1.0 / p.abs2())))
+        refused = 0
+        for p, q in pairs:
+            den = ONE - q * p.conj()
+            if abs(den) <= 1e-13:
+                refused += 1
+                with pytest.raises(SingularDenominator):
+                    moebius_classical_eval(p, q)
+                continue
+            want = den.inverse() * (q - p)
+            got = moebius_classical_eval(p, q)
+            assert [x.hex() for x in got.components()] == \
+                [x.hex() for x in want.components()], (p, q)
+        assert refused >= 200 and len(pairs) - refused >= 2000
+
 
 class TestRegularMoebius:
     def test_vanishes_at_parameter(self):
