@@ -1,15 +1,16 @@
 """Hyperbolic geometry of the unit ball and difference quotients.
 
 The hyperbolic difference quotient of a self-map f at p is the slice
-regular function f*_p = M_p^{-*} * (M_{f(p)} . f), an expression node
-(:class:`HyperbolicQuotient`) that evaluates through the stem of its tree,
-whatever f is: an expression, a series or another quotient.  M_p^{-*} is
-one leaf, with the closed-form stem (z - p)^{-1} (1 - z conj(p)).  The
-tree is singular on the sphere S_p of p, a removable singularity of f*_p;
-a batch the tree refuses is read from the division-route series
-(:func:`quotient_series`) in the same stem pass.  The hyperbolic derivative
-f^h(p) = f*_p(p) needs neither: the stem of f at the one complex point of p
-fixes f*_p on that whole sphere (:func:`quotient_on_sphere`).
+regular function f*_p = M_p^{-*} * (M_{f(p)} . f), one expression node
+(:class:`HyperbolicQuotient`) whatever f is: an expression, a series or
+another quotient.  Its stem rule is the closed-form stem
+(z - p)^{-1} (1 - z conj(p)) of M_p^{-*} times the action of M_{f(p)} on
+the stem of f.  The rule is singular on the sphere S_p of p, a removable
+singularity of f*_p; a batch the rule refuses is read from the
+division-route series (:func:`quotient_series`) in the same stem pass.
+The hyperbolic derivative f^h(p) = f*_p(p) needs neither: the stem of f at
+the one complex point of p fixes f*_p on that whole sphere
+(:func:`quotient_on_sphere`).
 
 One value a = f(q0) decides whether a self-map f is a unimodular constant.
 g = M_a . f vanishes at q0, so |g| <= m = (|q0| + r) / (1 + r |q0|) on
@@ -20,13 +21,13 @@ r = 0.6.  A quotient's input is judged at q0 = p, from the f(p) that the
 quotient needs anyway; the new quotient at whichever of 0 and 1/2 lies
 farther from S_p; and a series at q0 = 0, from its constant coefficient.
 Building a quotient reads f once, over slice points that start at p and
-hold q0, and evaluates its three new nodes once, over the rows after p, off
-S_p; the probe reads the new quotient at q0 off that pass.  Several
-quotients of one f, or a chain of them, share one such pass: a caller
-evaluates f once over all its points (the quotient points first, then
-their q0, then its samples) and hands each quotient the memo of stems
-there, which moves to the rows after each p by slicing every stem alike.
-So f is read once in all, and each quotient adds only its own nodes.
+hold q0, and evaluates the new node once, over the rows after p, off S_p;
+the probe reads the new quotient at q0 off that pass.  Several quotients
+of one f, or a chain of them, share one such pass: a caller evaluates f
+once over all its points (the quotient points first, then their q0, then
+its samples) and hands each quotient the memo of stems there, which moves
+to the rows after each p by slicing every stem alike.  So f is read once
+in all, and each quotient adds only its own node.
 """
 
 from __future__ import annotations
@@ -44,20 +45,19 @@ from .errors import (
     SliceRegError,
 )
 from .moebius import (
-    Bullet,
-    Const,
     FunctionExpr,
     SeriesFunc,
-    StarMul,
-    _MoebiusInverse,
     _check_ball,
     _memo_rows,
+    _moebius_constants,
+    _moebius_stem,
+    _stem_action,
     _stem_inverse,
     _stem_rule,
     expr_to_series,
     moebius_classical_eval,
 )
-from .quaternion import Quaternion
+from .quaternion import ONE, Quaternion
 from .series import TaylorSeries
 
 __all__ = [
@@ -82,7 +82,7 @@ __all__ = [
 # ball |q| <= _VERDICT_RADIUS
 _UNIMODULAR_TOL = 1e-9
 _VERDICT_RADIUS = 0.6
-# tail target for the series that f^h and a quotient off its tree read
+# tail target for the series that f^h and a quotient off its stem rule read
 _TAIL_TARGET = 1e-10
 
 
@@ -182,22 +182,29 @@ def quotient_series(fs: TaylorSeries, p: Quaternion,
 
 
 class HyperbolicQuotient(FunctionExpr):
-    """f*_p of the expression ``base`` as a node whose stem is that of its
-    tree ``result`` (``Const(u)`` when f itself is a unimodular constant u).
-    ``unimodular_value`` is u when f*_p is a unimodular constant u, else
-    None.  Where the tree refuses a batch, on the singular sphere S_p or
-    for a Bullet whose f(p) lies next to the unit sphere, the whole batch
-    is read from the division-route series, lowered so that its tail at
-    max|q| is within _TAIL_TARGET where the order cap allows.
+    """f*_p of the expression ``base`` as one node, with the stem
+    M_p^{-*}(z) (M_{f(p)} . F)(z): the closed-form stem of M_p^{-*}
+    (:func:`~slicereg.moebius._moebius_stem` on the constants of
+    M_{conj(p)}) times the action of M_{f(p)} on the stem F of f.  ``fp``
+    is f(p), or None when f itself is a unimodular constant u, whose
+    quotient is the constant u.  ``unimodular_value`` is u when f*_p is a
+    unimodular constant u, else None.  Where the rule refuses a batch, on
+    the singular sphere S_p or where f(p) lies next to the unit sphere,
+    the whole batch is read from the division-route series, lowered so
+    that its tail at max|q| is within _TAIL_TARGET where the order cap
+    allows.
     """
 
-    __slots__ = ("base", "p", "result", "unimodular_value")
+    __slots__ = ("base", "p", "fp", "_consts", "unimodular_value")
 
-    def __init__(self, base: FunctionExpr, p: Quaternion, result: FunctionExpr,
+    def __init__(self, base: FunctionExpr, p: Quaternion, fp: Quaternion,
                  unimodular_value: Quaternion = None):
+        u, vu, x, y2 = _moebius_constants(p, ONE)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "result", result)
+        object.__setattr__(self, "fp", fp)
+        # the constants of M_{conj(p)}, whose imaginary part is -v
+        object.__setattr__(self, "_consts", (u, -vu, x, y2))
         object.__setattr__(self, "unimodular_value", unimodular_value)
 
     @property
@@ -206,10 +213,15 @@ class HyperbolicQuotient(FunctionExpr):
 
     @_stem_rule
     def eval_many(self, z, memo):
+        if self.fp is None:
+            return np.full(z.shape + (4,), self.unimodular_value.components(),
+                           dtype=complex)
         try:
-            return self.result.eval_many(z, memo)
+            left = _moebius_stem(z, *self._consts, self, inverse=True)
+            return qarray.qmul(left, _stem_action(self.base.eval_many(z, memo),
+                                                  self.fp, self))
         except SliceRegError:
-            # f*_p itself is regular where its tree is singular
+            # f*_p itself is regular where its stem rule is singular
             s = expr_to_series(self, r_max=float(np.abs(z).max()),
                                tail_target=_TAIL_TARGET)
             return se.stem(s, z)
@@ -248,12 +260,12 @@ def hyperbolic_quotient(f, p: Quaternion, z=None,
 
     f is read once, over the complex slice points ``z``: the first is that
     of p, and the rest hold that of the probe point q0 (by default z is
-    just these two).  The three new nodes are evaluated once, over z[1:],
-    the rows after p, and the probe reads its value at q0 off that pass.
-    ``memo``, given with z, holds the stems at z of nodes already evaluated
-    there, f's among them or not (see :func:`~slicereg.moebius.eval_all`);
-    on return it holds the stems at z[1:], every entry sliced alike, and
-    those of the new nodes.
+    just these two).  The new node is evaluated once, over z[1:], the rows
+    after p, and the probe reads its value at q0 off that pass.  ``memo``,
+    given with z, holds the stems at z of nodes already evaluated there,
+    f's among them or not (see :func:`~slicereg.moebius.eval_all`); on
+    return it holds the stems at z[1:], every entry sliced alike, and that
+    of the new node.
     """
     if isinstance(p, (int, float)):
         p = Quaternion(p)
@@ -274,7 +286,7 @@ def hyperbolic_quotient(f, p: Quaternion, z=None,
     fp = qarray.to_quaternion(qarray.on_slices(ps, lambda _: F[:1])[0])
     memo.update(_memo_rows(memo, slice(1, None)))
     if _unimodular(abs(fp), abs(p)):
-        return HyperbolicQuotient(f, p, Const(fp), fp)
+        return HyperbolicQuotient(f, p, None, fp)
     if abs(fp) > 1.0:
         raise NotSelfMap(f"|f(p)| = {abs(fp):.17g} > 1: f is not a self-map "
                          "of the ball")
@@ -282,7 +294,7 @@ def hyperbolic_quotient(f, p: Quaternion, z=None,
         raise SingularDenominator(
             f"|f(p)| = {abs(fp):.17g} lies {1.0 - abs(fp):.3g} inside the unit "
             "sphere: too close for M_{f(p)}, too far for a unimodular constant")
-    hq = HyperbolicQuotient(f, p, StarMul(_MoebiusInverse(p), Bullet(fp, f)))
+    hq = HyperbolicQuotient(f, p, fp)
     hq.eval_many(z[1:], memo)
     # the verdict is set before the node leaves this function
     object.__setattr__(hq, "unimodular_value", detect_unimodular_constant(

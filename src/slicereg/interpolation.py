@@ -1,10 +1,10 @@
 """Nevanlinna-Pick interpolation with real nodes in the quaternionic ball.
 
-Given distinct real nodes r_1..r_n in (-1, 1) and target values s_1..s_n in
-the unit ball, a triangular table of quantities Q_k^l is built from Moebius
-quotients; the modulus of the final entry Q_{n-1}^n decides between an
-infinite solution family, a unique regular Blaschke solution, or no
-solution.  Explicit interpolants are the nested Moebius actions of the
+Given distinct real nodes r_1..r_n and target values s_1..s_n, all of
+modulus below 1 - 1e-13, a triangular table of quantities Q_k^l is built
+from Moebius quotients; the modulus of the final entry Q_{n-1}^n decides
+between an infinite solution family, a unique regular Blaschke solution,
+or no solution.  Explicit interpolants are the nested Moebius actions of the
 Schur algorithm, held as one chain-matrix node.  A Pick-matrix positivity
 criterion provides an independent solvability check, and slice_extend
 lifts a one-slice complex function to its unique slice regular extension.
@@ -29,7 +29,7 @@ from .moebius import (
     FunctionExpr,
     SchurChain,
     SeriesFunc,
-    _check_ball,
+    _BALL_EDGE,
     _left_mul_matrices,
     moebius_classical_eval,
 )
@@ -65,8 +65,20 @@ _CELL_EQ_TOL = 1e-9
 _PSD_TOL = 1e-10
 
 
+def _check_inside(field, xs):
+    """Refuse, naming its index, an entry x of ``xs`` that is NaN or has
+    |x| >= _BALL_EDGE, outside the ball on which the solver's Moebius maps
+    M_x are defined."""
+    for i, x in enumerate(xs):
+        if not abs(x) < _BALL_EDGE:
+            raise ValueError(f"{field}[{i}] must satisfy |x| < 1 - 1e-13, "
+                             f"but 1 - |x| = {1.0 - abs(x):.3g}")
+
+
 class InterpolationProblem:
-    """Real nodes r_1..r_n in (-1,1) with ball values s_1..s_n."""
+    """Real nodes r_1..r_n with ball values s_1..s_n, each of modulus
+    below 1 - 1e-13: the ball on which the solver's Moebius maps M_{r_k}
+    and M_{s_k} are defined."""
 
     __slots__ = ("nodes", "values")
 
@@ -76,16 +88,12 @@ class InterpolationProblem:
                        for s in values)
         if len(nodes) < 1 or len(nodes) != len(values):
             raise ValueError("need n >= 1 nodes with matching values")
-        for r in nodes:
-            if not -1.0 < r < 1.0:
-                raise ValueError("nodes must lie in (-1, 1)")
+        _check_inside("nodes", nodes)
         for i in range(len(nodes)):
             for j in range(i + 1, len(nodes)):
                 if abs(nodes[i] - nodes[j]) <= 1e-12:
                     raise ValueError("nodes must be pairwise distinct")
-        for s in values:
-            if abs(s) >= 1.0:
-                raise ValueError("values must lie inside the unit ball")
+        _check_inside("values", values)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
 
@@ -188,7 +196,6 @@ def build_q_table(prob: InterpolationProblem) -> QTable:
             elif a.kind == "ball" and b.kind == "ball":
                 # M_{r_k}(r_l) is real for real nodes: divide by it
                 rk, rl = prob.nodes[k - 1], prob.nodes[l - 1]
-                _check_ball(rk)
                 scale = (rl - rk) / (1.0 - rk * rl)
                 cells[(k, l)] = _tag(
                     moebius_classical_eval(a.value, b.value) / scale)
@@ -353,7 +360,12 @@ def pick_matrix(nodes, values) -> HermitianQuatMatrix:
     w = (1.0, 0.0, 0.0, 0.0) - qarray.qmul(S[:, None], qarray.qconj(S)[None])
     if real or all(p.is_real() for p in nodes):
         r = np.array(nodes if real else [p.w for p in nodes])
-        return HermitianQuatMatrix(w / (1.0 - np.outer(r, r))[..., None])
+        P = w / (1.0 - np.outer(r, r))[..., None]
+        # the imaginary parts of s_m conj(s_l) and s_l conj(s_m) round
+        # apart, and 1 / (1 - r^2) magnifies the gap next to the sphere;
+        # the real parts already agree bit for bit
+        P[..., 1:] = (P[..., 1:] - P[..., 1:].transpose(1, 0, 2)) / 2
+        return HermitianQuatMatrix(P)
     left = _left_mul_matrices(np.array([p.components() for p in nodes]))
     # x conj(p) = conj(p conj(x)), so R(conj p) = C L(p) C with
     # C = diag(c), the matrix of conjugation

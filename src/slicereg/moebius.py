@@ -36,7 +36,7 @@ from .errors import (
     SingularPoint,
     SliceRegError,
 )
-from .quaternion import ONE, Quaternion
+from .quaternion import Quaternion
 from .series import TaylorSeries
 
 __all__ = [
@@ -61,11 +61,14 @@ __all__ = [
 ]
 
 _SING_TOL = 1e-13
+# a Moebius map M_p is built only for |p| < _BALL_EDGE
+_BALL_EDGE = 1.0 - 1e-13
 
 
 def _check_ball(p: Quaternion, what="p"):
-    if abs(p) >= 1.0 - 1e-13:
-        raise ValueError(f"{what} must lie strictly inside the unit ball")
+    if not abs(p) < _BALL_EDGE:  # NaN too
+        raise ValueError(f"{what} must lie strictly inside the unit ball, "
+                         f"|{what}| < 1 - 1e-13")
 
 
 def _check_unimodular(u: Quaternion):
@@ -331,29 +334,6 @@ class Moebius(FunctionExpr):
         return f"Moebius({self.p!r}, {self.u!r})"
 
 
-class _MoebiusInverse(FunctionExpr):
-    """M_p^{-*}, the left factor of a hyperbolic quotient, as one leaf: its
-    stem (z - p)^{-1} (1 - z conj(p)) is that of M_{conj(p)} over n(z - p)
-    (:func:`_moebius_stem`).  A quotient lowers through its division-route
-    series, never through its tree, so the leaf has no series or JSON."""
-
-    __slots__ = ("p", "_consts")
-
-    def __init__(self, p: Quaternion):
-        _check_ball(p)
-        u, vu, x, y2 = _moebius_constants(p, ONE)
-        object.__setattr__(self, "p", p)
-        # the constants of M_{conj(p)}, whose imaginary part is -v
-        object.__setattr__(self, "_consts", (u, -vu, x, y2))
-
-    @_stem_rule
-    def eval_many(self, z, memo):
-        return _moebius_stem(z, *self._consts, self, inverse=True)
-
-    def __repr__(self):
-        return f"_MoebiusInverse({self.p!r})"
-
-
 class Sum(FunctionExpr):
     """Pointwise sum."""
 
@@ -556,8 +536,7 @@ class SchurChain(FunctionExpr):
         if len(nodes) != len(ps):
             raise ValueError("need one value p_k per real node r_k")
         for r in nodes:
-            if abs(r) >= 1.0 - 1e-13:
-                raise ValueError("nodes must lie strictly inside (-1, 1)")
+            _check_ball(r, "node")
         for p in ps:
             _check_ball(p)
         object.__setattr__(self, "nodes", nodes)

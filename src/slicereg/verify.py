@@ -16,11 +16,11 @@ suites run on it.  spl, spl3 and multi each read f once, over one point
 set: the quotient points p, their probe points, spl3's points s, then the
 samples.  Each quotient f*_p (or link of a chain of quotients) is built by
 :func:`~slicereg.hyperbolic.hyperbolic_quotient` from the memo of that pass,
-and evaluates only its own nodes, over the rows after its p.  The
+and evaluates only its own node, over the rows after its p.  The
 Schwarz-Pick cases of a family of B maps take their stems at the samples
 from that pass, and all B actions M_{f(p)} take one broadcast call.  All B
-maps M_p take one broadcast call of the closed-form Moebius stem, over the
-stacked constants of their Moebius nodes.
+maps M_p take one broadcast call of the closed-form Moebius stem, over
+their stacked constants; no Moebius node is built.
 """
 
 from __future__ import annotations
@@ -45,17 +45,17 @@ from .hyperbolic import (
 )
 from .moebius import (
     FunctionExpr,
-    Moebius,
     SeriesFunc,
     _check_ball,
     _circle_spectrum,
     _is_polynomial,
     _memo_rows,
+    _moebius_constants,
     _moebius_stem,
     _stem_action,
     expr_to_series,
 )
-from .quaternion import Quaternion
+from .quaternion import ONE, Quaternion
 from .series import TaylorSeries
 
 __all__ = [
@@ -210,14 +210,17 @@ def _spl_cases(stems, values, ps, points, labels):
     ``ps``, one case per map.  ``stems`` holds the maps' stems at the slice
     points of the samples q, as (B, P, 4), or (1, P, 4) for one map shared
     by all.  The B actions M_{f(p)} take one broadcast action, and the B
-    maps M_p one broadcast call of the stem of their Moebius nodes.
+    maps M_p one broadcast call of the closed-form Moebius stem.
     Samples within 1e-6 of p, where equality holds, are skipped."""
     if not len(ps):
         return  # no map, no case
     for v in values:  # M_{f(p)} needs |f(p)| < 1, as Bullet does
         _check_ball(qarray.to_quaternion(v), "f(p)")
-    maps = [np.array(c)[:, None] for c in zip(*(
-        Moebius(qarray.to_quaternion(p))._consts for p in ps))]
+    consts = []
+    for p in map(qarray.to_quaternion, ps):
+        _check_ball(p)  # M_p needs |p| < 1, as Moebius does
+        consts.append(_moebius_constants(p, ONE))
+    maps = [np.array(c)[:, None] for c in zip(*consts)]
 
     def stem(z):
         bullets = _stem_action(stems, values[:, None], "M_{f(p)} . f")

@@ -111,6 +111,25 @@ class TestInterpolate:
         assert report["kind"]["variant"] == "non_singular"
         assert max(report["residuals"]) <= 1e-12
 
+    @pytest.mark.parametrize("nodes", [[0.0, 0.5], [0.3]])
+    def test_value_next_to_the_sphere_is_named(self, tmp_path, capsys, nodes):
+        # 1 - |s_1| = 1e-14: refused as the value it is, not later as the
+        # centre of a Moebius map the user never gave
+        values = [[0.99999999999999, 0, 0, 0], [0, 0, 0, 0]][:len(nodes)]
+        path = write_problem(tmp_path, nodes, values)
+        assert cli.main(["interpolate", path]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "values[0] must satisfy" in err
+        assert "p must lie" not in err
+
+    def test_node_next_to_the_sphere_is_solved(self, tmp_path, capsys):
+        # 1 - |s| = 3.2e-13 at r = 0.999999: the Pick matrix is Hermitian
+        path = write_problem(tmp_path, [0.999999], [[
+            0.017995102771949406, 0.7156132333660284, 0.6445509809994749,
+            -0.26856639663149795]])
+        assert cli.main(["interpolate", path]) == 0
+        assert max(json.loads(capsys.readouterr().out)["residuals"]) <= 1e-12
+
     def test_h_flag_quaternion(self, tmp_path, capsys):
         path = write_problem(tmp_path, [0.0, -0.5, 0.5],
                              [[0, 0, 0, 0], [0, 0.2, 0, 0], [0, 0, 0.25, 0]])

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -325,8 +326,30 @@ class TestStemDerivative:
             quotient_on_sphere(TaylorSeries.constant(J), np.zeros((3, 4)))[0]
 
 
+class _Fallback(Exception):
+    """Raised in place of the series lowering that a quotient falls back to
+    where its stem rule refuses a batch."""
+
+
+@contextlib.contextmanager
+def no_series_fallback():
+    """A context in which expr_to_series, through which the series fallback
+    of a quotient lowers, raises _Fallback."""
+    def fallback(*args, **kwargs):
+        raise _Fallback
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hyperbolic, "expr_to_series", fallback)
+        yield
+
+
+def assert_rule_refuses(hq, points):
+    """The stem rule of hq refuses the batch: eval_many takes the fallback."""
+    with no_series_fallback(), pytest.raises(_Fallback):
+        hq.eval_many(points)
+
+
 class TestSingleRoute:
-    """Every quotient is its stem tree, whatever the type of its input."""
+    """Every quotient is its stem rule, whatever the type of its input."""
 
     def test_series_input_matches_tree_input(self):
         tree = BlaschkeProduct([Quaternion(0.3, 0.2),
@@ -360,8 +383,9 @@ class TestSingleRoute:
             q = Quaternion(p.re + 1e-3, *unit)
             hq = hyperbolic_quotient(fs, p)
             got = hq.eval(q)
-            assert got == hq.result.eval(q)  # the tree, not the fallback
             assert abs(got - hq.eval_series(q)) <= 1e-12
+            with no_series_fallback():  # the stem rule, not the fallback
+                assert hq.eval(q) == got
 
     @staticmethod
     def sphere_points(p, rng, count=6):
@@ -373,27 +397,27 @@ class TestSingleRoute:
                           qarray.from_quaternion(p.conj()), rows])
 
     @staticmethod
-    def assert_one_path(hq, pts, on_tree):
+    def assert_one_path(hq, pts, on_rule):
         """eval_many on a batch at one radius, or off S_p, is eval row by
-        row: bitwise on the tree; on the series, which a batch reads by one
-        matmul and a single point by a matrix-vector product, to rounding,
-        and bitwise as that series reads the batch."""
+        row: bitwise on the stem rule; on the series, which a batch reads by
+        one matmul and a single point by a matrix-vector product, to
+        rounding, and bitwise as that series reads the batch."""
         got = hq.eval_many(pts)
-        if not on_tree:
+        if not on_rule:
             s = expr_to_series(hq, r_max=qarray.qnorm(pts).max(),
                                tail_target=hyperbolic._TAIL_TARGET)
             assert np.array_equal(got, se.evaluate_many(s, pts)[0])
         for row, q in zip(got, pts):
             q = qarray.to_quaternion(q)
             one = qarray.from_quaternion(hq.eval(q))
-            if on_tree:
+            if on_rule:
                 assert np.array_equal(row, one)
             assert np.abs(row - one).max() <= 4 * np.finfo(float).eps
             assert abs(qarray.to_quaternion(row) - hq.eval_series(q)) <= 1e-12
 
     @pytest.mark.parametrize("chain", [None, "origin", "repeated"])
     def test_eval_many_is_eval_row_by_row(self, chain):
-        # the tree of f*_p is singular on S_p: eval_many reads the whole
+        # the stem rule of f*_p is singular on S_p: eval_many reads the whole
         # batch there from the series, bitwise as eval reads each point
         rng = np.random.default_rng(17)
         b = BlaschkeProduct([Quaternion(0.2, 0.1), Quaternion(-0.1, 0.0, 0.2),
@@ -404,16 +428,15 @@ class TestSingleRoute:
         else:
             p = ZERO if chain == "origin" else p
             hq = quotient_chain(b, [p, p])[-1]
-        with pytest.raises(SliceRegError):
-            hq.result.eval_many(qarray.from_quaternion(p, (1,)))
-        self.assert_one_path(hq, self.sphere_points(p, rng), on_tree=False)
+        assert_rule_refuses(hq, qarray.from_quaternion(p, (1,)))
+        self.assert_one_path(hq, self.sphere_points(p, rng), on_rule=False)
         self.assert_one_path(hq, qarray.uniform_ball(rng, 20, 0.8),
-                             on_tree=True)
+                             on_rule=True)
 
     @pytest.mark.parametrize("suite", ["multi", "spl3"])
     def test_suites_on_a_constant_next_to_the_sphere(self, suite):
-        # f(p) = 0.9999999 puts the Bullet of every quotient tree next to
-        # its pole; the quotients, read from their series, are 0
+        # f(p) = 0.9999999 puts the action M_{f(p)} of every quotient next
+        # to its pole; the quotients, read from their series, are 0
         rep = run_suite(suite, Const(0.9999999), SamplerConfig(count=200))
         assert rep.passed
 
@@ -454,11 +477,11 @@ def family_roots(kind):
                 f.conjugate()], pts
     if kind == "chain":
         return quotient_chain(b, [rand_q(rng, 0.6) for _ in range(3)]), pts
-    # quotients on their S_p: the tree refuses the batch, read from the series
+    # quotients on their S_p: the stem rule refuses the batch, read from the
+    # series
     p = Quaternion(0.3, 0.2, -0.1, 0.2)
     hq = hyperbolic_quotient(b, p)
-    with pytest.raises(SliceRegError):
-        hq.result.eval_many(qarray.from_quaternion(p, (1,)))
+    assert_rule_refuses(hq, qarray.from_quaternion(p, (1,)))
     sphere = TestSingleRoute.sphere_points(p, rng)
     return [hq, Bullet(Quaternion(0.1, 0.3), hq), hq.conjugate(),
             hyperbolic_quotient(hq, Quaternion(-0.2, 0.1))], sphere
@@ -531,7 +554,7 @@ class TestQuotientReadsItsBaseOnce:
                                 u=Quaternion(0.5, 0.5, -0.5, 0.5)))
         hq = hyperbolic_quotient(f, p)
         assert f.runs == 1 and hq.is_unimodular_constant
-        fresh = hyperbolic.HyperbolicQuotient(f, p, hq.result)
+        fresh = hyperbolic.HyperbolicQuotient(f, p, hq.fp)
         assert hyperbolic.detect_unimodular_constant(fresh) == \
             hq.unimodular_value
         assert f.runs == 2
@@ -645,7 +668,7 @@ class TestIterated:
                             lambda e, memo=None: probed.append(e)
                             or detect(e, memo))
         hq2 = hyperbolic_quotient(hq, Quaternion(0.2, 0.1))
-        assert len(probed) == 1 and probed[0].result is hq2.result
+        assert len(probed) == 1 and probed[0] is hq2
 
     def test_extra_quotient_of_unimodular_stays_constant(self):
         hq = iterated_quotient(Q2, [ZERO, ZERO, Quaternion(0.4)])
@@ -740,24 +763,25 @@ class TestUnimodularRule:
 
     def test_quotient_at_origin_is_probed_at_one_half(self):
         # f*_0 of the identity is 1; 1/2 lies farther than 0 from S_0 = {0},
-        # so the one value it is judged by is taken at 1/2, on the tree
-        tree = PointSpy(StarMul(StarInv(Moebius(ZERO)), Bullet(ZERO, Identity())))
-        node = hyperbolic.HyperbolicQuotient(Identity(), ZERO, tree)
+        # so the one value it is judged by is taken at 1/2, by the stem rule,
+        # which reads f there
+        base = PointSpy(Identity())
+        node = hyperbolic.HyperbolicQuotient(base, ZERO, ZERO)
         u = hyperbolic.detect_unimodular_constant(node)
-        assert [x.tolist() for x in tree.points] == [[0.5 + 0j]]
+        assert [x.tolist() for x in base.points] == [[0.5 + 0j]]
         assert abs(u - ONE) <= 1e-15
         hq = hyperbolic_quotient(Identity(), ZERO)
         assert hq.is_unimodular_constant and abs(hq.unimodular_value - ONE) <= 1e-15
-        # a quotient at p != 0 is judged at 0
-        tree = PointSpy(hyperbolic_quotient(Q2, Quaternion(0.3, 0.2)).result)
-        assert hyperbolic.detect_unimodular_constant(tree) is None
-        assert [x.tolist() for x in tree.points] == [[[0.0, 0.0, 0.0, 0.0]]]
-        # and so is a quotient node at |p| >= 1/4, on its tree
+        # any other expression is judged at 0, a quotient wrapped in one too
+        spy = PointSpy(hyperbolic_quotient(Q2, Quaternion(0.3, 0.2)))
+        assert hyperbolic.detect_unimodular_constant(spy) is None
+        assert [x.tolist() for x in spy.points] == [[[0.0, 0.0, 0.0, 0.0]]]
+        # and so is a quotient node at |p| >= 1/4, which reads f at 0
         p = Quaternion(0.3, 0.2)
-        tree = PointSpy(tree.inner)
-        node = hyperbolic.HyperbolicQuotient(SeriesFunc(Q2), p, tree)
+        base = PointSpy(SeriesFunc(Q2))
+        node = hyperbolic.HyperbolicQuotient(base, p, se.evaluate(Q2, p)[0])
         assert hyperbolic.detect_unimodular_constant(node) is None
-        assert [x.tolist() for x in tree.points] == [[0j]]
+        assert [x.tolist() for x in base.points] == [[0j]]
 
 
 class TestSchwarzPick:
