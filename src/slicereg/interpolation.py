@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qarray
 from .errors import (
     AmbiguousBoundary,
     KindMismatch,
@@ -30,8 +29,11 @@ from .moebius import (
     SchurChain,
     SeriesFunc,
     _BALL_EDGE,
+    _CONJ_PRODUCT,
+    _SING_TOL,
+    _chain_singular,
     _left_mul_matrices,
-    moebius_classical_eval,
+    _moebius_scaled,
 )
 from .quaternion import Quaternion
 from .series import TaylorSeries
@@ -63,6 +65,10 @@ _BAND_TOL = 1e-9
 _CELL_EQ_TOL = 1e-9
 # psd_check accepts eigenvalues down to -_PSD_TOL times the largest modulus
 _PSD_TOL = 1e-10
+# entry (i, 4 j + c) is component c of e_i conj(e_j), so that row j of
+# (S @ _CONJ_TABLE).reshape(n, 4, 4)[m] is s_m conj(e_j), and
+# (S @ that)[m, l] is s_m conj(s_l): two matmuls, no Hamilton product
+_CONJ_TABLE = np.ascontiguousarray(_CONJ_PRODUCT.real.reshape(4, 16))
 
 
 def _check_inside(field, xs):
@@ -78,7 +84,10 @@ def _check_inside(field, xs):
 class InterpolationProblem:
     """Real nodes r_1..r_n with ball values s_1..s_n, each of modulus
     below 1 - 1e-13: the ball on which the solver's Moebius maps M_{r_k}
-    and M_{s_k} are defined."""
+    and M_{s_k} are defined.  A node must also keep (1 - r^2)^2 above
+    1e-13, the threshold at which the interpolant's SchurChain refuses a
+    sample, so that the interpolant can be read at every node: about
+    1 - |r| > 1.58e-7."""
 
     __slots__ = ("nodes", "values")
 
@@ -89,6 +98,11 @@ class InterpolationProblem:
         if len(nodes) < 1 or len(nodes) != len(values):
             raise ValueError("need n >= 1 nodes with matching values")
         _check_inside("nodes", nodes)
+        for i, r in enumerate(nodes):
+            if _chain_singular(1.0 - r * r):
+                raise ValueError(f"nodes[{i}] must satisfy (1 - x^2)^2 > "
+                                 f"{_SING_TOL:g}, but 1 - |x| = "
+                                 f"{1.0 - abs(r):.3g}")
         for i in range(len(nodes)):
             for j in range(i + 1, len(nodes)):
                 if abs(nodes[i] - nodes[j]) <= 1e-12:
@@ -197,8 +211,7 @@ def build_q_table(prob: InterpolationProblem) -> QTable:
                 # M_{r_k}(r_l) is real for real nodes: divide by it
                 rk, rl = prob.nodes[k - 1], prob.nodes[l - 1]
                 scale = (rl - rk) / (1.0 - rk * rl)
-                cells[(k, l)] = _tag(
-                    moebius_classical_eval(a.value, b.value) / scale)
+                cells[(k, l)] = _tag(_moebius_scaled(a.value, b.value, scale))
             elif (a.kind == "unimodular" and b.kind == "unimodular"
                   and abs(a.value - b.value) <= _CELL_EQ_TOL):
                 cells[(k, l)] = QCell("unimodular", a.value)
@@ -315,8 +328,8 @@ class HermitianQuatMatrix:
     def complex_embedding(self) -> np.ndarray:
         """2n x 2n complex Hermitian matrix via a + bj -> [[a, b], [-b~, a~]]."""
         n = self.n
-        a = self.entries[:, :, 0] + 1j * self.entries[:, :, 1]
-        b = self.entries[:, :, 2] + 1j * self.entries[:, :, 3]
+        ab = self.entries.view(complex)
+        a, b = ab[..., 0], ab[..., 1]
         out = np.empty((2 * n, 2 * n), dtype=complex)
         out[0::2, 0::2] = a
         out[0::2, 1::2] = b
@@ -330,10 +343,11 @@ def pick_matrix(nodes, values) -> HermitianQuatMatrix:
 
     Each entry is the solution X of the Stein equation
     X - p_m X conj(p_l) = 1 - s_m conj(s_l).  For real nodes that is
-    (1 - s_m conj(s_l)) / (1 - r_m r_l), in one broadcast Hamilton product
-    over all (m, l).  Otherwise x @ (I - L(p_m) R(conj p_l)) = w on the
-    components, with x @ L(p) = p x and x @ R(q) = x q, and all n^2 of these
-    4 x 4 real systems are solved in one batched call.  Float nodes stay
+    (1 - s_m conj(s_l)) / (1 - r_m r_l), whose numerators over all (m, l)
+    take two matmuls against the table of e_i conj(e_j).  Otherwise
+    x @ (I - L(p_m) R(conj p_l)) = w on the components, with x @ L(p) = p x
+    and x @ R(q) = x q, and all n^2 of these 4 x 4 real systems are solved
+    in one batched call.  Float nodes stay
     floats, with the checks and messages of Quaternion nodes.
     """
     nodes = list(nodes)
@@ -357,13 +371,14 @@ def pick_matrix(nodes, values) -> HermitianQuatMatrix:
         if abs(s) >= 1.0:
             raise ValueError("values must lie inside the unit ball")
     S = np.array([s.components() for s in values])
-    w = (1.0, 0.0, 0.0, 0.0) - qarray.qmul(S[:, None], qarray.qconj(S)[None])
+    w = (1.0, 0.0, 0.0, 0.0) - S @ (S @ _CONJ_TABLE).reshape(n, 4, 4)
     if real or all(p.is_real() for p in nodes):
         r = np.array(nodes if real else [p.w for p in nodes])
         P = w / (1.0 - np.outer(r, r))[..., None]
         # the imaginary parts of s_m conj(s_l) and s_l conj(s_m) round
         # apart, and 1 / (1 - r^2) magnifies the gap next to the sphere;
-        # the real parts already agree bit for bit
+        # the real parts already agree bit for bit, as each sums the same
+        # four products s_m[j] s_l[j] in the same order
         P[..., 1:] = (P[..., 1:] - P[..., 1:].transpose(1, 0, 2)) / 2
         return HermitianQuatMatrix(P)
     left = _left_mul_matrices(np.array([p.components() for p in nodes]))

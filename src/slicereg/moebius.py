@@ -83,6 +83,13 @@ def moebius_classical_eval(p: Quaternion, q: Quaternion) -> Quaternion:
     (1 - q * p.conj()).inverse() * (q - p), so that the result is bitwise
     that expression's and only the result is a Quaternion.
     """
+    return _moebius_scaled(p, q, 1.0)
+
+
+def _moebius_scaled(p: Quaternion, q: Quaternion, scale: float) -> Quaternion:
+    """M_p(q) / scale for a real scale, bitwise
+    ``moebius_classical_eval(p, q) / scale`` (x / 1.0 is x), built as one
+    Quaternion."""
     _check_ball(p)
     a, b, c, d = q.w, q.x, q.y, q.z
     e, f, g, h = p.w, -p.x, -p.y, -p.z
@@ -96,10 +103,10 @@ def moebius_classical_eval(p: Quaternion, q: Quaternion) -> Quaternion:
         raise SingularDenominator(f"1 - q conj(p) vanishes at q={q!r}")
     w, x, y, z = w / n2, -x / n2, -y / n2, -z / n2
     e, f, g, h = a - p.w, b - p.x, c - p.y, d - p.z
-    return Quaternion(w * e - x * f - y * g - z * h,
-                      w * f + x * e + y * h - z * g,
-                      w * g - x * h + y * e + z * f,
-                      w * h + x * g - y * f + z * e)
+    return Quaternion((w * e - x * f - y * g - z * h) / scale,
+                      (w * f + x * e + y * h - z * g) / scale,
+                      (w * g - x * h + y * e + z * f) / scale,
+                      (w * h + x * g - y * f + z * e) / scale)
 
 
 # -- stem rules -------------------------------------------------------
@@ -500,6 +507,12 @@ _CONJ_PRODUCT = np.array([qarray.qmul(a, qarray.qconj(b)) for a in np.eye(4)
                           for b in np.eye(4)], dtype=complex)
 
 
+def _chain_singular(w):
+    """Where SchurChain refuses a sample, for w = 1 - r_k z: the threshold
+    each Moebius(r_k) applies to n(1 - r_k z) = w^2."""
+    return np.abs(w) ** 2 <= _SING_TOL
+
+
 class SchurChain(FunctionExpr):
     """The real-node chain f = M_{p_1}.(M_{r_1} * (M_{p_2}.(M_{r_2} * (...
     * h)))) of the Schur algorithm, as one node.
@@ -569,8 +582,7 @@ class SchurChain(FunctionExpr):
         nodes, steps = self._step_matrices()
         r = nodes.reshape((-1,) + (1,) * z.ndim)
         w = 1.0 - r * z
-        # the threshold each Moebius(r_k) applies to n(1 - r_k z) = w^2
-        if (np.abs(w) ** 2 <= _SING_TOL).any():
+        if _chain_singular(w).any():
             raise SingularDenominator(f"{self!r} is singular on a sample")
         b = ((z - r) / w)[..., None]
         x = np.zeros(z.shape + (8,), dtype=complex)

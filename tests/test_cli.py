@@ -130,6 +130,28 @@ class TestInterpolate:
         assert cli.main(["interpolate", path]) == 0
         assert max(json.loads(capsys.readouterr().out)["residuals"]) <= 1e-12
 
+    @pytest.mark.parametrize("refused, index, solved", [
+        ([0.99999985, 0.3], 0, [0.99999984, 0.3]),
+        ([-0.99999985, 0.3], 0, [-0.99999984, 0.3]),
+        ([0.3, 0.99999985], 1, [0.3, 0.99999984]),
+        ([0.9999999], 0, [0.99999984]),
+    ], ids=["plus", "minus", "second", "1 node"])
+    def test_node_past_the_chain_edge_is_named(self, tmp_path, capsys,
+                                               refused, index, solved):
+        # the interpolant's SchurChain refuses a sample z where
+        # |1 - r z|^2 <= 1e-13, so its own node once 1 - |r| < 1.58e-7: such
+        # a node is refused as the node it is, never later as a sample of a
+        # chain the user never gave, and one just inside is solved
+        values = [[0.1, 0, 0, 0], [0, 0.2, 0, 0]][:len(refused)]
+        path = write_problem(tmp_path, refused, values)
+        assert cli.main(["interpolate", path]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"nodes[{index}] must satisfy" in err
+        assert "SchurChain" not in err
+        path = write_problem(tmp_path, solved, values)
+        assert cli.main(["interpolate", path]) == 0
+        assert max(json.loads(capsys.readouterr().out)["residuals"]) <= 1e-12
+
     def test_h_flag_quaternion(self, tmp_path, capsys):
         path = write_problem(tmp_path, [0.0, -0.5, 0.5],
                              [[0, 0, 0, 0], [0, 0.2, 0, 0], [0, 0, 0.25, 0]])

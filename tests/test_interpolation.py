@@ -110,14 +110,26 @@ class TestQTable:
         assert kind.variant == "singular" and kind.kappa0 == 1
 
     def test_node_next_to_sphere_is_refused_by_the_problem(self):
-        # M_{r_k} needs |r_k| < 1 - 1e-13: the problem refuses a node past
-        # that wherever it stands, and one just inside is solved
-        for nodes in ([1 - 1e-14, 0.0], [0.0, 1 - 1e-14]):
-            with pytest.raises(ValueError, match=r"^nodes\[\d\] must satisfy"):
-                InterpolationProblem(nodes, [I * 0.3, J * 0.2])
-        t = build_q_table(InterpolationProblem([1 - 2e-13, 0.0],
-                                               [I * 0.3, J * 0.2]))
-        assert t.cell(1, 2).kind == "ball"
+        # the interpolant's SchurChain refuses a sample z where
+        # |1 - r_k z|^2 <= 1e-13, so at its own node once 1 - |r| falls
+        # below about 1.58e-7: the problem refuses such a node wherever it
+        # stands and whatever its sign, one past M_{r_k}'s ball as that,
+        # and one just inside the edge is solved and read at every node
+        values = [I * 0.3, J * 0.2]
+        chain = r"\(1 - x\^2\)\^2 > 1e-13"
+        for r, bound in ((0.99999985, chain), (-0.99999985, chain),
+                         (1 - 2e-13, chain), (1 - 1e-14, r"\|x\| < 1 - 1e-13")):
+            for i, nodes in enumerate(([r, 0.0], [0.0, r])):
+                with pytest.raises(ValueError,
+                                   match=rf"^nodes\[{i}\] must satisfy {bound}"):
+                    InterpolationProblem(nodes, values)
+        for r in (0.99999984, -0.99999984):
+            prob = InterpolationProblem([r, 0.0], values)
+            t = build_q_table(prob)
+            assert t.cell(1, 2).kind == "ball"
+            f = build_solution(t, classify(t))
+            for node, s in zip(prob.nodes, prob.values):
+                assert abs(f.eval(Quaternion(node)) - s) <= 1e-12
 
 
 class TestClassification:
@@ -328,6 +340,40 @@ class TestPickMatrix:
                 assert np.array_equal(P[..., 0], P[..., 0].T)
                 assert np.array_equal(P[..., 1:],
                                       -P[..., 1:].transpose(1, 0, 2))
+
+    def test_real_node_matrix_is_hermitian_bit_for_bit(self):
+        # the numerators s_m conj(s_l) come from two matmuls against the
+        # table of e_i conj(e_j): the real parts of (m, l) and (l, m) sum
+        # the same four products in the same order, and the imaginary
+        # parts are antisymmetrised, so no Hermitian check can refuse them
+        rng = np.random.default_rng(30)
+        for _ in range(1000):
+            n = int(rng.integers(1, 9))
+            nodes = list(rng.uniform(-0.99, 0.99, n))
+            values = [Quaternion.from_iter(v)
+                      for v in uniform_ball(rng, n, 0.99)]
+            P = pick_matrix(nodes, values).entries
+            assert np.array_equal(P[..., 0], P[..., 0].T)
+            assert np.array_equal(P[..., 1:], -P[..., 1:].transpose(1, 0, 2))
+
+    def test_complex_embedding_is_the_component_construction(self):
+        # a + b j -> [[a, b], [-conj(b), conj(a)]], with a and b read off a
+        # complex view of the components
+        rng = np.random.default_rng(31)
+        for n in range(1, 9):
+            nodes = list(rng.uniform(-0.9, 0.9, n))
+            values = [Quaternion.from_iter(v)
+                      for v in uniform_ball(rng, n, 0.9)]
+            P = pick_matrix(nodes, values)
+            e = P.entries
+            a = e[:, :, 0] + 1j * e[:, :, 1]
+            b = e[:, :, 2] + 1j * e[:, :, 3]
+            want = np.empty((2 * n, 2 * n), dtype=complex)
+            want[0::2, 0::2] = a
+            want[0::2, 1::2] = b
+            want[1::2, 0::2] = -np.conj(b)
+            want[1::2, 1::2] = np.conj(a)
+            assert np.array_equal(P.complex_embedding(), want)
 
     def test_float_nodes_as_quaternion_nodes(self):
         # float nodes stay floats: the same entries, bit for bit, and the

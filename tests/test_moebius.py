@@ -37,6 +37,7 @@ from slicereg.moebius import (
     blaschke_to_expr,
     dieudonne_det,
     expr_from_json,
+    _moebius_scaled,
     expr_to_series,
     moebius_classical_eval,
 )
@@ -125,6 +126,29 @@ class TestClassicalMoebius:
             assert [x.hex() for x in got.components()] == \
                 [x.hex() for x in want.components()], (p, q)
         assert refused >= 200 and len(pairs) - refused >= 2000
+
+    def test_scaled_kernel_is_the_quotient_by_its_scale(self):
+        # build_q_table divides inside the kernel by the real node scale
+        # M_{r_k}(r_l), so that a cell builds one Quaternion; each component
+        # is bitwise that of moebius_classical_eval(p, q) / scale, signed
+        # zeros included
+        rng = np.random.default_rng(30)
+        real = [Quaternion(rng.uniform(-0.95, 0.95)) for _ in range(100)]
+        signed = [Quaternion(-0.0, 0.3), Quaternion(0.0, -0.0, 0.0, -0.2),
+                  Quaternion(-0.0, -0.0, -0.0, -0.0), ZERO]
+        ps = [rand_q(rng, 0.95) for _ in range(200)] + real + signed
+        qs = [rand_q(rng, 1.0) for _ in range(200)] + real[::-1] + signed
+        negative_zeros = 0
+        for p, q in zip(ps + signed * 4, qs + signed[::-1] * 4):
+            for scale in (rng.uniform(-3.0, 3.0), -rng.uniform(1e-9, 1e-3),
+                          1.0, -1.0):
+                want = [x.hex() for x in
+                        (moebius_classical_eval(p, q) / scale).components()]
+                got = _moebius_scaled(p, q, scale)
+                assert [x.hex() for x in got.components()] == want, \
+                    (p, q, scale)
+                negative_zeros += want.count("-0x0.0p+0")
+        assert negative_zeros > 0
 
 
 class TestRegularMoebius:
