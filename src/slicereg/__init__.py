@@ -19,7 +19,6 @@ from .errors import (
     SingularDenominator,
     SingularPoint,
     SliceRegError,
-    SymmetrizationNotReal,
 )
 from .hyperbolic import (
     BallSpec,

@@ -80,12 +80,17 @@ def cmd_interpolate(args) -> int:
     prob = InterpolationProblem(nodes, values)
     table = build_q_table(prob)
     pick = pick_matrix(list(prob.nodes), list(prob.values))
-    _, min_eig = psd_check(pick)
+    is_psd, min_eig = psd_check(pick)
     try:
         kind = classify(table)
     except AmbiguousBoundary as exc:
         print(_dump({"error": "ambiguous_boundary", "cell": list(exc.cell),
                      "table": table.to_json()}))
+        return 3
+    if (kind.variant != "no_solution") != is_psd:
+        # the table and the Pick test disagree on solvability: no verdict
+        print(_dump({"error": "pick_disagrees", "kind": kind.to_json(),
+                     "pickMinEig": min_eig, "table": table.to_json()}))
         return 3
     report = {
         "kind": kind.to_json(),

@@ -5,10 +5,6 @@ class SliceRegError(Exception):
     """Base class for all package-specific errors."""
 
 
-class SymmetrizationNotReal(SliceRegError):
-    """Symmetrized series has an imaginary residue above tolerance."""
-
-
 class NotInvertibleAtZero(SliceRegError):
     """Series has (numerically) vanishing constant term, no *-inverse at 0."""
 

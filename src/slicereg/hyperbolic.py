@@ -41,6 +41,7 @@ from . import qarray, series as se
 from .errors import (
     DegenerateAtZero,
     NotSelfMap,
+    OutsideConvergence,
     SingularDenominator,
     SliceRegError,
 )
@@ -168,17 +169,21 @@ def quotient_series(fs: TaylorSeries, p: Quaternion,
 
     R_{f,p} solves f - f(p) = (q - p) * R at coefficient level, so the
     removable singularity of the exact form on the sphere of p is already
-    cancelled and the result converges on the whole ball.  ``order``
-    controls the truncation order of the *-inverse factor (and hence of
-    the result).
+    cancelled and the result converges on the whole ball.  Both factors
+    are built in the *-algebra, as a lowered ``Bullet`` builds its own, from
+    f(p) = a_0 + p R(0), which the division checks; a truncated f is refused
+    where p lies outside its certified radius.  ``order`` controls the
+    truncation order of the *-inverse factor (and hence of the result).
     """
-    fp, _ = se.evaluate(fs, p)
+    if not fs.exact and fs.growth_rate * abs(p) >= 1.0:
+        raise OutsideConvergence(f"|p| = {abs(p):.6g} outside certified "
+                                 f"radius (g = {fs.growth_rate:.6g})")
     r_part = se.left_linear_divide(fs, p)
-    left = se.star_mul(TaylorSeries.linear(Quaternion(1.0), -p.conj()), r_part)
-    den = -qarray.qmul(qarray.from_quaternion(fp.conj()), fs.coeffs)
-    den[0, 0] += 1.0
-    return se.star_mul(left, se.star_inverse(TaylorSeries(den, exact=fs.exact),
-                                             order=order))
+    fp = fs.coefficient(0) + p * r_part.coefficient(0)
+    left = se.star_mul(TaylorSeries.linear(ONE, -p.conj()), r_part)
+    den = se.series_add(TaylorSeries.constant(ONE), se.star_mul(
+        TaylorSeries.constant(-fp.conj()), fs))
+    return se.star_mul(left, se.star_inverse(den, order=order))
 
 
 class HyperbolicQuotient(FunctionExpr):

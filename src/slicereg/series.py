@@ -25,7 +25,6 @@ from .errors import (
     NotInvertibleAtZero,
     OutsideConvergence,
     RealPoint,
-    SymmetrizationNotReal,
 )
 from .quaternion import Quaternion
 
@@ -49,9 +48,7 @@ _SAFETY_C = 4.0
 _SAFETY_G = 1.01
 _CERT_SLACK = 1e-9
 _CERTIFICATES = ("exact", "cauchy-sampled", "fitted")
-# relative bounds on the imaginary residue of symmetrize and on the residual
-# of left_linear_divide
-_SYMMETRIZE_TOL = 1e-12
+# relative bound on the residual of left_linear_divide
 _DIVISION_TOL = 1e-9
 
 
@@ -217,28 +214,29 @@ def _pad(arr: np.ndarray, n: int) -> np.ndarray:
 # -- operations -------------------------------------------------------
 
 
-def star_mul(f: TaylorSeries, g: TaylorSeries) -> TaylorSeries:
-    """*-product: Cauchy convolution of coefficients.
-
-    The result is truncated at the smallest order up to which both factors
-    are accurate; an exact (polynomial) factor never limits the order.
-    """
+def _order(f: TaylorSeries, g: TaylorSeries, exact_order: int) -> int:
+    """Order of a sum or product: ``exact_order`` if f and g are both
+    exact, else the lowest order of a truncated one."""
     if f.exact and g.exact:
-        n = f.order + g.order
-    elif f.exact:
-        n = g.order
-    elif g.exact:
-        n = f.order
-    else:
-        n = min(f.order, g.order)
-    coeffs = _qconv(f.coeffs, g.coeffs, n)
+        return exact_order
+    return min(s.order for s in (f, g) if not s.exact)
+
+
+def _product(coeffs, f: TaylorSeries, g: TaylorSeries) -> TaylorSeries:
+    """f * g with coefficients ``coeffs``, exact if both factors are; else
+    its fitted certificate keeps at least the bound and analytic growth of
+    the factors, so slowly-decaying tails are not underestimated."""
     if f.exact and g.exact:
         return TaylorSeries(coeffs, exact=True)
     cb, gr = _fit_certificate(coeffs)
-    # keep at least the analytic growth of the factors so truncated tails
-    # of slowly-decaying products are not underestimated
-    gr = max(gr, f.growth_rate, g.growth_rate)
-    return TaylorSeries(coeffs, max(cb, f.coeff_bound * g.coeff_bound), gr)
+    return TaylorSeries(coeffs, max(cb, f.coeff_bound * g.coeff_bound),
+                        max(gr, f.growth_rate, g.growth_rate))
+
+
+def star_mul(f: TaylorSeries, g: TaylorSeries) -> TaylorSeries:
+    """*-product: Cauchy convolution of coefficients, at :func:`_order`."""
+    n = _order(f, g, f.order + g.order)
+    return _product(_qconv(f.coeffs, g.coeffs, n), f, g)
 
 
 def conjugate(f: TaylorSeries) -> TaylorSeries:
@@ -249,24 +247,19 @@ def conjugate(f: TaylorSeries) -> TaylorSeries:
                         f.certificate)
 
 
-def symmetrize(f: TaylorSeries) -> TaylorSeries:
-    """f^s = f * f^c; coefficients are checked real, relative to
-    _SYMMETRIZE_TOL, and hard-set to real."""
-    s = star_mul(f, conjugate(f))
-    coeffs = s.coeffs.copy()
-    bound = _SYMMETRIZE_TOL * max(1.0, float(np.abs(coeffs).max()))
-    residue = float(np.abs(coeffs[:, 1:]).max(initial=0.0))
-    if residue > bound:
-        raise SymmetrizationNotReal(
-            f"imaginary residue {residue:.3g} exceeds {bound:.3g}")
-    coeffs[:, 1:] = 0.0
-    return TaylorSeries(coeffs, s.coeff_bound, s.growth_rate, s.exact)
-
-
 def _norm_series(a: np.ndarray, n: int) -> np.ndarray:
     """n(f) = f * f^c to order n for (n+1, 4) coefficients a: the sum of
     the four components' autoconvolutions, real by construction."""
     return sum(np.convolve(c, c)[: n + 1] for c in a.T)
+
+
+def symmetrize(f: TaylorSeries) -> TaylorSeries:
+    """f^s = f * f^c = n(f), real by construction, at the order and with
+    the certificate of that *-product."""
+    n = _order(f, f, 2 * f.order)
+    coeffs = np.zeros((n + 1, 4))
+    coeffs[:, 0] = _norm_series(f.coeffs, n)
+    return _product(coeffs, f, f)
 
 
 def _reciprocal(s: np.ndarray, n: int) -> np.ndarray:
@@ -422,8 +415,7 @@ def left_linear_divide(f: TaylorSeries, p: Quaternion) -> TaylorSeries:
 
 
 def series_add(f: TaylorSeries, g: TaylorSeries) -> TaylorSeries:
-    """f + g at their common order; exact terms never truncate."""
-    exact = f.exact and g.exact
-    n = max(f.order, g.order) if exact else min(
-        s.order for s in (f, g) if not s.exact)
-    return TaylorSeries(_pad(f.coeffs, n) + _pad(g.coeffs, n), exact=exact)
+    """f + g at :func:`_order`."""
+    n = _order(f, g, max(f.order, g.order))
+    return TaylorSeries(_pad(f.coeffs, n) + _pad(g.coeffs, n),
+                        exact=f.exact and g.exact)

@@ -14,6 +14,8 @@ from slicereg.hyperbolic import hyperbolic_quotient
 from slicereg.moebius import expr_from_json
 from slicereg.quaternion import Quaternion
 
+from conftest import random_blaschke_expr
+
 Q2_EXPR = {"kind": "star_mul",
            "left": {"kind": "identity"},
            "right": {"kind": "identity"}}
@@ -213,6 +215,45 @@ class TestQTableMargin:
         assert cli.main(["interpolate", path]) == 3
         report = json.loads(capsys.readouterr().out)
         assert sorted(report) == ["cell", "error", "table"]
+
+
+def pick_disagreeing_problems():
+    """Solvable problems that the float Q-table calls unsolvable.  One
+    default_rng(5) stream draws 20 problems per n = 12, 16, ..., 32: sorted
+    nodes from uniform(-0.9, 0.9) and values 0.9 B(r_k) of a Blaschke
+    product B of degree n + 2, a strict self-map.  The table's recurrence
+    loses the verdict on problems 5 and 6 at n = 28 and 1, 8, 12, 16 and 18
+    at n = 32, whose Pick matrices psd_check accepts."""
+    rng = np.random.default_rng(5)
+    wanted = {28: (5, 6), 32: (1, 8, 12, 16, 18)}
+    out = []
+    for n in range(12, 33, 4):
+        for k in range(20):
+            nodes = np.sort(rng.uniform(-0.9, 0.9, n))
+            b = random_blaschke_expr(rng, n + 2)
+            if k in wanted.get(n, ()):
+                pts = np.zeros((n, 4))
+                pts[:, 0] = nodes
+                out.append((nodes.tolist(), (0.9 * b.eval_many(pts)).tolist()))
+    return out
+
+
+class TestPickDisagrees:
+    @pytest.mark.parametrize("nodes, values", pick_disagreeing_problems())
+    def test_no_verdict_against_the_pick_test(self, tmp_path, capsys, nodes,
+                                              values):
+        # neither "no solution" nor a solution: exit 3 with both verdicts'
+        # evidence, the table's and a Pick matrix PSD to rounding, and
+        # nothing on stderr
+        path = write_problem(tmp_path, nodes, values)
+        assert cli.main(["interpolate", path]) == 3
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert err == ""
+        assert sorted(report) == ["error", "kind", "pickMinEig", "table"]
+        assert report["error"] == "pick_disagrees"
+        assert report["kind"]["variant"] == "no_solution"
+        assert abs(report["pickMinEig"]) <= 1e-13
 
 
 def _unit(draw):

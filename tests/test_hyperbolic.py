@@ -234,6 +234,30 @@ class TestQuotients:
         expect = (ONE - p.conj() * p.conj()) * ds
         assert abs(got - expect) <= 1e-8
 
+    def test_series_composes_the_public_algebra(self, rng, monkeypatch):
+        # quotient_series builds 1 - conj(f(p)) f from series_add and
+        # star_mul of constant series and reads f(p) = a_0 + p R(0) off the
+        # division it runs: it reaches no qarray function and never calls
+        # series.evaluate, and its series agrees with the stem rule
+        cases = [(fs, rand_q(rng, 0.8)) for fs in stem_test_maps()]
+        used = []
+
+        class Watch:
+            def __getattr__(self, name):
+                used.append(name)
+                return getattr(qarray, name)
+
+        monkeypatch.setattr(hyperbolic, "qarray", Watch())
+        monkeypatch.setattr(se, "evaluate", lambda *a: used.append("evaluate"))
+        got = [hyperbolic.quotient_series(fs, p, order=64) for fs, p in cases]
+        assert used == []
+        monkeypatch.undo()
+        for (fs, p), qs in zip(cases, got):
+            hq = hyperbolic_quotient(fs, p)
+            for _ in range(10):
+                q = rand_q(rng, 0.5)
+                assert abs(se.evaluate(qs, q)[0] - hq.eval(q)) <= 1e-12
+
 
 def per_point_route(fs, points):
     """f*_p(p) and f*_p(conj p) from one quotient series per point."""

@@ -278,6 +278,27 @@ class TestConjugateSymmetrize:
         f = TaylorSeries(rng.uniform(-0.5, 0.5, (9, 4)), exact=True)
         assert np.abs(se.symmetrize(f).coeffs[:, 1:]).max() == 0.0
 
+    def test_symmetrize_is_the_norm_series(self, rng):
+        # n(f) has one implementation: symmetrize's real column is
+        # _norm_series to the bit, at the order and with the certificate of
+        # f * f^c, and within 1e-15 of that product
+        for k in range(200):
+            order = int(rng.integers(0, 40))
+            coeffs = rng.standard_normal((order + 1, 4)) * (
+                0.8 ** np.arange(order + 1))[:, None]
+            f = TaylorSeries(coeffs, exact=k % 2 == 0)
+            s = se.symmetrize(f)
+            prod = se.star_mul(f, se.conjugate(f))
+            assert np.array_equal(s.coeffs[:, 0],
+                                  se._norm_series(f.coeffs, s.order))
+            assert not s.coeffs[:, 1:].any()
+            assert (s.order, s.certificate) == (prod.order, prod.certificate)
+            scale = np.abs(prod.coeffs).max()
+            assert np.abs(s.coeffs - prod.coeffs).max() <= 1e-15 * scale
+            if not f.exact:
+                assert s.coeff_bound >= f.coeff_bound ** 2
+                assert s.growth_rate >= f.growth_rate
+
 
 class TestStarInverse:
     def test_constant(self):
@@ -478,6 +499,41 @@ class TestAddSub:
         g = TaylorSeries.constant(ONE)
         s = se.series_add(f, g)
         assert s.order == 20 - 1 and not s.exact
+
+
+# (order, certificate, C, g) of star_mul and series_add for the four
+# exact/truncated pairs of ORDER_CASES, and of symmetrize for each one
+ORDER_CASES = {
+    "e": TaylorSeries([[0.5, 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.125, 0.25]],
+                      exact=True),
+    "t": TaylorSeries([[0.25, 0, 0.5, 0], [0.25, 0, 0, 0], [0, 0, 0.0625, 0],
+                       [0, 0.015625, 0, 0], [0.00390625, 0, 0, 0]], 3.0, 0.75),
+    "u": TaylorSeries([[0.5, 0.25, 0, 0], [0, 0, 0, 0.125],
+                       [0.03125, 0, 0, 0]], 2.0, 0.5),
+}
+ORDER_TABLE = [
+    ("star_mul", "ee", 4, "exact", 1.14564392373896, 1.01),
+    ("star_mul", "et", 4, "fitted", 6.0, 0.7551511345167163),
+    ("star_mul", "te", 4, "fitted", 6.0, 0.8889128541613274),
+    ("star_mul", "tu", 2, "fitted", 6.0, 0.75),
+    ("series_add", "ee", 2, "exact", 4.0, 0.7551511345167163),
+    ("series_add", "et", 4, "fitted", 3.605551275463989, 0.5946898719970332),
+    ("series_add", "te", 4, "fitted", 3.605551275463989, 0.5946898719970332),
+    ("series_add", "tu", 2, "fitted", 3.7416573867739413,
+     0.3017952238569344),
+    ("symmetrize", "e", 4, "exact", 1.0, 0.7551511345167163),
+    ("symmetrize", "t", 4, "fitted", 9.0, 0.75),
+]
+
+
+@pytest.mark.parametrize("op, args, order, cert, bound, growth", ORDER_TABLE)
+def test_order_and_certificate_table(op, args, order, cert, bound, growth):
+    # one order rule and one product-certificate rule serve sums, products
+    # and symmetrize: an exact term never limits the order, and a truncated
+    # product keeps at least its factors' bound and growth
+    s = getattr(se, op)(*(ORDER_CASES[a] for a in args))
+    assert (s.order, s.certificate, s.coeff_bound, s.growth_rate) == (
+        order, cert, bound, growth)
 
 
 @settings(max_examples=50, deadline=None)
