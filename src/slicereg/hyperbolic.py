@@ -33,7 +33,7 @@ in all, and each quotient adds only its own node.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from .moebius import (
     FunctionExpr,
     SeriesFunc,
     _check_ball,
+    _immutable,
     _memo_rows,
     _moebius_constants,
     _moebius_stem,
@@ -186,6 +187,7 @@ def quotient_series(fs: TaylorSeries, p: Quaternion,
     return se.star_mul(left, se.star_inverse(den, order=order))
 
 
+@_immutable
 class HyperbolicQuotient(FunctionExpr):
     """f*_p of the expression ``base`` as one node, with the stem
     M_p^{-*}(z) (M_{f(p)} . F)(z): the closed-form stem of M_p^{-*}
@@ -200,17 +202,16 @@ class HyperbolicQuotient(FunctionExpr):
     allows.
     """
 
-    __slots__ = ("base", "p", "fp", "_consts", "unimodular_value")
+    base: FunctionExpr
+    p: Quaternion
+    fp: Quaternion = field(repr=False)
+    unimodular_value: Quaternion = field(default=None, repr=False)
+    _consts: tuple = field(init=False, repr=False)
 
-    def __init__(self, base: FunctionExpr, p: Quaternion, fp: Quaternion,
-                 unimodular_value: Quaternion = None):
-        u, vu, x, y2 = _moebius_constants(p, ONE)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "fp", fp)
+    def __post_init__(self):
+        u, vu, x, y2 = _moebius_constants(self.p, ONE)
         # the constants of M_{conj(p)}, whose imaginary part is -v
         object.__setattr__(self, "_consts", (u, -vu, x, y2))
-        object.__setattr__(self, "unimodular_value", unimodular_value)
 
     @property
     def is_unimodular_constant(self) -> bool:
@@ -244,9 +245,6 @@ class HyperbolicQuotient(FunctionExpr):
             return TaylorSeries.constant(self.unimodular_value)
         return quotient_series(self.base.to_series(order), self.p,
                                order=order)
-
-    def __repr__(self):
-        return f"HyperbolicQuotient({self.base!r}, {self.p!r})"
 
 
 def hyperbolic_quotient(f, p: Quaternion, z=None,

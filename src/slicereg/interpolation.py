@@ -31,7 +31,9 @@ from .moebius import (
     _BALL_EDGE,
     _CONJ_PRODUCT,
     _SING_TOL,
+    _as_quaternion,
     _chain_singular,
+    _immutable,
     _left_mul_matrices,
     _moebius_scaled,
 )
@@ -81,6 +83,7 @@ def _check_inside(field, xs):
                              f"but 1 - |x| = {1.0 - abs(x):.3g}")
 
 
+@_immutable
 class InterpolationProblem:
     """Real nodes r_1..r_n with ball values s_1..s_n, each of modulus
     below 1 - 1e-13: the ball on which the solver's Moebius maps M_{r_k}
@@ -89,12 +92,12 @@ class InterpolationProblem:
     sample, so that the interpolant can be read at every node: about
     1 - |r| > 1.58e-7."""
 
-    __slots__ = ("nodes", "values")
+    nodes: tuple
+    values: tuple
 
-    def __init__(self, nodes, values):
-        nodes = tuple(float(r) for r in nodes)
-        values = tuple(Quaternion(s) if isinstance(s, (int, float)) else s
-                       for s in values)
+    def __post_init__(self):
+        nodes = tuple(float(r) for r in self.nodes)
+        values = tuple(map(_as_quaternion, self.values))
         if len(nodes) < 1 or len(nodes) != len(values):
             raise ValueError("need n >= 1 nodes with matching values")
         _check_inside("nodes", nodes)
@@ -110,9 +113,6 @@ class InterpolationProblem:
         _check_inside("values", values)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("InterpolationProblem is immutable")
 
     @property
     def n(self) -> int:
@@ -147,17 +147,15 @@ def _tag(q: Quaternion) -> QCell:
     return QCell("infinity", q)
 
 
+@_immutable
 class QTable:
     """Triangular table Q_k^l, 0 <= k <= n-1, k+1 <= l <= n (row 0 = values)."""
 
-    __slots__ = ("problem", "cells")
+    problem: InterpolationProblem
+    cells: dict
 
-    def __init__(self, problem: InterpolationProblem, cells):
-        object.__setattr__(self, "problem", problem)
-        object.__setattr__(self, "cells", dict(cells))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QTable is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "cells", dict(self.cells))
 
     @property
     def n(self) -> int:
@@ -296,13 +294,14 @@ def two_point_solve(r: float, p: float, s: Quaternion, q: Quaternion):
 # -- Pick matrix criterion --------------------------------------------
 
 
+@_immutable
 class HermitianQuatMatrix:
     """Square quaternion matrix with P_lm = conj(P_ml) and real diagonal."""
 
-    __slots__ = ("entries",)
+    entries: np.ndarray
 
-    def __init__(self, entries: np.ndarray):
-        entries = np.asarray(entries, dtype=float)
+    def __post_init__(self):
+        entries = np.asarray(self.entries, dtype=float)
         if entries.ndim != 3 or entries.shape[0] != entries.shape[1] \
                 or entries.shape[2] != 4:
             raise ValueError("entries must be an (n, n, 4) array")
@@ -314,9 +313,6 @@ class HermitianQuatMatrix:
         entries = entries.copy()
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HermitianQuatMatrix is immutable")
 
     @property
     def n(self) -> int:

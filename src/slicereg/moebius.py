@@ -23,6 +23,7 @@ certified truncation tail.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 
@@ -36,7 +37,7 @@ from .errors import (
     SingularPoint,
     SliceRegError,
 )
-from .quaternion import Quaternion
+from .quaternion import ONE, Quaternion
 from .series import TaylorSeries
 
 __all__ = [
@@ -229,13 +230,18 @@ def _stem_action(F, p, node) -> np.ndarray:
 
 
 class FunctionExpr:
-    """Base node of the expression language; immutable after construction.
+    """Base node of the expression language.
 
+    Each node class is an ``_immutable`` dataclass, so assigning a field
+    raises FrozenInstanceError.  The fields shown in its repr are its
+    constructor arguments, in order, and the keys of its expression JSON,
+    which the class attribute ``kind`` names (None: no JSON form).
     ``_ball_max`` is a fact of the map, kept once found: the sup |f| over
     the closed 0.95-ball that :func:`slicereg.verify.check_self_map` finds.
     """
 
     __slots__ = ("_ball_max",)
+    kind = None
 
     def conjugate(self) -> "FunctionExpr":
         """Regular conjugate f^c."""
@@ -254,19 +260,46 @@ class FunctionExpr:
         raise NotImplementedError
 
     def to_json(self):
-        raise NotImplementedError
+        if self.kind is None:
+            raise NotImplementedError
+        return {"kind": self.kind, **{f.name: getattr(self, f.name).to_json()
+                                      for f in _arguments(type(self))}}
+
+    def __repr__(self):
+        args = (repr(getattr(self, f.name)) for f in _arguments(type(self)))
+        return f"{type(self).__name__}({', '.join(args)})"
 
     def __call__(self, q: Quaternion) -> Quaternion:
         return self.eval(q)
 
 
-class Const(FunctionExpr):
-    __slots__ = ("value",)
+# a value class: frozen and slotted, compared by identity, with the repr it
+# defines (a node's is FunctionExpr's)
+_immutable = dataclasses.dataclass(frozen=True, eq=False, repr=False,
+                                   slots=True)
 
-    def __init__(self, value: Quaternion):
-        if isinstance(value, (int, float)):
-            value = Quaternion(value)
-        object.__setattr__(self, "value", value)
+
+@functools.cache
+def _arguments(cls) -> tuple:
+    """The fields that a node class shows in its repr, in order: none for a
+    class that is not a dataclass."""
+    if not dataclasses.is_dataclass(cls):
+        return ()
+    return tuple(f for f in dataclasses.fields(cls) if f.repr)
+
+
+def _as_quaternion(x):
+    """x, with a real number made a Quaternion."""
+    return Quaternion(x) if isinstance(x, (int, float)) else x
+
+
+@_immutable
+class Const(FunctionExpr):
+    value: Quaternion
+    kind = "const"
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", _as_quaternion(self.value))
 
     @_stem_rule
     def eval_many(self, z, memo):
@@ -275,15 +308,10 @@ class Const(FunctionExpr):
     def to_series(self, order=se.DEFAULT_ORDER):
         return TaylorSeries.constant(self.value)
 
-    def to_json(self):
-        return {"kind": "const", "value": self.value.to_json()}
 
-    def __repr__(self):
-        return f"Const({self.value!r})"
-
-
+@_immutable
 class Identity(FunctionExpr):
-    __slots__ = ()
+    kind = "identity"
 
     @_stem_rule
     def eval_many(self, z, memo):
@@ -292,28 +320,22 @@ class Identity(FunctionExpr):
     def to_series(self, order=se.DEFAULT_ORDER):
         return TaylorSeries.identity()
 
-    def to_json(self):
-        return {"kind": "identity"}
 
-    def __repr__(self):
-        return "Identity()"
-
-
+@_immutable
 class Moebius(FunctionExpr):
     """Regular Moebius transformation M_p followed by a right factor u."""
 
-    __slots__ = ("p", "u", "_consts")
+    p: Quaternion
+    u: Quaternion = ONE
+    _consts: tuple = dataclasses.field(init=False, repr=False)
+    kind = "moebius"
 
-    def __init__(self, p: Quaternion, u: Quaternion = Quaternion(1.0)):
-        if isinstance(p, (int, float)):
-            p = Quaternion(p)
-        if isinstance(u, (int, float)):
-            u = Quaternion(u)
-        _check_ball(p)
-        _check_unimodular(u)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "_consts", _moebius_constants(p, u))
+    def __post_init__(self):
+        object.__setattr__(self, "p", _as_quaternion(self.p))
+        object.__setattr__(self, "u", _as_quaternion(self.u))
+        _check_ball(self.p)
+        _check_unimodular(self.u)
+        object.__setattr__(self, "_consts", _moebius_constants(self.p, self.u))
 
     @_stem_rule
     def eval_many(self, z, memo):
@@ -334,21 +356,14 @@ class Moebius(FunctionExpr):
             cert = (2.0, 0.5)
         return TaylorSeries(coeffs, *cert)
 
-    def to_json(self):
-        return {"kind": "moebius", "p": self.p.to_json(), "u": self.u.to_json()}
 
-    def __repr__(self):
-        return f"Moebius({self.p!r}, {self.u!r})"
-
-
+@_immutable
 class Sum(FunctionExpr):
     """Pointwise sum."""
 
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: FunctionExpr, right: FunctionExpr):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+    left: FunctionExpr
+    right: FunctionExpr
+    kind = "sum"
 
     @_stem_rule
     def eval_many(self, z, memo):
@@ -357,20 +372,12 @@ class Sum(FunctionExpr):
     def to_series(self, order=se.DEFAULT_ORDER):
         return se.series_add(self.left.to_series(order), self.right.to_series(order))
 
-    def to_json(self):
-        return {"kind": "sum", "left": self.left.to_json(),
-                "right": self.right.to_json()}
 
-    def __repr__(self):
-        return f"Sum({self.left!r}, {self.right!r})"
-
-
+@_immutable
 class StarMul(FunctionExpr):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: FunctionExpr, right: FunctionExpr):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+    left: FunctionExpr
+    right: FunctionExpr
+    kind = "star_mul"
 
     @_stem_rule
     def eval_many(self, z, memo):
@@ -380,19 +387,11 @@ class StarMul(FunctionExpr):
     def to_series(self, order=se.DEFAULT_ORDER):
         return se.star_mul(self.left.to_series(order), self.right.to_series(order))
 
-    def to_json(self):
-        return {"kind": "star_mul", "left": self.left.to_json(),
-                "right": self.right.to_json()}
 
-    def __repr__(self):
-        return f"StarMul({self.left!r}, {self.right!r})"
-
-
+@_immutable
 class StarInv(FunctionExpr):
-    __slots__ = ("inner",)
-
-    def __init__(self, inner: FunctionExpr):
-        object.__setattr__(self, "inner", inner)
+    inner: FunctionExpr
+    kind = "star_inv"
 
     @_stem_rule
     def eval_many(self, z, memo):
@@ -401,20 +400,13 @@ class StarInv(FunctionExpr):
     def to_series(self, order=se.DEFAULT_ORDER):
         return se.star_inverse(self.inner.to_series(order), order=order)
 
-    def to_json(self):
-        return {"kind": "star_inv", "inner": self.inner.to_json()}
 
-    def __repr__(self):
-        return f"StarInv({self.inner!r})"
-
-
+@_immutable
 class Conj(FunctionExpr):
     """Regular conjugate; its stem is the quaternion conjugate of F."""
 
-    __slots__ = ("inner",)
-
-    def __init__(self, inner: FunctionExpr):
-        object.__setattr__(self, "inner", inner)
+    inner: FunctionExpr
+    kind = "conj"
 
     def conjugate(self):
         return self.inner
@@ -426,24 +418,18 @@ class Conj(FunctionExpr):
     def to_series(self, order=se.DEFAULT_ORDER):
         return se.conjugate(self.inner.to_series(order))
 
-    def to_json(self):
-        return {"kind": "conj", "inner": self.inner.to_json()}
 
-    def __repr__(self):
-        return f"Conj({self.inner!r})"
-
-
+@_immutable
 class Bullet(FunctionExpr):
     """The action M_p . f = (f - p) * (1 - conj(p) * f)^{-*} of Sp(1,1)."""
 
-    __slots__ = ("p", "inner")
+    p: Quaternion
+    inner: FunctionExpr
+    kind = "bullet"
 
-    def __init__(self, p: Quaternion, inner: FunctionExpr):
-        if isinstance(p, (int, float)):
-            p = Quaternion(p)
-        _check_ball(p)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "inner", inner)
+    def __post_init__(self):
+        object.__setattr__(self, "p", _as_quaternion(self.p))
+        _check_ball(self.p)
 
     @_stem_rule
     def eval_many(self, z, memo):
@@ -461,23 +447,15 @@ class Bullet(FunctionExpr):
             raise NotInvertibleAtZero(f"1 - conj(p) f(0) vanishes in {self!r}")
         return se.star_mul(num, se.star_inverse(den, order=order))
 
-    def to_json(self):
-        return {"kind": "bullet", "p": self.p.to_json(),
-                "inner": self.inner.to_json()}
 
-    def __repr__(self):
-        return f"Bullet({self.p!r}, {self.inner!r})"
-
-
+@_immutable
 class SeriesFunc(FunctionExpr):
     """A power series wrapped as an expression leaf.  An exact series is a
     polynomial and evaluates at any radius; a truncated one only inside its
     certified radius 1/g."""
 
-    __slots__ = ("series",)
-
-    def __init__(self, series: TaylorSeries):
-        object.__setattr__(self, "series", series)
+    series: TaylorSeries
+    kind = "series"
 
     @_stem_rule
     def eval_many(self, z, memo):
@@ -487,10 +465,7 @@ class SeriesFunc(FunctionExpr):
         return self.series
 
     def to_json(self):
-        return {"kind": "series", **self.series.to_json()}
-
-    def __repr__(self):
-        return f"SeriesFunc({self.series!r})"
+        return {"kind": self.kind, **self.series.to_json()}
 
 
 def _left_mul_matrices(ps: np.ndarray) -> np.ndarray:
@@ -513,6 +488,7 @@ def _chain_singular(w):
     return np.abs(w) ** 2 <= _SING_TOL
 
 
+@_immutable
 class SchurChain(FunctionExpr):
     """The real-node chain f = M_{p_1}.(M_{r_1} * (M_{p_2}.(M_{r_2} * (...
     * h)))) of the Schur algorithm, as one node.
@@ -541,21 +517,20 @@ class SchurChain(FunctionExpr):
     costs no more than storing r_k, p_k and h.
     """
 
-    __slots__ = ("nodes", "ps", "h", "_steps")
+    nodes: tuple
+    ps: tuple
+    h: FunctionExpr
+    _steps: tuple = dataclasses.field(default=None, init=False, repr=False)
 
-    def __init__(self, nodes, ps, h: FunctionExpr):
-        nodes = tuple(float(r) for r in nodes)
-        ps = tuple(ps)
-        if len(nodes) != len(ps):
+    def __post_init__(self):
+        object.__setattr__(self, "nodes", tuple(float(r) for r in self.nodes))
+        object.__setattr__(self, "ps", tuple(self.ps))
+        if len(self.nodes) != len(self.ps):
             raise ValueError("need one value p_k per real node r_k")
-        for r in nodes:
+        for r in self.nodes:
             _check_ball(r, "node")
-        for p in ps:
+        for p in self.ps:
             _check_ball(p)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "ps", ps)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "_steps", None)
 
     def _chain(self) -> FunctionExpr:
         """The nested chain of Bullet, StarMul and Moebius nodes."""
@@ -854,26 +829,22 @@ def expr_to_series(e: FunctionExpr, r_max=0.95,
 # -- Moebius maps and Blaschke products -------------------------------
 
 
+@_immutable
 class BlaschkeProduct:
     """Finite *-product of Moebius factors times a unimodular constant."""
 
-    __slots__ = ("factors", "u")
+    factors: tuple
+    u: Quaternion = ONE
 
-    def __init__(self, factors, u: Quaternion = Quaternion(1.0)):
-        factors = tuple(Quaternion(f) if isinstance(f, (int, float)) else f
-                        for f in factors)
+    def __post_init__(self):
+        factors = tuple(map(_as_quaternion, self.factors))
         if len(factors) < 1:
             raise ValueError("Blaschke product needs at least one factor")
         for f in factors:
             _check_ball(f, "factor")
-        if isinstance(u, (int, float)):
-            u = Quaternion(u)
-        _check_unimodular(u)
         object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "u", u)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BlaschkeProduct is immutable")
+        object.__setattr__(self, "u", _as_quaternion(self.u))
+        _check_unimodular(self.u)
 
     @property
     def degree(self) -> int:
@@ -904,31 +875,35 @@ def dieudonne_det(a: Quaternion, b: Quaternion, c: Quaternion, d: Quaternion) ->
 # -- JSON -------------------------------------------------------------
 
 
+# the kinds that expr_from_json builds from their fields
+_KINDS = {cls.kind: cls for cls in (Const, Identity, Moebius, Sum, StarMul,
+                                    StarInv, Conj, Bullet)}
+
+
 def expr_from_json(d) -> FunctionExpr:
+    """The expression of :meth:`FunctionExpr.to_json` data.  A bare list is
+    a constant, and ``series`` and ``blaschke`` have readers of their own.
+    Any other kind is built from its fields: an expression field is read
+    recursively, a quaternion field with Quaternion.from_iter, and a
+    missing field takes its default (KeyError when it has none)."""
     if isinstance(d, list):  # bare quaternion means a constant
         return Const(Quaternion.from_iter(d))
     kind = d["kind"]
-    if kind == "const":
-        return Const(Quaternion.from_iter(d["value"]))
-    if kind == "identity":
-        return Identity()
-    if kind == "moebius":
-        return Moebius(Quaternion.from_iter(d["p"]),
-                       Quaternion.from_iter(d.get("u", [1, 0, 0, 0])))
-    if kind == "star_mul":
-        return StarMul(expr_from_json(d["left"]), expr_from_json(d["right"]))
-    if kind == "star_inv":
-        return StarInv(expr_from_json(d["inner"]))
-    if kind == "conj":
-        return Conj(expr_from_json(d["inner"]))
-    if kind == "bullet":
-        return Bullet(Quaternion.from_iter(d["p"]), expr_from_json(d["inner"]))
-    if kind == "sum":
-        return Sum(expr_from_json(d["left"]), expr_from_json(d["right"]))
     if kind == "series":
         return SeriesFunc(TaylorSeries.from_json(d))
     if kind == "blaschke":
         return blaschke_to_expr(BlaschkeProduct(
             [Quaternion.from_iter(f) for f in d["factors"]],
             Quaternion.from_iter(d.get("u", [1, 0, 0, 0]))))
-    raise ValueError(f"unknown expression kind {kind!r}")
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown expression kind {kind!r}")
+    args = {}
+    for f in _arguments(cls):
+        if f.name in d:
+            read = (expr_from_json if f.type == "FunctionExpr"
+                    else Quaternion.from_iter)
+            args[f.name] = read(d[f.name])
+        elif f.default is dataclasses.MISSING:
+            raise KeyError(f.name)
+    return cls(**args)

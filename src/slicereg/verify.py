@@ -309,9 +309,9 @@ def _estimate_inputs(f: FunctionExpr, cfg: SamplerConfig):
     """The series of the self-map f, which must vanish at 0, its derivative
     f'(0) = a_1 (0 when the series is the constant 0), and the seeded
     samples q0 of the estimate suites, with |q0| <= 0.9."""
-    if abs(f.eval(Quaternion(0.0))) > 1e-10:
-        raise ValueError("this suite requires f(0) = 0")
     fs = expr_to_series(f)
+    if abs(fs.coefficient(0)) > 1e-10:
+        raise ValueError("this suite requires f(0) = 0")
     d0 = fs.coefficient(1) if fs.order else Quaternion(0.0)
     rng = np.random.default_rng(cfg.seed)
     return fs, d0, qarray.uniform_ball(rng, cfg.count, min(0.9, cfg.radius_cap))

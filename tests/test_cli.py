@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from slicereg import cli, qarray
+from slicereg.errors import SliceRegError
 from slicereg.hyperbolic import hyperbolic_quotient
 from slicereg.moebius import expr_from_json
 from slicereg.quaternion import Quaternion
@@ -344,6 +345,141 @@ class TestInterpolateContract:
         report = json.loads(out.getvalue())
         if code == 0:
             assert all(map(math.isfinite, report["residuals"]))
+
+
+# expression JSON: quaternion components keep |p| <= 0.9 inside the ball
+_QUAT = st.lists(st.floats(-0.45, 0.45), min_size=4, max_size=4)
+_UNIT = st.sampled_from([[1, 0, 0, 0], [0, 0, 1, 0], [0.5, -0.5, 0.5, 0.5],
+                         [0.6, 0.0, 0.0, -0.8]])
+_LEAVES = st.one_of(
+    _QUAT,
+    _QUAT.map(lambda v: {"kind": "const", "value": v}),
+    st.just({"kind": "identity"}),
+    st.builds(lambda p, u: {"kind": "moebius", "p": p,
+                            **({} if u is None else {"u": u})},
+              _QUAT, st.none() | _UNIT),
+    st.builds(lambda coeffs, tail: {"kind": "series", "coeffs": coeffs,
+                                    **tail},
+              st.lists(_QUAT, min_size=1, max_size=4), st.sampled_from([
+                  {"exact": True}, {}, {"exact": False},
+                  {"coeffBound": 1.0, "growthRate": 1.0}])),
+    st.builds(lambda factors, u: {"kind": "blaschke", "factors": factors,
+                                  **({} if u is None else {"u": u})},
+              st.lists(_QUAT, min_size=1, max_size=3), st.none() | _UNIT),
+)
+
+
+def expression_json(depth=3):
+    """Well-formed expression JSON of every kind, nested to ``depth``."""
+    if depth == 0:
+        return _LEAVES
+    sub = expression_json(depth - 1)
+    return st.one_of(
+        _LEAVES,
+        st.builds(lambda kind, left, right: {"kind": kind, "left": left,
+                                             "right": right},
+                  st.sampled_from(["sum", "star_mul"]), sub, sub),
+        st.builds(lambda kind, inner: {"kind": kind, "inner": inner},
+                  st.sampled_from(["star_inv", "conj"]), sub),
+        st.builds(lambda p, inner: {"kind": "bullet", "p": p, "inner": inner},
+                  _QUAT, sub))
+
+
+def _parts(tree):
+    """The objects of expression JSON, and every (container, key) that
+    holds a number."""
+    objects, numbers = [], []
+
+    def walk(x):
+        if isinstance(x, dict):
+            objects.append(x)
+        items = x.items() if isinstance(x, dict) else enumerate(x)
+        for key, value in items:
+            if isinstance(value, (dict, list)):
+                walk(value)
+            elif isinstance(value, (int, float)) and not isinstance(value,
+                                                                    bool):
+                numbers.append((x, key))
+    walk(tree)
+    return objects, numbers
+
+
+@st.composite
+def expression_cases(draw):
+    """(expression JSON, whether it is well formed): a tree of
+    :func:`expression_json`, possibly with one fault: a missing or an extra
+    field, a non-finite or overflowing number, or a kind that is not one,
+    or not a string.  An extra field is ignored, so it stays well formed."""
+    tree = json.loads(json.dumps(draw(expression_json())))
+    objects, numbers = _parts(tree)
+    fault = draw(st.sampled_from([None] * 3 + ["missing", "extra", "number",
+                                              "kind"]))
+    if fault in ("missing", "extra", "kind") and objects:
+        node = draw(st.sampled_from(objects))
+        if fault == "missing":
+            del node[draw(st.sampled_from(sorted(node)))]
+        elif fault == "extra":
+            node[draw(st.sampled_from(["extra", "order", "exact_"]))] = \
+                draw(st.sampled_from([1, None, "x", [0.5, 0, 0, 0]]))
+        else:
+            node["kind"] = draw(st.sampled_from(
+                [1, 2.5, True, None, [1], {"kind": "identity"}, "nope",
+                 "Moebius", "quotient"]))
+    elif fault is not None and numbers:
+        container, key = draw(st.sampled_from(numbers))
+        container[key] = draw(st.sampled_from(
+            [math.nan, math.inf, -math.inf, 10 ** 400]))
+        fault = "number"
+    else:
+        fault = None
+    return tree, fault in (None, "extra")
+
+
+# the commands that read an expression, with the exit codes the README
+# documents for each
+_EXPR_COMMANDS = [(["crosscheck", "--count", "16"], (0, 1, 4, 5))] + [
+    (["verify", "--suite", s, "--count", "16"], (0, 1, 4, 5))
+    for s in ("spl", "spl3", "multi", "dieudonne", "goluzin", "balpha")] + [
+    (["grid", "--res", "3"], (0, 1))]
+_ROUNDTRIP_POINTS = qarray.uniform_ball(np.random.default_rng(16), 16, 0.9)
+
+
+def _values_or_error(e):
+    with np.errstate(all="ignore"):
+        try:
+            return e.eval_many(_ROUNDTRIP_POINTS).tobytes()
+        except SliceRegError as exc:
+            return repr(exc)
+
+
+class TestExpressionContract:
+    """Every command that reads an expression keeps the CLI contract on any
+    expression JSON, and a well-formed tree reads back from its own JSON."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=expression_cases())
+    def test_exit_codes_stderr_and_roundtrip(self, case):
+        data, well_formed = case
+        spec = json.dumps(data)
+        for argv, codes in _EXPR_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = cli.main(argv[:1] + ["--f", spec] + argv[1:])
+            err = err.getvalue()
+            assert code in codes and not caught
+            if code == 1:
+                assert err.startswith("error:") and err.count("\n") == 1
+            else:
+                assert err == ""
+        if well_formed:
+            e = expr_from_json(data)
+            back = expr_from_json(json.loads(json.dumps(e.to_json())))
+            assert repr(back) == repr(e)
+            assert _values_or_error(back) == _values_or_error(e)
 
 
 class TestVerify:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from collections import Counter
@@ -21,6 +22,7 @@ from slicereg.interpolation import (
     build_q_table,
     build_solution,
     classify,
+    pick_matrix,
 )
 from slicereg.moebius import (
     BlaschkeProduct,
@@ -43,6 +45,7 @@ from slicereg.moebius import (
 )
 from slicereg.quaternion import I, J, K, ONE, Quaternion, ZERO
 from slicereg.series import TaylorSeries
+from slicereg.verify import _ball_max, check_self_map
 
 from conftest import random_blaschke_expr
 from test_interpolation import _hconj, _hmul
@@ -1454,3 +1457,108 @@ class TestJson:
     def test_bare_list_is_constant(self):
         e = expr_from_json([0.0, 1.0, 0.0, 0.0])
         assert e.eval(Quaternion(0.5)) == I
+
+    @pytest.mark.parametrize("kind", ["nope", "Moebius", 1, 2.5, True, None,
+                                      [1], {"kind": "identity"}])
+    def test_unknown_kind(self, kind):
+        with pytest.raises(ValueError, match="unknown expression kind"):
+            expr_from_json({"kind": kind, "p": [0.1, 0, 0, 0]})
+
+    @pytest.mark.parametrize("data, key", [
+        ({}, "kind"),
+        ({"kind": "const"}, "value"),
+        ({"kind": "moebius", "u": [1, 0, 0, 0]}, "p"),
+        ({"kind": "bullet", "inner": {"kind": "identity"}}, "p"),
+        ({"kind": "bullet", "p": [0.1, 0, 0, 0]}, "inner"),
+        ({"kind": "sum", "left": {"kind": "identity"}}, "right"),
+        ({"kind": "conj"}, "inner"),
+    ])
+    def test_a_missing_key_is_named(self, data, key):
+        with pytest.raises(KeyError) as err:
+            expr_from_json(data)
+        assert err.value.args == (key,)
+
+    def test_keys_are_the_constructor_arguments(self):
+        p, inner = Quaternion(0.1, 0.2), Moebius(Quaternion(0.3), u=J)
+        e = Bullet(p, inner)
+        data = e.to_json()
+        assert list(data) == ["kind", "p", "inner"]
+        assert repr(e) == repr(Bullet(Quaternion.from_iter(data["p"]),
+                                      expr_from_json(data["inner"])))
+        assert list(inner.to_json()) == ["kind", "p", "u"]
+        # a missing field with a default takes it
+        m = expr_from_json({"kind": "moebius", "p": [0.3, 0, 0, 0]})
+        assert repr(m) == repr(Moebius(Quaternion(0.3))) and m.u == ONE
+
+    def test_a_quotient_has_no_json(self):
+        hq = hyperbolic_quotient(Moebius(Quaternion(0.3)), Quaternion(0.1, 0.2))
+        with pytest.raises(NotImplementedError):
+            hq.to_json()
+
+
+def _immutable_cases():
+    """(object, its fields) for every expression node class, BlaschkeProduct,
+    QTable, InterpolationProblem and HermitianQuatMatrix."""
+    p = Quaternion(0.3, 0.1, 0.0, 0.2)
+    m = Moebius(p)
+    problem = InterpolationProblem([0.0, 0.5], [ZERO, I * 0.3])
+    table = build_q_table(problem)
+    chain = build_solution(table, classify(table))
+    hq = hyperbolic_quotient(m, Quaternion(0.1, 0.2))
+    return [
+        (Const(p), ["value"]),
+        (Identity(), []),
+        (m, ["p", "u", "_consts"]),
+        (Sum(m, Identity()), ["left", "right"]),
+        (StarMul(m, Identity()), ["left", "right"]),
+        (StarInv(m), ["inner"]),
+        (Conj(m), ["inner"]),
+        (Bullet(p, m), ["p", "inner"]),
+        (SeriesFunc(m.to_series()), ["series"]),
+        (chain, ["nodes", "ps", "h", "_steps"]),
+        (hq, ["base", "p", "fp", "unimodular_value", "_consts"]),
+        (BlaschkeProduct([p]), ["factors", "u"]),
+        (table, ["problem", "cells"]),
+        (problem, ["nodes", "values"]),
+        (pick_matrix(problem.nodes, problem.values), ["entries"]),
+    ]
+
+
+class TestImmutable:
+    """Nodes and the value types of the solver refuse assignment, so that
+    what is derived from their fields when they are built stays true of
+    them."""
+
+    @pytest.mark.parametrize("obj, names", _immutable_cases(),
+                             ids=lambda x: type(x).__name__
+                             if not isinstance(x, list) else "")
+    def test_every_field_refuses_assignment(self, obj, names):
+        assert [f.name for f in dataclasses.fields(obj)] == names
+        for name in names:
+            before = getattr(obj, name)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, before)
+            assert getattr(obj, name) is before
+
+    def test_a_checked_map_keeps_a_true_ball_max(self):
+        f = StarMul(Const(Quaternion(0.9)), Identity())
+        check_self_map(f)
+        kept = f._ball_max
+        with pytest.raises(AttributeError):
+            f.left = Const(Quaternion(2.0))
+        # not a field: refused too, with TypeError on Python 3.11, whose
+        # slotted frozen dataclasses fail in their super() call
+        with pytest.raises((AttributeError, TypeError)):
+            f._ball_max = 0.5
+        assert f._ball_max == kept == _ball_max(f)
+
+    def test_a_moebius_stem_and_series_describe_one_map(self):
+        m = Moebius(Quaternion(0.5))
+        with pytest.raises(AttributeError):
+            m.p = Quaternion(-0.9)
+        q = Quaternion(0.2)
+        expect = moebius_classical_eval(Quaternion(0.5), q)
+        assert abs(expect - Quaternion(-1.0 / 3.0)) <= 1e-15
+        assert abs(m.eval(q) - expect) <= 1e-15
+        assert abs(se.evaluate(m.to_series(), q)[0] - expect) <= 1e-12
+        assert m.to_json()["p"] == [0.5, 0.0, 0.0, 0.0]
