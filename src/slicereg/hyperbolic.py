@@ -152,15 +152,20 @@ def _probe_point(p: Quaternion) -> float:
     return 0.5 if abs(p) < 0.25 else 0.0
 
 
+# the probe points as quaternions, built once so that a probe builds none
+_PROBES = {r0: Quaternion(r0) for r0 in (0.0, 0.5)}
+
+
 def detect_unimodular_constant(f: FunctionExpr, memo=None):
     """u if the self-map f is a unimodular constant u, from one value u =
     f(q0).  A quotient f*_p is read at q0 = _probe_point(p), any other f at
     q0 = 0.  ``memo`` holds the stems at q0 of nodes already evaluated there
     (see :func:`~slicereg.moebius.eval_all`).  None when f is not one."""
     r0 = _probe_point(f.p) if isinstance(f, HyperbolicQuotient) else 0.0
-    a = f.eval_many(np.array([[r0, 0.0, 0.0, 0.0]]), memo)[0]
+    a = qarray._on_slice(_PROBES[r0],
+                         lambda z: f.eval_many(np.array([z]), memo)[0])
     if _unimodular(float(np.linalg.norm(a)), r0):
-        return qarray.to_quaternion(a)
+        return Quaternion(*a)
     return None
 
 
@@ -276,17 +281,17 @@ def hyperbolic_quotient(f, p: Quaternion, z=None,
     if isinstance(f, TaylorSeries):
         f = SeriesFunc(f)
     q0 = _probe_point(p)
-    ps = qarray.from_quaternion(p, (1,))
+    zp = p.re + 1j * p.im_norm()
     if z is None:
-        z = qarray.slice_points(np.array([ps[0], (q0, 0.0, 0.0, 0.0)]))
+        z = np.array([zp, q0], dtype=complex)
         memo = None
     probe = np.flatnonzero(z[1:] == q0)[:1]
-    if z[0] != qarray.slice_points(ps)[0] or not len(probe):
+    if z[0] != zp or not len(probe):
         raise ValueError("z must start at the slice point of p and hold that "
                          f"of the probe point {q0}")
     memo = {} if memo is None else memo
     F = f.eval_many(z, memo)
-    fp = qarray.to_quaternion(qarray.on_slices(ps, lambda _: F[:1])[0])
+    fp = Quaternion(*qarray._on_slice(p, lambda _: F[0]))
     memo.update(_memo_rows(memo, slice(1, None)))
     if _unimodular(abs(fp), abs(p)):
         return HyperbolicQuotient(f, p, None, fp)

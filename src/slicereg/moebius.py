@@ -5,7 +5,8 @@ through its stem function F: C -> H(x)C, where f(x + Iy) = Re F(x + iy) +
 I Im F(x + iy) and the complex unit i commutes with H.  On stems the
 *-product, the regular conjugate and the *-inverse act pointwise, so every
 node has a one-line stem rule and one evaluation visits each node once
-(:func:`slicereg.qarray.on_slices` reads the values off the stem).  A
+(:func:`slicereg.qarray.on_slices` reads a batch of values off the stem,
+and ``eval`` the value at one quaternion off one stem row, in floats).  A
 Moebius factor's stem is its own rational function of z, with constants
 fixed at construction (:func:`_moebius_stem`); only a Bullet, whose inner
 stem is arbitrary, runs the Sp(1,1) action on stems.  The
@@ -250,8 +251,8 @@ class FunctionExpr:
     # -- evaluation ---------------------------------------------------
 
     def eval(self, q: Quaternion) -> Quaternion:
-        out = self.eval_many(qarray.from_quaternion(q, (1,)))
-        return qarray.to_quaternion(out[0])
+        return Quaternion(*qarray._on_slice(
+            q, lambda z: self.eval_many(np.array([z]))[0]))
 
     def eval_many(self, points: np.ndarray, memo=None) -> np.ndarray:
         raise NotImplementedError

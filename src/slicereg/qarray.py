@@ -127,6 +127,28 @@ def on_slices(points, stem) -> np.ndarray:
     return F.real + qmul(v, F.imag / np.where(r > 0.0, r, 1.0)[..., None])
 
 
+def _on_slice(q: Quaternion, stem) -> tuple:
+    """The value at one quaternion q = w + (x, y, z) of the slice function
+    with stem ``stem``, as four floats: :func:`on_slices` on one row.
+
+    ``stem`` maps the slice point z = w + i|v|, a complex scalar, to the
+    stem row F(z), a complex (4,) array.  Re F + v Im F / |v| is formed in
+    floats by the float operations of on_slices, the Hamilton product in
+    qmul's term order with its 0.0 terms kept, so that the two agree
+    bitwise, signed zeros included.
+    """
+    w, x, y, z = q.components()
+    zeta = w + 1j * q.im_norm()
+    r = zeta.imag
+    d = r if r > 0.0 else 1.0
+    f0, f1, f2, f3 = stem(zeta).tolist()
+    g0, g1, g2, g3 = f0.imag / d, f1.imag / d, f2.imag / d, f3.imag / d
+    return (f0.real + (0.0 * g0 - x * g1 - y * g2 - z * g3),
+            f1.real + (0.0 * g1 + x * g0 + y * g3 - z * g2),
+            f2.real + (0.0 * g2 - x * g3 + y * g0 + z * g1),
+            f3.real + (0.0 * g3 + x * g2 - y * g1 + z * g0))
+
+
 def powers(q, n: int) -> np.ndarray:
     """The powers q^0, ..., q^{n-1} of one quaternion q, as an (n, 4) array.
 

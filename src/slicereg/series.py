@@ -150,6 +150,19 @@ class TaylorSeries:
             return math.inf
         return self.coeff_bound * t ** (self.order + 1) / (1.0 - t)
 
+    def derivative_tail_bound(self, radius: float) -> float:
+        """Bound on |sum_{m>N} m q^{m-1} a_m| for |q| <= radius: the tail of
+        the Cullen derivative, and of the spherical derivative, whose m-th
+        term (q^m - conj(q)^m) / (2 Im q) is at most m |q|^{m-1} too."""
+        if self.exact:
+            return 0.0
+        t = self.growth_rate * radius
+        if t >= 1.0:
+            return math.inf
+        n = self.order + 1
+        return (self.coeff_bound * self.growth_rate * t ** (n - 1)
+                * (n / (1.0 - t) + t / (1.0 - t) ** 2))
+
     def to_json(self):
         return {
             "coeffs": self.coeffs.tolist(),
@@ -402,7 +415,7 @@ def left_linear_divide(f: TaylorSeries, p: Quaternion) -> TaylorSeries:
     b = _qconv(qarray.powers(parr, n), f.coeffs[:0:-1], n - 1)[::-1]
     # consistency: the reconstructed constant a_0 + p b_0 must match the
     # value of the polynomial f at p, within _DIVISION_TOL relative
-    fp = qarray.on_slices(parr, lambda z: _horner(f.coeffs, z))
+    fp = qarray._on_slice(p, lambda z: _horner(f.coeffs, z))
     bound = _DIVISION_TOL * max(1.0, float(f.coefficient_norms().max()))
     residual = float(qarray.qnorm(f.coeffs[0] + qarray.qmul(parr, b[0]) - fp))
     if residual > bound:

@@ -68,13 +68,16 @@ __all__ = [
     "SUITES",
 ]
 
+# the tolerance of the estimate suites, which measure f^h
+_ESTIMATE_TOL = 1e-9
+
 _SUITE_TOL = {
     "spl": 1e-10,
     "spl3": 1e-10,
     "multi": 1e-9,
-    "dieudonne": 1e-9,
-    "goluzin": 1e-9,
-    "balpha": 1e-9,
+    "dieudonne": _ESTIMATE_TOL,
+    "goluzin": _ESTIMATE_TOL,
+    "balpha": _ESTIMATE_TOL,
     "crosscheck": 1e-9,
 }
 
@@ -308,13 +311,22 @@ def suite_multi(f: FunctionExpr, cfg: SamplerConfig):
 def _estimate_inputs(f: FunctionExpr, cfg: SamplerConfig):
     """The series of the self-map f, which must vanish at 0, its derivative
     f'(0) = a_1 (0 when the series is the constant 0), and the seeded
-    samples q0 of the estimate suites, with |q0| <= 0.9."""
+    samples q0 of the estimate suites, with |q0| <= 0.9.  f^h reads the
+    series and its Cullen and spherical derivatives; when the certified
+    tail of any of them at the largest |q0| exceeds the suites' tolerance
+    there is no sample: as for :func:`crosscheck`, none is then measured
+    and the report is inconclusive."""
     fs = expr_to_series(f)
     if abs(fs.coefficient(0)) > 1e-10:
         raise ValueError("this suite requires f(0) = 0")
     d0 = fs.coefficient(1) if fs.order else Quaternion(0.0)
     rng = np.random.default_rng(cfg.seed)
-    return fs, d0, qarray.uniform_ball(rng, cfg.count, min(0.9, cfg.radius_cap))
+    pts = qarray.uniform_ball(rng, cfg.count, min(0.9, cfg.radius_cap))
+    reach = float(qarray.qnorm(pts).max(initial=0.0))
+    tail = max(fs.tail_bound(reach), fs.derivative_tail_bound(reach))
+    if not tail <= _ESTIMATE_TOL:
+        pts = pts[:0]
+    return fs, d0, pts
 
 
 def suite_dieudonne(f: FunctionExpr, cfg: SamplerConfig):

@@ -799,7 +799,7 @@ class TestUnimodularRule:
         # any other expression is judged at 0, a quotient wrapped in one too
         spy = PointSpy(hyperbolic_quotient(Q2, Quaternion(0.3, 0.2)))
         assert hyperbolic.detect_unimodular_constant(spy) is None
-        assert [x.tolist() for x in spy.points] == [[[0.0, 0.0, 0.0, 0.0]]]
+        assert [x.tolist() for x in spy.points] == [[0j]]
         # and so is a quotient node at |p| >= 1/4, which reads f at 0
         p = Quaternion(0.3, 0.2)
         base = PointSpy(SeriesFunc(Q2))

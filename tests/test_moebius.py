@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -974,6 +975,88 @@ class TestSchurChain:
                     calls.clear()
                     f.eval_many(pts)
                     assert len(calls) <= most
+
+
+# one-point reads: a generic point, real points, imaginary parts of +-0.0,
+# subnormal imaginary parts whose squares vanish, and one whose sum of
+# squares is subnormal but not 0
+ONE_POINTS = [Quaternion(0.3, -0.2, 0.1, 0.25), Quaternion(-0.4),
+              Quaternion(0.35, -0.0, 0.0, -0.0), Quaternion(-0.0, 0.0, -0.0),
+              Quaternion(0.2, 5e-324, 0.0, -0.0),
+              Quaternion(-0.1, 1e-310, -3e-320, 0.0),
+              Quaternion(0.15, 0.0, -1e-160, 0.0)]
+# the sphere S_p of P_ON: there the quotient's stem rule is singular, and
+# the quotient is read off its division-route series
+P_ON = Quaternion(0.3, 0.2, 0.0, 0.0)
+ON_SPHERE = [P_ON, P_ON.conj(), Quaternion(0.3, 0.0, -0.2, 0.0)]
+# a truncated series: its fitted tail is read at each point
+T_SERIES = TaylorSeries(H_SERIES.coeffs * 0.9, 0.5, 1.01)
+
+
+def _one_point_cases():
+    inner = Moebius(Quaternion(0.2, 0.3, 0.0, -0.4), U)
+    leaf = SeriesFunc(H_SERIES)
+    return {
+        "Const": (Const(U), ONE_POINTS),
+        "Identity": (Identity(), ONE_POINTS),
+        "Moebius": (Moebius(P_IMAG, U), ONE_POINTS),
+        "Sum": (Sum(leaf, inner), ONE_POINTS),
+        "StarMul": (StarMul(inner, leaf), ONE_POINTS),
+        "StarInv": (StarInv(Sum(Const(Quaternion(2.0)), leaf)), ONE_POINTS),
+        "Conj": (Conj(StarMul(leaf, inner)), ONE_POINTS),
+        "Bullet": (Bullet(P_IMAG, inner), ONE_POINTS),
+        "SeriesFunc_exact": (leaf, ONE_POINTS),
+        "SeriesFunc_truncated": (SeriesFunc(T_SERIES), ONE_POINTS),
+        "SchurChain": (build_solution(*_chain_problem(4, "zero")),
+                       ONE_POINTS),
+        "HyperbolicQuotient_rule": (hyperbolic_quotient(leaf, P_ON),
+                                    ONE_POINTS),
+        "HyperbolicQuotient_series": (hyperbolic_quotient(leaf, P_ON),
+                                      ON_SPHERE),
+    }
+
+
+def _hex(values) -> list:
+    return [float(x).hex() for x in values]
+
+
+class TestOnePointRead:
+    """A value at one quaternion is read off one stem row in floats, bitwise
+    the row that a batch of that one point gives."""
+
+    @pytest.mark.parametrize("name", sorted(_one_point_cases()))
+    def test_eval_is_one_row_of_eval_many(self, name):
+        f, points = _one_point_cases()[name]
+        for q in points:
+            row = f.eval_many(np.array([q.components()]))[0]
+            assert _hex(f.eval(q).components()) == _hex(row)
+
+    def test_one_point_reads_take_no_hamilton_product(self, monkeypatch):
+        # eval on a chain, a Moebius factor and a Bullet tree, whose stems
+        # take none, takes none; a quotient of an exact series takes one,
+        # the product in its own stem rule, and reads f(p) and its probe
+        # value without one
+        qmul = qarray.qmul
+        chain = build_solution(*_chain_problem(4, "zero"))
+
+        def refused(a, b):
+            raise AssertionError("a one-point read took a Hamilton product")
+        monkeypatch.setattr(qarray, "qmul", refused)
+        inner = Moebius(Quaternion(0.2, 0.3, 0.0, -0.4), U)
+        q = Quaternion(0.3, -0.2, 0.1, 0.25)
+        for f in (chain, inner, Bullet(P_IMAG, inner)):
+            f.eval(q)
+        callers = []
+
+        def counted(a, b):
+            frame = sys._getframe(1)
+            callers.append((frame.f_globals["__name__"],
+                            frame.f_code.co_name))
+            return qmul(a, b)
+        monkeypatch.setattr(qarray, "qmul", counted)
+        hq = hyperbolic_quotient(SeriesFunc(H_SERIES), P_IMAG)
+        assert not hq.is_unimodular_constant
+        assert callers == [("slicereg.hyperbolic", "eval_many")]
 
 
 class TestBulletSeries:

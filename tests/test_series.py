@@ -115,6 +115,22 @@ class TestConstruction:
         f = poly(ONE, I)
         assert f.tail_bound(0.95) == 0.0
 
+    @pytest.mark.parametrize("order", [0, 1, 26])
+    def test_derivative_tail_sums_the_certified_terms(self, order):
+        # sum_{m>N} m C g^m r^{m-1}, term by term, at r = 0 and r = 0.9;
+        # it bounds the derivative tail of f, which the certificate bounds
+        coeffs = np.zeros((order + 1, 4))
+        coeffs[:, 0] = 0.5 ** np.arange(order + 1)
+        f = TaylorSeries(coeffs, 1.0, 0.5)
+        ms = np.arange(order + 1, order + 400)
+        for r in (0.0, 0.9):
+            want = float(np.sum(ms * 0.5 ** ms * r ** (ms - 1)))
+            assert f.derivative_tail_bound(r) == pytest.approx(want,
+                                                               rel=1e-12)
+            assert f.derivative_tail_bound(r) > f.tail_bound(r) or r == 0.0
+        assert poly(ONE, I).derivative_tail_bound(0.9) == 0.0
+        assert f.derivative_tail_bound(2.0) == math.inf
+
     def test_fitted_certificate_covers_coefficients(self):
         coeffs = np.zeros((10, 4))
         coeffs[:, 0] = 0.7 ** np.arange(10)
