@@ -45,7 +45,6 @@ from .interpolation import (
     pick_matrix,
     psd_check,
     slice_extend,
-    two_point_solve,
 )
 from .moebius import (
     BlaschkeProduct,
@@ -60,18 +59,11 @@ from .moebius import (
     StarMul,
     Sum,
     blaschke_to_expr,
-    dieudonne_det,
     expr_from_json,
     expr_to_series,
     moebius_classical_eval,
 )
-from .quaternion import (
-    ImDecomposition,
-    Quaternion,
-    SimilaritySphere,
-    im_decompose,
-    same_sphere,
-)
+from .quaternion import Quaternion
 from .series import (
     TaylorSeries,
     conjugate,

@@ -46,6 +46,7 @@ from .errors import (
     SliceRegError,
 )
 from .moebius import (
+    _BALL_EDGE,
     FunctionExpr,
     SeriesFunc,
     _check_ball,
@@ -298,7 +299,7 @@ def hyperbolic_quotient(f, p: Quaternion, z=None,
     if abs(fp) > 1.0:
         raise NotSelfMap(f"|f(p)| = {abs(fp):.17g} > 1: f is not a self-map "
                          "of the ball")
-    if abs(fp) >= 1.0 - 1e-13:
+    if abs(fp) >= _BALL_EDGE:
         raise SingularDenominator(
             f"|f(p)| = {abs(fp):.17g} lies {1.0 - abs(fp):.3g} inside the unit "
             "sphere: too close for M_{f(p)}, too far for a unimodular constant")
@@ -322,15 +323,17 @@ def quotient_on_sphere(fs: TaylorSeries, points):
     is e f'(p) + ebar d_S f(p), and (1 - z conj(p)) is 1 - |p|^2 on e and
     1 - z^2 on ebar.  Then f*_p(p) = Re Fh + I Im Fh and
     f*_p(conj p) = Re Fh - I Im Fh.  No series of the quotient is built, so
-    the accuracy is that of fs.
+    the accuracy is that of fs.  F' is read off the derivative series,
+    which refuses a truncated fs of order 0 where there is a point to read.
     """
     pts = qarray.as_qarray(points)
     _check_ball(qarray.qnorm(pts).max(initial=0.0))
+    if not pts.size:
+        return pts, pts
     y = np.sqrt(qarray.qnorm2(pts[..., 1:]))
     z = pts[..., 0] + 1j * y
     F = se.stem(fs, z)
-    # F' converges where F does; its own fitted g is not checked again
-    dF = se._horner(se.cullen_derivative(fs).coeffs, z)
+    dF = se.stem(se.cullen_derivative(fs), z)
     # I = Im p / |Im p|; at real p any I will do, and I = 0 gives e = ebar
     real = (y == 0.0)[..., None]
     ys = np.where(real, 1.0, y[..., None])
@@ -351,24 +354,31 @@ def quotient_on_sphere(fs: TaylorSeries, points):
     return Fh.real + turn, Fh.real - turn
 
 
-def hyperbolic_derivative(f, p: Quaternion) -> Quaternion:
-    """f^h(p) = f*_p(p), read off the stem of f at p.
-
-    An expression, a quotient included, is lowered by
+def _fh_series(f, reach: float) -> TaylorSeries:
+    """The series that f^h is read from on |q| <= reach: a series f as it
+    is, and an expression, a quotient included, lowered by
     :func:`~slicereg.moebius.expr_to_series` so that the tails of f and of
-    its derivative at |p| are within _TAIL_TARGET where the order cap
-    allows.  A unimodular constant u gives u, judged by :func:`_unimodular`
-    on the constant coefficient, the value at q0 = 0.
+    its derivative at reach are within _TAIL_TARGET where the order cap
+    allows."""
+    if isinstance(f, TaylorSeries):
+        return f
+    # f^h reads F' at reach: a tail within _TAIL_TARGET * (rho - reach) on
+    # |q| <= rho has, by Cauchy, a derivative within _TAIL_TARGET at reach
+    rho = 0.5 * (1.0 + reach)
+    return expr_to_series(f, r_max=rho,
+                          tail_target=_TAIL_TARGET * (rho - reach))
+
+
+def hyperbolic_derivative(f, p: Quaternion) -> Quaternion:
+    """f^h(p) = f*_p(p), read off the stem of :func:`_fh_series` at |p|.
+
+    A unimodular constant u gives u, judged by :func:`_unimodular` on the
+    constant coefficient, the value at q0 = 0.
     """
     if isinstance(p, (int, float)):
         p = Quaternion(p)
     _check_ball(p)
-    # f^h reads F' at |p|: a tail within _TAIL_TARGET * (rho - |p|) on
-    # |q| <= rho has, by Cauchy, a derivative within _TAIL_TARGET at |p|
-    r = abs(p)
-    rho = 0.5 * (1.0 + r)
-    fs = f if isinstance(f, TaylorSeries) else expr_to_series(
-        f, r_max=rho, tail_target=_TAIL_TARGET * (rho - r))
+    fs = _fh_series(f, abs(p))
     a0 = fs.coefficient(0)
     if _unimodular(abs(a0), 0.0):
         return a0

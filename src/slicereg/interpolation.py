@@ -55,7 +55,6 @@ __all__ = [
     "build_q_table",
     "classify",
     "build_solution",
-    "two_point_solve",
     "slice_extend",
 ]
 
@@ -280,15 +279,6 @@ def build_solution(t: QTable, kind: SolutionKind, h=None) -> FunctionExpr:
     return SchurChain(prob.nodes[:depth],
                       [-t.cell(k - 1, k).value for k in range(1, depth + 1)],
                       expr)
-
-
-def two_point_solve(r: float, p: float, s: Quaternion, q: Quaternion):
-    """Two-node shortcut: returns (kind, Q) with Q = M_r(p)^{-1} M_s(q)."""
-    prob = InterpolationProblem([r, p], [s, q])
-    table = build_q_table(prob)
-    kind = classify(table)
-    cell = table.cell(1, 2)
-    return kind, cell.value
 
 
 # -- Pick matrix criterion --------------------------------------------

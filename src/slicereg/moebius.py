@@ -58,7 +58,6 @@ __all__ = [
     "eval_all",
     "expr_to_series",
     "blaschke_to_expr",
-    "dieudonne_det",
     "expr_from_json",
 ]
 
@@ -864,13 +863,6 @@ def blaschke_to_expr(b: BlaschkeProduct) -> FunctionExpr:
     for s in reversed(b.factors):
         expr = StarMul(Moebius(s), expr)
     return expr
-
-
-def dieudonne_det(a: Quaternion, b: Quaternion, c: Quaternion, d: Quaternion) -> float:
-    """Dieudonne determinant of the quaternionic 2x2 matrix [[a, c], [b, d]]."""
-    val = (a.abs2() * d.abs2() + b.abs2() * c.abs2()
-           - 2.0 * (b * a.conj() * c * d.conj()).re)
-    return math.sqrt(max(val, 0.0))
 
 
 # -- JSON -------------------------------------------------------------

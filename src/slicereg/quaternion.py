@@ -1,14 +1,15 @@
-"""Scalar quaternion arithmetic and similarity-sphere predicates.
+"""Scalar quaternion arithmetic, the package's API edge.
 
-A quaternion ``w + x*i + y*j + z*k`` is stored as four floats.  Everything
-here is immutable and pure; these scalars are the coefficient type of the
-series engine and the point type of every evaluator in the package.
+A quaternion ``w + x*i + y*j + z*k`` is stored as four floats, immutable.
+A :class:`Quaternion` is what the public functions take and return for one
+point, value or coefficient; series and evaluators work on ``(..., 4)``
+arrays (:mod:`slicereg.qarray`), and a quaternion's similarity sphere
+x + yS is represented there by its slice point x + i|Im q|.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
     "Quaternion",
@@ -17,13 +18,8 @@ __all__ = [
     "I",
     "J",
     "K",
-    "im_decompose",
-    "same_sphere",
-    "ImDecomposition",
-    "SimilaritySphere",
 ]
 
-DEFAULT_SPHERE_TOL = 1e-9
 # default relative size below which is_real treats the imaginary part as zero
 REAL_THRESHOLD = 1e-13
 
@@ -160,53 +156,3 @@ I = Quaternion(0.0, 1.0)
 J = Quaternion(0.0, 0.0, 1.0)
 K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
-
-@dataclass(frozen=True)
-class ImDecomposition:
-    """Writing q = x + y*I with x real, y >= 0 and I an imaginary unit.
-
-    ``axis`` is None for real q.
-    """
-
-    x: float
-    y: float
-    axis: Quaternion | None
-
-    def recompose(self) -> Quaternion:
-        if self.axis is None:
-            return Quaternion(self.x)
-        return Quaternion(self.x) + self.axis * self.y
-
-
-def im_decompose(q: Quaternion) -> ImDecomposition:
-    """Split q into real part, imaginary magnitude and imaginary unit."""
-    y = q.im_norm()
-    if y == 0.0:
-        return ImDecomposition(q.w, 0.0, None)
-    return ImDecomposition(q.w, y, Quaternion(0.0, q.x / y, q.y / y, q.z / y))
-
-
-@dataclass(frozen=True)
-class SimilaritySphere:
-    """The 2-sphere of quaternions sharing real part and imaginary norm.
-
-    For ``im_norm == 0`` the sphere collapses to the single real point ``re``.
-    """
-
-    re: float
-    im_norm: float
-
-    @classmethod
-    def of(cls, p: Quaternion) -> "SimilaritySphere":
-        return cls(p.w, p.im_norm())
-
-    def contains(self, q: Quaternion, tol=DEFAULT_SPHERE_TOL) -> bool:
-        return (abs(q.w - self.re) <= tol
-                and abs(q.im_norm() - self.im_norm) <= tol)
-
-
-def same_sphere(a: Quaternion, b: Quaternion, tol=DEFAULT_SPHERE_TOL) -> bool:
-    """True iff a and b lie on the same similarity sphere within tol."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    return SimilaritySphere.of(a).contains(b, tol)

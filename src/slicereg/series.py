@@ -46,6 +46,10 @@ __all__ = [
 DEFAULT_ORDER = 64
 _SAFETY_C = 4.0
 _SAFETY_G = 1.01
+# max over m of (m + 1) _SAFETY_G^-m, which rises while m < 1/(_SAFETY_G - 1):
+# the factor by which cullen_derivative raises a certificate's bound
+_KAPPA = max((m + 1) * _SAFETY_G ** -m
+             for m in range(int(1.0 / (_SAFETY_G - 1.0)) + 2))
 _CERT_SLACK = 1e-9
 _CERTIFICATES = ("exact", "cauchy-sampled", "fitted")
 # relative bound on the residual of left_linear_divide
@@ -381,11 +385,33 @@ def evaluate_many(f: TaylorSeries, points: np.ndarray, r_max=None):
 
 
 def cullen_derivative(f: TaylorSeries) -> TaylorSeries:
-    """Termwise derivative: sum q^{m-1} m a_m."""
+    """Termwise derivative: sum q^{m-1} m a_m.
+
+    A truncated f passes its certificate on: |a_m| <= C g^m gives
+    (m+1) |a_{m+1}| <= C g _KAPPA (s g)^m with s = _SAFETY_G, so the
+    derivative carries (C g _KAPPA, s g), with the larger C that covers
+    stored coefficients within the construction slack of f; where their
+    cap underflows no finite C does, and it takes the larger of that and
+    their own fitted certificate.  A truncated f of order 0 fixes no
+    coefficient of f' and is refused.
+    """
     if f.order == 0:
+        if not f.exact:
+            raise ValueError("a truncated series of order 0 has no derivative")
         return TaylorSeries.constant(Quaternion(0.0))
     coeffs = f.coeffs[1:] * np.arange(1, f.order + 1)[:, None]
-    return TaylorSeries(coeffs, exact=f.exact)
+    if f.exact:
+        return TaylorSeries(coeffs, exact=True)
+    growth = _SAFETY_G * f.growth_rate
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        need = qarray.qnorm(coeffs) / growth ** np.arange(f.order)
+    bound = max(f.coeff_bound * f.growth_rate * _KAPPA,
+                float(need[np.isfinite(need)].max()))  # need[0] = |a_1|
+    try:
+        return TaylorSeries(coeffs, bound, growth)
+    except ValueError:
+        cb, gr = _fit_certificate(coeffs)
+        return TaylorSeries(coeffs, max(cb, bound), max(gr, growth))
 
 
 def spherical_derivative(f: TaylorSeries, p: Quaternion) -> Quaternion:

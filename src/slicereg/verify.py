@@ -33,6 +33,7 @@ import numpy as np
 from . import qarray, series as se
 from .errors import NotSelfMap
 from .hyperbolic import (
+    _fh_series,
     _probe_point,
     _unimodular,
     balpha_bounds,
@@ -311,18 +312,19 @@ def suite_multi(f: FunctionExpr, cfg: SamplerConfig):
 def _estimate_inputs(f: FunctionExpr, cfg: SamplerConfig):
     """The series of the self-map f, which must vanish at 0, its derivative
     f'(0) = a_1 (0 when the series is the constant 0), and the seeded
-    samples q0 of the estimate suites, with |q0| <= 0.9.  f^h reads the
-    series and its Cullen and spherical derivatives; when the certified
-    tail of any of them at the largest |q0| exceeds the suites' tolerance
-    there is no sample: as for :func:`crosscheck`, none is then measured
-    and the report is inconclusive."""
-    fs = expr_to_series(f)
-    if abs(fs.coefficient(0)) > 1e-10:
-        raise ValueError("this suite requires f(0) = 0")
-    d0 = fs.coefficient(1) if fs.order else Quaternion(0.0)
+    samples q0 of the estimate suites, with |q0| <= 0.9.  The series is
+    :func:`~slicereg.hyperbolic._fh_series` at the largest |q0|.  f^h reads
+    it and its Cullen and spherical derivatives; when the certified tail of
+    any of them at the largest |q0| exceeds the suites' tolerance there is
+    no sample: as for :func:`crosscheck`, none is then measured and the
+    report is inconclusive."""
     rng = np.random.default_rng(cfg.seed)
     pts = qarray.uniform_ball(rng, cfg.count, min(0.9, cfg.radius_cap))
     reach = float(qarray.qnorm(pts).max(initial=0.0))
+    fs = _fh_series(f, reach)
+    if abs(fs.coefficient(0)) > 1e-10:
+        raise ValueError("this suite requires f(0) = 0")
+    d0 = fs.coefficient(1) if fs.order else Quaternion(0.0)
     tail = max(fs.tail_bound(reach), fs.derivative_tail_bound(reach))
     if not tail <= _ESTIMATE_TOL:
         pts = pts[:0]

@@ -349,6 +349,34 @@ class TestStemDerivative:
         with pytest.raises(SingularDenominator):
             quotient_on_sphere(TaylorSeries.constant(J), np.zeros((3, 4)))[0]
 
+    def test_truncated_order_zero_is_refused(self):
+        # a0 alone fixes no f', so f^h of a truncated order-0 series is
+        # refused; with no point to read, nothing is refused
+        fs = TaylorSeries([[0.3, 0.1, -0.2, 0.1]])
+        with pytest.raises(ValueError):
+            hyperbolic_derivative(fs, Quaternion(0.2, 0.1))
+        assert all(v.shape == (0, 4)
+                   for v in quotient_on_sphere(fs, np.zeros((0, 4))))
+
+    def test_estimate_suites_lower_as_hyperbolic_derivative(self,
+                                                            monkeypatch):
+        # goluzin lowers f for its largest sample modulus |p| as
+        # hyperbolic_derivative(f, p) does, with one (r_max, tail_target)
+        tree = StarMul(Moebius(ZERO), Moebius(Quaternion(0.3, 0.1, -0.2)))
+        cfg = SamplerConfig(seed=3, count=4)
+        pts = qarray.uniform_ball(np.random.default_rng(cfg.seed), cfg.count,
+                                  0.9)
+        p = qarray.to_quaternion(pts[qarray.qnorm(pts).argmax()])
+        calls = []
+
+        def record(f, r_max=0.95, tail_target=1e-12):
+            calls.append((r_max, tail_target))
+            return expr_to_series(f, r_max, tail_target)
+        monkeypatch.setattr(hyperbolic, "expr_to_series", record)
+        hyperbolic_derivative(tree, p)
+        assert run_suite("goluzin", tree, cfg).passed
+        assert len(calls) == 2 and calls[0] == calls[1]
+
 
 class _Fallback(Exception):
     """Raised in place of the series lowering that a quotient falls back to

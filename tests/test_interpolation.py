@@ -22,7 +22,6 @@ from slicereg.interpolation import (
     pick_matrix,
     psd_check,
     slice_extend,
-    two_point_solve,
 )
 from slicereg.moebius import Moebius, StarMul
 from slicereg.qarray import uniform_ball
@@ -235,10 +234,16 @@ class TestBuildSolution:
             assert abs(f.eval(Quaternion.from_iter(v))) <= 1.0 + 1e-10
 
 
+def two_point(r, p, s, q):
+    """The kind of the two-node problem f(r) = s, f(p) = q, and Q_1^2."""
+    table = build_q_table(InterpolationProblem([r, p], [s, q]))
+    return classify(table), table.cell(1, 2).value
+
+
 class TestTwoPoint:
     def test_q_value_formula(self):
         lam, mu = 0.3, 0.2
-        kind, q = two_point_solve(-0.5, 0.5, I * lam, J * mu)
+        kind, q = two_point(-0.5, 0.5, I * lam, J * mu)
         expect_sq = (25.0 / 16.0) * (lam ** 2 + mu ** 2) / \
             (1 + lam ** 2 * mu ** 2)
         assert abs(abs(q) ** 2 - expect_sq) <= 1e-13
@@ -247,7 +252,7 @@ class TestTwoPoint:
     def test_boundary_modulus(self):
         lam = 0.3
         mu = math.sqrt((16 - 25 * lam ** 2) / (25 - 16 * lam ** 2))
-        kind, q = two_point_solve(-0.5, 0.5, I * lam, J * mu)
+        kind, q = two_point(-0.5, 0.5, I * lam, J * mu)
         assert abs(abs(q) - 1.0) <= 1e-12
         assert kind.variant == "singular" and kind.kappa0 == 1
 
@@ -263,7 +268,7 @@ class TestTwoPoint:
             d = rho(s, q)
             if abs(d - bound) <= 1e-6:
                 continue
-            kind, _ = two_point_solve(r, p, s, q)
+            kind, _ = two_point(r, p, s, q)
             if d < bound:
                 assert kind.variant == "non_singular"
             else:

@@ -38,7 +38,6 @@ from slicereg.moebius import (
     StarMul,
     Sum,
     blaschke_to_expr,
-    dieudonne_det,
     expr_from_json,
     _moebius_scaled,
     expr_to_series,
@@ -1512,21 +1511,6 @@ class TestBlaschke:
         for _ in range(100):
             q = rand_q(rng, 0.999)
             assert abs(e.eval(q)) <= 1.0 + 1e-12
-
-
-class TestDieudonneDet:
-    def test_complex_case_matches_determinant_modulus(self):
-        # for complex entries this is |ad - bc|
-        a, b, c, d = 1 + 2j, 0.5 - 1j, 2 + 0j, -1 + 1j
-        expect = abs(a * d - b * c)
-        qa = Quaternion(a.real, a.imag)
-        qb = Quaternion(b.real, b.imag)
-        qc = Quaternion(c.real, c.imag)
-        qd = Quaternion(d.real, d.imag)
-        assert abs(dieudonne_det(qa, qb, qc, qd) - expect) <= 1e-12
-
-    def test_zero_row(self):
-        assert dieudonne_det(ZERO, ZERO, I, J) == 0.0
 
 
 class TestJson:

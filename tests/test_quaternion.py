@@ -1,8 +1,6 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 
 from slicereg import qarray
 from slicereg.quaternion import (
@@ -12,9 +10,6 @@ from slicereg.quaternion import (
     ONE,
     Quaternion,
     ZERO,
-    im_decompose,
-    same_sphere,
-    SimilaritySphere,
 )
 
 from conftest import quaternions
@@ -73,52 +68,6 @@ class TestArithmetic:
             r = v.inverse() * q * v
             assert abs(r.re - q.re) <= 1e-12 * max(1.0, abs(q))
             assert abs(abs(r) - abs(q)) <= 1e-12 * max(1.0, abs(q))
-
-
-class TestImDecomposition:
-    def test_one_plus_two_i(self):
-        d = im_decompose(Quaternion(1.0, 2.0))
-        assert d.x == 1.0 and d.y == 2.0 and d.axis == I
-
-    def test_real_point(self):
-        d = im_decompose(Quaternion(3.0))
-        assert d.x == 3.0 and d.y == 0.0 and d.axis is None
-
-    def test_diagonal(self):
-        q = Quaternion(1.0, 1.0, 1.0, 1.0)
-        d = im_decompose(q)
-        assert abs(d.y - math.sqrt(3.0)) <= 1e-15
-        assert d.recompose().isclose(q, 1e-15)
-        assert (d.axis * d.axis).isclose(Quaternion(-1.0), 1e-15)
-
-    @given(quaternions())
-    @example(Quaternion(0.0, 0.0, 0.0, 1e-13))
-    def test_recomposition(self, q):
-        d = im_decompose(q)
-        assert abs(d.recompose() - q) <= 4e-16 * max(1.0, abs(q))
-
-
-class TestSimilaritySphere:
-    def test_examples(self):
-        assert same_sphere(I, J, 1e-9)
-        assert same_sphere(ONE + I, ONE - I, 1e-9)
-        assert not same_sphere(I, I * 2.0, 1e-9)
-
-    def test_negative_tol_rejected(self):
-        with pytest.raises(ValueError):
-            same_sphere(I, J, -1.0)
-
-    def test_collapses_to_real_point(self):
-        s = SimilaritySphere.of(Quaternion(0.3))
-        assert s.im_norm == 0.0
-        assert s.contains(Quaternion(0.3))
-        assert not s.contains(Quaternion(0.3, 0.1))
-
-    def test_membership(self):
-        s = SimilaritySphere.of(Quaternion(0.5, 0.1, 0.2, 0.2))
-        r = math.sqrt(0.01 + 0.04 + 0.04)
-        assert s.contains(Quaternion(0.5, r, 0.0, 0.0))
-        assert not s.contains(Quaternion(0.5, 2 * r, 0.0, 0.0))
 
 
 class TestQArray:

@@ -429,6 +429,40 @@ class TestDerivatives:
         for m in range(1, 8):
             assert d.coefficient(m - 1).isclose(f.coefficient(m) * m, 1e-15)
 
+    def test_cullen_refuses_truncated_order_zero(self):
+        # a truncated a0 alone fixes no coefficient of f'
+        with pytest.raises(ValueError):
+            se.cullen_derivative(TaylorSeries([[0.3, 0.1, -0.2, 0.1]]))
+
+    @pytest.mark.parametrize("order", [1, 26])
+    def test_cullen_certificate_follows_from_f(self, order):
+        # sum (q/2)^m under (C, g) = (1, 0.5): the derivative's certificate
+        # bounds its coefficients and the tail f's certificate gives it
+        coeffs = np.zeros((order + 1, 4))
+        coeffs[:, 0] = 0.5 ** np.arange(order + 1)
+        f = TaylorSeries(coeffs, 1.0, 0.5)
+        d = se.cullen_derivative(f)
+        caps = d.coeff_bound * d.growth_rate ** np.arange(d.order + 1)
+        assert np.all(d.coefficient_norms() <= caps)
+        for r in (0.0, 0.5, 0.9):
+            assert d.tail_bound(r) >= f.derivative_tail_bound(r)
+
+    @pytest.mark.parametrize("g", [0.5, 0.0])
+    def test_cullen_covers_coefficients_in_the_slack(self, g):
+        # a_40 = 9e-10 lies within the 1e-9 slack of C g^40 (9.1e-13, or
+        # 0); the derivative's term 40 a_40 = 3.6e-8 breaks the derived
+        # certificate (C g _KAPPA, 1.01 g), and for g = 0 no larger C mends
+        # it
+        coeffs = np.zeros((41, 4))
+        coeffs[:, 0] = g ** np.arange(41)
+        coeffs[40, 0] = 9e-10
+        f = TaylorSeries(coeffs, 1.0, g)
+        d = se.cullen_derivative(f)
+        caps = d.coeff_bound * d.growth_rate ** np.arange(d.order + 1)
+        assert d.coeff_bound >= g * se._KAPPA
+        assert d.growth_rate >= 1.01 * g
+        assert np.all(d.coefficient_norms() <= caps)
+
     def test_spherical_derivative_of_square(self):
         q2 = poly(ZERO, ZERO, ONE)
         p = Quaternion(0.3, 0.1, 0.2, -0.2)
