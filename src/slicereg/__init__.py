@@ -30,6 +30,7 @@ from .hyperbolic import (
     goluzin_rhs,
     hyperbolic_derivative,
     hyperbolic_quotient,
+    hyperbolic_quotients,
     iterated_quotient,
     pseudo_ball_to_euclidean,
     rho,

@@ -20,14 +20,18 @@ gives |f - a| <= (1 - |a|^2) m / (1 - m) there.  Hence
 r = 0.6.  A quotient's input is judged at q0 = p, from the f(p) that the
 quotient needs anyway; the new quotient at whichever of 0 and 1/2 lies
 farther from S_p; and a series at q0 = 0, from its constant coefficient.
-Building a quotient reads f once, over slice points that start at p and
-hold q0, and evaluates the new node once, over the rows after p, off S_p;
-the probe reads the new quotient at q0 off that pass.  Several quotients
-of one f, or a chain of them, share one such pass: a caller evaluates f
-once over all its points (the quotient points first, then their q0, then
-its samples) and hands each quotient the memo of stems there, which moves
-to the rows after each p by slicing every stem alike.  So f is read once
-in all, and each quotient adds only its own node.
+The quotients of one f at several points are built as one family
+(:func:`hyperbolic_quotients`; one point is the case
+:func:`hyperbolic_quotient`).  f is read once, over slice points that
+start at the points p and hold their q0; every new node is evaluated once,
+over the rows after the points, in one broadcast pass of the stem rule
+over the stacked constants of the family; and each probe reads its own
+quotient at q0 off that pass.  A caller that reads f at further points
+evaluates f once over all of them (the quotient points first, then their
+q0, then its samples) and hands the family the memo of stems there, which
+moves to the rows after the points by slicing every stem alike.  A chain
+of quotients moves it on by one row per link, so f is read once in all
+and each link adds only its own node.
 """
 
 from __future__ import annotations
@@ -70,6 +74,7 @@ __all__ = [
     "pseudo_ball_to_euclidean",
     "HyperbolicQuotient",
     "hyperbolic_quotient",
+    "hyperbolic_quotients",
     "hyperbolic_derivative",
     "quotient_on_sphere",
     "quotient_chain",
@@ -193,6 +198,17 @@ def quotient_series(fs: TaylorSeries, p: Quaternion,
     return se.star_mul(left, se.star_inverse(den, order=order))
 
 
+def _quotient_rule(z, consts, fp, F, node) -> np.ndarray:
+    """The stem rule of f*_p at complex points z: the closed-form stem of
+    M_p^{-*}, from the constants ``consts`` of M_{conj(p)}, times the action
+    of M_{f(p)} on the stem F of f at z.  Constants and values f(p) stacked
+    over a family of quotients, as (B, 1) and (B, 1, 4) arrays, broadcast
+    against z and give the B stems, each bitwise that of its quotient
+    alone.  Raises SliceRegError where either factor is singular."""
+    left = _moebius_stem(z, *consts, node, inverse=True)
+    return qarray.qmul(left, _stem_action(F, fp, node))
+
+
 @_immutable
 class HyperbolicQuotient(FunctionExpr):
     """f*_p of the expression ``base`` as one node, with the stem
@@ -229,9 +245,8 @@ class HyperbolicQuotient(FunctionExpr):
             return np.full(z.shape + (4,), self.unimodular_value.components(),
                            dtype=complex)
         try:
-            left = _moebius_stem(z, *self._consts, self, inverse=True)
-            return qarray.qmul(left, _stem_action(self.base.eval_many(z, memo),
-                                                  self.fp, self))
+            return _quotient_rule(z, self._consts, self.fp,
+                                  self.base.eval_many(z, memo), self)
         except SliceRegError:
             # f*_p itself is regular where its stem rule is singular
             s = expr_to_series(self, r_max=float(np.abs(z).max()),
@@ -253,62 +268,106 @@ class HyperbolicQuotient(FunctionExpr):
                                order=order)
 
 
-def hyperbolic_quotient(f, p: Quaternion, z=None,
-                        memo=None) -> HyperbolicQuotient:
-    """Build f*_p = M_p^{-*} * (M_{f(p)} . f) for a self-map f of the ball.
+def _points(points, caller) -> list:
+    """``points`` as a list, a real number made a Quaternion; ValueError,
+    naming ``caller``, when there is none."""
+    ps = [Quaternion(p) if isinstance(p, (int, float)) else p for p in points]
+    if not ps:
+        raise ValueError(f"{caller} needs at least one point")
+    return ps
+
+
+def hyperbolic_quotients(f, points, z=None, memo=None) -> list:
+    """The quotients f*_p = M_p^{-*} * (M_{f(p)} . f) of a self-map f of the
+    ball at each p of ``points``, built as one family.
 
     f may be any FunctionExpr, a quotient included, or a TaylorSeries, which
     becomes a SeriesFunc leaf that reads f inside its certified radius
-    (anywhere for an exact series).  When f(p) shows f to be a unimodular
-    constant u, the quotient is u as well; else one value of the new
-    quotient node decides (:func:`detect_unimodular_constant`).  Raises
-    ValueError, before f is read, unless |p| < 1 - 1e-13, NotSelfMap when
-    |f(p)| > 1, and SingularDenominator when f is not judged
-    a unimodular constant but |f(p)| lies within 1e-13 of the unit sphere,
-    where M_{f(p)} is refused.
+    (anywhere for an exact series).  Each f(p) is judged as
+    :func:`hyperbolic_quotient` judges it: when it shows f to be a
+    unimodular constant u, that quotient is u as well; else one value of
+    the new quotient node decides (:func:`detect_unimodular_constant`).
+    Raises ValueError, before f is read, when there is no point or unless
+    every |p| < 1 - 1e-13; then, for the first p at which f(p) is refused
+    and before any quotient is evaluated, NotSelfMap when |f(p)| > 1, and
+    SingularDenominator when f is not judged a unimodular constant but
+    |f(p)| lies within 1e-13 of the unit sphere, where M_{f(p)} is refused.
 
-    f is read once, over the complex slice points ``z``: the first is that
-    of p, and the rest hold that of the probe point q0 (by default z is
-    just these two).  The new node is evaluated once, over z[1:], the rows
-    after p, and the probe reads its value at q0 off that pass.  ``memo``,
-    given with z, holds the stems at z of nodes already evaluated there,
-    f's among them or not (see :func:`~slicereg.moebius.eval_all`); on
-    return it holds the stems at z[1:], every entry sliced alike, and that
-    of the new node.
+    f is read once, over the complex slice points ``z``: the first n are
+    those of the n points, and the rest hold those of their probe points q0
+    (by default z is just these).  The new nodes are evaluated over z[n:],
+    the rows after the points, in one broadcast call of the stem rule on
+    their stacked constants; where that call raises SliceRegError each
+    node takes its own ``eval_many`` there, its rule and then its series.
+    The rows of the points themselves are not evaluated, so a point that
+    lies on the singular sphere of another quotient (a set of measure
+    zero) does not send that quotient to its series.  Each probe reads its
+    quotient at q0 off that pass.  ``memo``, given with z, holds the stems
+    at z of nodes already evaluated there, f's among them or not (see
+    :func:`~slicereg.moebius.eval_all`); on return it holds the stems at
+    z[n:], every entry sliced alike, and those of the new nodes.
     """
-    if isinstance(p, (int, float)):
-        p = Quaternion(p)
-    _check_ball(p)
+    ps = _points(points, "hyperbolic_quotients")
+    for p in ps:
+        _check_ball(p)
     if isinstance(f, TaylorSeries):
         f = SeriesFunc(f)
-    q0 = _probe_point(p)
-    zp = p.re + 1j * p.im_norm()
+    n = len(ps)
+    zps = [p.re + 1j * p.im_norm() for p in ps]
+    q0s = [_probe_point(p) for p in ps]
     if z is None:
-        z = np.array([zp, q0], dtype=complex)
+        z = np.array(zps + q0s, dtype=complex)
         memo = None
-    probe = np.flatnonzero(z[1:] == q0)[:1]
-    if z[0] != zp or not len(probe):
-        raise ValueError("z must start at the slice point of p and hold that "
-                         f"of the probe point {q0}")
+    rows = z[n:]
+    probes = [np.flatnonzero(rows == q0)[:1] for q0 in q0s]
+    for k, (zp, q0) in enumerate(zip(zps, q0s)):
+        if len(z) <= k or z[k] != zp or not len(probes[k]):
+            raise ValueError("z must start at the slice point of p and hold "
+                             f"that of the probe point {q0}")
     memo = {} if memo is None else memo
     F = f.eval_many(z, memo)
-    fp = Quaternion(*qarray._on_slice(p, lambda _: F[0]))
-    memo.update(_memo_rows(memo, slice(1, None)))
-    if _unimodular(abs(fp), abs(p)):
-        return HyperbolicQuotient(f, p, None, fp)
-    if abs(fp) > 1.0:
-        raise NotSelfMap(f"|f(p)| = {abs(fp):.17g} > 1: f is not a self-map "
-                         "of the ball")
-    if abs(fp) >= _BALL_EDGE:
-        raise SingularDenominator(
-            f"|f(p)| = {abs(fp):.17g} lies {1.0 - abs(fp):.3g} inside the unit "
-            "sphere: too close for M_{f(p)}, too far for a unimodular constant")
-    hq = HyperbolicQuotient(f, p, fp)
-    hq.eval_many(z[1:], memo)
-    # the verdict is set before the node leaves this function
-    object.__setattr__(hq, "unimodular_value", detect_unimodular_constant(
-        hq, _memo_rows(memo, probe)))
-    return hq
+    fps = [Quaternion(*qarray._on_slice(p, lambda _, row=row: row))
+           for p, row in zip(ps, F)]
+    memo.update(_memo_rows(memo, slice(n, None)))
+    family = []
+    for p, fp in zip(ps, fps):
+        if _unimodular(abs(fp), abs(p)):
+            family.append(HyperbolicQuotient(f, p, None, fp))
+            continue
+        if abs(fp) > 1.0:
+            raise NotSelfMap(f"|f(p)| = {abs(fp):.17g} > 1: f is not a "
+                             "self-map of the ball")
+        if abs(fp) >= _BALL_EDGE:
+            raise SingularDenominator(
+                f"|f(p)| = {abs(fp):.17g} lies {1.0 - abs(fp):.3g} inside the "
+                "unit sphere: too close for M_{f(p)}, too far for a "
+                "unimodular constant")
+        family.append(HyperbolicQuotient(f, p, fp))
+    live = [(hq, probe) for hq, probe in zip(family, probes)
+            if hq.fp is not None]
+    if live:
+        consts = [np.array(c)[:, None]
+                  for c in zip(*(hq._consts for hq, _ in live))]
+        values = np.array([hq.fp.components() for hq, _ in live])[:, None]
+        try:
+            stems = _quotient_rule(rows, consts, values, F[n:], "f*_p")
+        except SliceRegError:
+            stems = [hq.eval_many(rows, memo) for hq, _ in live]
+        for (hq, probe), stem in zip(live, stems):
+            memo[id(hq)] = (hq, stem)
+            # the verdict is set before the node leaves this function
+            object.__setattr__(hq, "unimodular_value",
+                               detect_unimodular_constant(
+                                   hq, {id(hq): (hq, stem[probe])}))
+    return family
+
+
+def hyperbolic_quotient(f, p: Quaternion, z=None,
+                        memo=None) -> HyperbolicQuotient:
+    """f*_p = M_p^{-*} * (M_{f(p)} . f) for a self-map f of the ball: the
+    family of :func:`hyperbolic_quotients` at the one point p, so that z
+    starts at the slice point of p and the memo ends at z[1:]."""
+    return hyperbolic_quotients(f, [p], z, memo)[0]
 
 
 def quotient_on_sphere(fs: TaylorSeries, points):
@@ -355,11 +414,13 @@ def quotient_on_sphere(fs: TaylorSeries, points):
 
 
 def _fh_series(f, reach: float) -> TaylorSeries:
-    """The series that f^h is read from on |q| <= reach: a series f as it
-    is, and an expression, a quotient included, lowered by
-    :func:`~slicereg.moebius.expr_to_series` so that the tails of f and of
-    its derivative at reach are within _TAIL_TARGET where the order cap
-    allows."""
+    """The series that f^h is read from on |q| <= reach: a series f, or the
+    series of a series leaf, as it is, and any other expression, a quotient
+    included, lowered by :func:`~slicereg.moebius.expr_to_series` so that
+    the tails of f and of its derivative at reach are within _TAIL_TARGET
+    where the order cap allows."""
+    if isinstance(f, SeriesFunc):
+        f = f.series
     if isinstance(f, TaylorSeries):
         return f
     # f^h reads F' at reach: a tail within _TAIL_TARGET * (rho - reach) on
@@ -395,17 +456,15 @@ def quotient_chain(f, points, z=None, memo=None) -> list:
     it holds the stems at z[n:] of f and of every link.
     """
     chain = []
-    for k, p in enumerate(points):
+    for k, p in enumerate(_points(points, "quotient_chain")):
         f = hyperbolic_quotient(f, p, None if z is None else z[k:], memo)
         chain.append(f)
-    if not chain:
-        raise ValueError("iterated_quotient needs at least one point")
     return chain
 
 
 def iterated_quotient(f, points) -> HyperbolicQuotient:
     """Fold of hyperbolic quotients f^{n} = (f^{n-1})*_{p_n}."""
-    return quotient_chain(f, points)[-1]
+    return quotient_chain(f, _points(points, "iterated_quotient"))[-1]
 
 
 # -- closed-form bounds -----------------------------------------------

@@ -14,13 +14,16 @@ Each fact of a map is computed once.  The sup |f| of the self-map check
 is kept on the node, so an immutable map is checked once however many
 suites run on it.  spl, spl3 and multi each read f once, over one point
 set: the quotient points p, their probe points, spl3's points s, then the
-samples.  Each quotient f*_p (or link of a chain of quotients) is built by
-:func:`~slicereg.hyperbolic.hyperbolic_quotient` from the memo of that pass,
-and evaluates only its own node, over the rows after its p.  The
-Schwarz-Pick cases of a family of B maps take their stems at the samples
-from that pass, and all B actions M_{f(p)} take one broadcast call.  All B
-maps M_p take one broadcast call of the closed-form Moebius stem, over
-their stacked constants; no Moebius node is built.
+samples.  spl3 builds its quotients f*_p as one family
+(:func:`~slicereg.hyperbolic.hyperbolic_quotients`) from the memo of that
+pass, in one broadcast pass of the quotient rule over the rows after the
+points; multi builds its chain of quotients one link at a time, each link
+evaluating only its own node over the rows after its p, and reads all its
+links at the samples in one slice read-out.  The Schwarz-Pick cases of a
+family of B maps take their stems at the samples from that pass, and all
+B actions M_{f(p)} take one broadcast call.  All B maps M_p take one
+broadcast call of the closed-form Moebius stem, over their stacked
+constants; no Moebius node is built.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .hyperbolic import (
     dieudonne_rhs,
     dieudonne_sup_rhs,
     goluzin_rhs,
-    hyperbolic_quotient,
+    hyperbolic_quotients,
     quotient_chain,
     quotient_on_sphere,
 )
@@ -50,7 +53,6 @@ from .moebius import (
     _check_ball,
     _circle_spectrum,
     _is_polynomial,
-    _memo_rows,
     _moebius_constants,
     _moebius_stem,
     _stem_action,
@@ -268,17 +270,12 @@ def suite_spl3(f: FunctionExpr, cfg: SamplerConfig):
                        for _ in range(3)]).transpose(1, 0, 2)
     n = len(ps)
     z, memo = _stem_pass(f, ps, ss, points)
-    live, stems = [], []
-    for k, p in enumerate(ps):
-        rows = _memo_rows(memo, slice(k, None))
-        hq = hyperbolic_quotient(f, qarray.to_quaternion(p), z[k:], rows)
-        if not hq.is_unimodular_constant:
-            live.append(k)
-            # the stem of f*_p at the points s and the samples, z[2n:]
-            stems.append(hq.eval_many(z[k + 1:], rows)[2 * n - k - 1:])
+    family = hyperbolic_quotients(f, map(qarray.to_quaternion, ps), z, memo)
+    live = [k for k, hq in enumerate(family) if not hq.is_unimodular_constant]
     if not live:
         return  # every f*_p is a unimodular constant: no case
-    stems = np.array(stems)
+    # the stems of the f*_p at the points s and the samples, z[2n:]
+    stems = np.array([family[k].eval_many(z[n:], memo)[n:] for k in live])
     # f*_p(s) of each pair is read off the row of its own s
     own_s = stems[range(len(live)), live]
     values = qarray.on_slices(ss[live], lambda _: own_s)
@@ -295,15 +292,18 @@ def suite_multi(f: FunctionExpr, cfg: SamplerConfig):
     # depths 1, 2 and 3 are the prefixes of one chain of quotients, built
     # over one stem pass; the memo ends at z[n:], the probes and samples
     z, memo = _stem_pass(f, ps, points)
-    chain = quotient_chain(f, [qarray.to_quaternion(p) for p in ps], z, memo)
+    chain = quotient_chain(f, map(qarray.to_quaternion, ps), z, memo)
+    # the links that are not unimodular constants, read out at once
+    live = [hq for hq in chain if not hq.is_unimodular_constant]
+    if live:
+        stems = np.array([hq.eval_many(z[n:], memo)[n:] for hq in live])
+        norms = iter(qarray.qnorm(qarray.on_slices(points, lambda _: stems)))
     for hq in chain:
         if hq.is_unimodular_constant:
             yield (np.array([abs(abs(hq.unimodular_value) - 1.0)]),
                    points[:1], ())
         else:
-            F = hq.eval_many(z[n:], memo)[n:]
-            values = qarray.on_slices(points, lambda _: F)
-            yield qarray.qnorm(values) - 1.0, points, ()
+            yield next(norms) - 1.0, points, ()
 
 
 # -- estimate suites (require f(0) = 0) -------------------------------

@@ -21,6 +21,7 @@ from slicereg.hyperbolic import (
     goluzin_rhs,
     hyperbolic_derivative,
     hyperbolic_quotient,
+    hyperbolic_quotients,
     iterated_quotient,
     pseudo_ball_to_euclidean,
     quotient_chain,
@@ -37,6 +38,7 @@ from slicereg.moebius import (
     SeriesFunc,
     StarInv,
     StarMul,
+    _memo_rows,
     _stem_rule,
     eval_all,
     expr_to_series,
@@ -48,7 +50,10 @@ from slicereg.verify import (
 from slicereg.quaternion import I, J, K, ONE, Quaternion, ZERO
 from slicereg.series import TaylorSeries
 
+from slicereg.interpolation import build_solution
+
 from conftest import random_blaschke_expr, random_series_self_map
+from test_moebius import _chain_problem
 
 Q2 = TaylorSeries.from_quaternions([ZERO, ZERO, ONE], exact=True)
 Q3 = TaylorSeries.from_quaternions([ZERO, ZERO, ZERO, ONE], exact=True)
@@ -358,6 +363,17 @@ class TestStemDerivative:
         assert all(v.shape == (0, 4)
                    for v in quotient_on_sphere(fs, np.zeros((0, 4))))
 
+    def test_a_series_leaf_is_the_series_it_wraps(self):
+        # the tail of this leaf at 0.995 misses the target, so lowering the
+        # leaf as an expression would rebuild it as a "fitted" copy
+        s = expr_to_series(Moebius(Quaternion(0.9)))
+        assert s.certificate == "cauchy-sampled" and s.order == 295
+        got = hyperbolic._fh_series(SeriesFunc(s), 0.99)
+        assert got is s and got.certificate == "cauchy-sampled"
+        for p in (Quaternion(0.5, 0.3, -0.2, 0.1), Quaternion(0.95, 0.1)):
+            assert hyperbolic_derivative(SeriesFunc(s), p) == \
+                hyperbolic_derivative(s, p)
+
     def test_estimate_suites_lower_as_hyperbolic_derivative(self,
                                                             monkeypatch):
         # goluzin lowers f for its largest sample modulus |p| as
@@ -640,6 +656,156 @@ class TestQuotientReadsItsBaseOnce:
         for bad in (z[::-1], z[[0, 2]]):
             with pytest.raises(ValueError, match="probe point 0.0"):
                 hyperbolic_quotient(f, p, bad)
+
+
+def family_pass(f, ps, *rest):
+    """The slice points z of the quotient points ps, their probe points and
+    the rows of ``rest``, and a memo holding f's stem there, as a suite
+    builds them."""
+    probes = [(hyperbolic._probe_point(p), 0.0, 0.0, 0.0) for p in ps]
+    z = qarray.slice_points(np.concatenate(
+        [[p.components() for p in ps], probes, *rest]))
+    memo = {}
+    f.eval_many(z, memo)
+    return z, memo
+
+
+def one_call_per_point(f, ps, z, memo):
+    """The quotients of f at ps, each built alone by hyperbolic_quotient from
+    the rows of the pass from its own p on, and each one's stem at z[n:]."""
+    n, out = len(ps), []
+    for k, p in enumerate(ps):
+        rows = _memo_rows(memo, slice(k, None))
+        hq = hyperbolic_quotient(f, p, z[k:], rows)
+        stem = None if hq.is_unimodular_constant else \
+            hq.eval_many(z[k + 1:], rows)[n - k - 1:]
+        out.append((hq, stem))
+    return out
+
+
+def quotient_map(kind, rng):
+    """A self-map of the kinds that the suites' public route is tested on."""
+    if kind == "blaschke":
+        return random_blaschke_expr(rng, 4)
+    if kind == "series":
+        return SeriesFunc(random_series_self_map(rng, 12))
+    return build_solution(*_chain_problem(5, "zero"))
+
+
+class TestQuotientFamily:
+    """hyperbolic_quotients builds the quotients of one map as one family,
+    each bitwise the quotient that one call per point builds."""
+
+    @pytest.mark.parametrize("kind", ["blaschke", "series", "chain"])
+    def test_members_are_one_call_per_point(self, kind):
+        rng = np.random.default_rng(71)
+        f = quotient_map(kind, rng)
+        ps = [rand_q(rng, 0.7) for _ in range(3)] + [Quaternion(0.1, 0.05)]
+        z, memo = family_pass(f, ps, qarray.uniform_ball(rng, 30, 0.95))
+        F = memo[id(f)][1]
+        refs = one_call_per_point(f, ps, z, memo)
+        family = hyperbolic_quotients(f, ps, z, memo)
+        n = len(ps)
+        assert {len(stem) for _, stem in memo.values()} == {len(z) - n}
+        assert sum(not hq.is_unimodular_constant for hq in family) >= 3
+        for hq, (ref, ref_stem), p in zip(family, refs, ps):
+            assert hq.p is p and hq.fp == ref.fp
+            assert hq.unimodular_value == ref.unimodular_value
+            if hq.is_unimodular_constant:
+                continue
+            stem = hq.eval_many(z[n:], memo)
+            assert np.array_equal(stem, ref_stem)
+            # the broadcast is the node's own rule on f's stem at z[n:]
+            fresh = hyperbolic.HyperbolicQuotient(f, p, hq.fp)
+            with no_series_fallback():
+                assert np.array_equal(
+                    stem, fresh.eval_many(z[n:], {id(f): (f, F[n:])}))
+
+    def test_a_refused_member_reads_its_series(self):
+        # a sample on S_{p_1}, on another imaginary unit: the broadcast
+        # refuses it, so f*_{p_1} is read from its series over z[n:], and
+        # f*_{p_0} from its rule
+        rng = np.random.default_rng(73)
+        f = random_blaschke_expr(rng, 3)
+        ps = [Quaternion(0.3, 0.2, -0.1, 0.2), Quaternion(-0.2, 0.1, 0.3)]
+        on_sphere = TestSingleRoute.sphere_points(ps[1], rng, 1)[2:]
+        z, memo = family_pass(f, ps, on_sphere,
+                              qarray.uniform_ball(rng, 20, 0.9))
+        F = memo[id(f)][1]
+        refs = one_call_per_point(f, ps, z, memo)
+        family = hyperbolic_quotients(f, ps, z, memo)
+        assert_rule_refuses(family[1], on_sphere)
+        fresh = hyperbolic.HyperbolicQuotient(f, ps[0], family[0].fp)
+        with no_series_fallback():
+            assert np.array_equal(family[0].eval_many(z[2:], memo),
+                                  fresh.eval_many(z[2:], {id(f): (f, F[2:])}))
+        for hq, (ref, ref_stem) in zip(family, refs):
+            assert hq.unimodular_value == ref.unimodular_value is None
+            assert np.array_equal(hq.eval_many(z[2:], memo), ref_stem)
+        s = expr_to_series(family[1], r_max=float(np.abs(z[2:]).max()),
+                           tail_target=hyperbolic._TAIL_TARGET)
+        assert np.array_equal(family[1].eval_many(z[2:], memo),
+                              se.stem(s, z[2:]))
+
+    @staticmethod
+    def assert_raises_as_one_call_per_point(error, f, ps, z, k):
+        """The family raises what hyperbolic_quotient raises at its k-th
+        point, with no quotient evaluated."""
+        memo = {}
+        with pytest.raises(error) as family:
+            hyperbolic_quotients(f, ps, z, memo)
+        with pytest.raises(error) as one:
+            hyperbolic_quotient(f, ps[k], None if z is None else z[k:])
+        assert type(family.value) is type(one.value)
+        assert str(family.value) == str(one.value)
+        assert not any(isinstance(node, hyperbolic.HyperbolicQuotient)
+                       for node, _ in memo.values())
+
+    def test_errors_are_those_of_one_call_per_point(self):
+        f = random_blaschke_expr(np.random.default_rng(79), 2)
+        # p_0 is probed at 1/2, p_1 at 0
+        ps = [Quaternion(0.1, 0.05), Quaternion(0.3, 0.2)]
+        z = qarray.slice_points(np.array(
+            [p.components() for p in ps] + [[0.5, 0, 0, 0], [0.0, 0, 0, 0],
+                                            [0.4, 0.1, 0, 0]]))
+        assert len(hyperbolic_quotients(f, ps, z)) == 2
+        # z does not start at the points, or lacks a probe row
+        self.assert_raises_as_one_call_per_point(
+            ValueError, f, ps, z[[1, 0, 2, 3, 4]], 0)
+        self.assert_raises_as_one_call_per_point(
+            ValueError, f, ps, z[[0, 1, 2, 4]], 1)
+        # |f(p)| > 1 at the second point only
+        big = StarMul(Identity(), Const(Quaternion(1.5)))
+        self.assert_raises_as_one_call_per_point(
+            NotSelfMap, big, [Quaternion(0.2), Quaternion(0.0, 0.7)], None, 1)
+        # f(p) next to the unit sphere, yet not a unimodular constant
+        edge = Const(1 - 5e-14)
+        self.assert_raises_as_one_call_per_point(
+            SingularDenominator, edge, [Quaternion(0.9999), Quaternion(0.3)],
+            None, 0)
+
+    def test_no_point_is_refused_by_name(self):
+        f = Moebius(Quaternion(0.3))
+        for call in (hyperbolic_quotients, quotient_chain, iterated_quotient):
+            with pytest.raises(ValueError,
+                               match=f"^{call.__name__} needs at least one"):
+                call(f, [])
+
+    def test_each_probe_holds_its_own_row(self, monkeypatch):
+        rng = np.random.default_rng(83)
+        f = random_blaschke_expr(rng, 5)
+        ps = [rand_q(rng, 0.7) for _ in range(3)]
+        z, memo = family_pass(f, ps, qarray.uniform_ball(rng, 20, 0.9))
+        seen = []
+        probe = hyperbolic.detect_unimodular_constant
+        monkeypatch.setattr(hyperbolic, "detect_unimodular_constant",
+                            lambda hq, memo: seen.append((hq, memo))
+                            or probe(hq, memo))
+        family = hyperbolic_quotients(f, ps, z, memo)
+        assert [hq for hq, _ in seen] == family
+        for hq, held in seen:
+            assert list(held) == [id(hq)]
+            assert held[id(hq)][1].shape == (1, 4)
 
 
 class TestBoundArrays:

@@ -1033,8 +1033,9 @@ class TestOnePointRead:
     def test_one_point_reads_take_no_hamilton_product(self, monkeypatch):
         # eval on a chain, a Moebius factor and a Bullet tree, whose stems
         # take none, takes none; a quotient of an exact series takes one,
-        # the product in its own stem rule, and reads f(p) and its probe
-        # value without one
+        # the product in the quotient rule that its stem rule and the
+        # family's broadcast share, and reads f(p) and its probe value
+        # without one
         qmul = qarray.qmul
         chain = build_solution(*_chain_problem(4, "zero"))
 
@@ -1055,7 +1056,7 @@ class TestOnePointRead:
         monkeypatch.setattr(qarray, "qmul", counted)
         hq = hyperbolic_quotient(SeriesFunc(H_SERIES), P_IMAG)
         assert not hq.is_unimodular_constant
-        assert callers == [("slicereg.hyperbolic", "eval_many")]
+        assert callers == [("slicereg.hyperbolic", "_quotient_rule")]
 
 
 class TestBulletSeries:

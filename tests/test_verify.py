@@ -331,6 +331,31 @@ def test_one_stem_pass_as_the_public_route(suite, kind):
         assert np.abs(v - w).max() <= 1e-15
 
 
+@pytest.mark.parametrize("degree", [2, 4])
+def test_multi_reads_its_links_out_at_once(degree):
+    # the links of a degree-2 map end in unimodular constants, which are
+    # reported on their own between the links read out together
+    f = random_blaschke_expr(np.random.default_rng(89), degree)
+    cfg = SamplerConfig(seed=12, count=60)
+    got = list(SUITES["multi"](f, cfg))
+    points = sample_points(cfg)
+    ps = qarray.uniform_ball(np.random.default_rng(cfg.seed + 3), 3, 0.6)
+    z, memo = verify._stem_pass(f, ps, points)
+    want = []
+    for hq in quotient_chain(f, map(qarray.to_quaternion, ps), z, memo):
+        if hq.is_unimodular_constant:
+            want.append(np.array([abs(abs(hq.unimodular_value) - 1.0)]))
+        else:
+            F = hq.eval_many(z[3:], memo)[3:]
+            want.append(qarray.qnorm(qarray.on_slices(points, lambda _: F))
+                        - 1.0)
+    assert len(got) == 3
+    assert (len(got[-1][1]) == 1) == (degree == 2)
+    for (v, pts, label), w in zip(got, want):
+        assert label == () and np.array_equal(pts, points[:len(w)])
+        assert np.array_equal(v, w)
+
+
 def test_crosscheck_is_no_suite():
     with pytest.raises(ValueError, match="unknown suite 'crosscheck'"):
         run_suite("crosscheck", Q2, SamplerConfig(count=10))
