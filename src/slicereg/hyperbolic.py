@@ -296,9 +296,10 @@ def hyperbolic_quotients(f, points, z=None, memo=None) -> list:
     f is read once, over the complex slice points ``z``: the first n are
     those of the n points, and the rest hold those of their probe points q0
     (by default z is just these).  The new nodes are evaluated over z[n:],
-    the rows after the points, in one broadcast call of the stem rule on
-    their stacked constants; where that call raises SliceRegError each
-    node takes its own ``eval_many`` there, its rule and then its series.
+    the rows after the points: two or more in one broadcast call of the
+    stem rule on their stacked constants, and one by its own ``eval_many``,
+    which a node also takes, its rule and then its series, where that
+    broadcast raises SliceRegError.
     The rows of the points themselves are not evaluated, so a point that
     lies on the singular sphere of another quotient (a set of measure
     zero) does not send that quotient to its series.  Each probe reads its
@@ -345,20 +346,24 @@ def hyperbolic_quotients(f, points, z=None, memo=None) -> list:
         family.append(HyperbolicQuotient(f, p, fp))
     live = [(hq, probe) for hq, probe in zip(family, probes)
             if hq.fp is not None]
-    if live:
+    stems = None
+    if len(live) > 1:
         consts = [np.array(c)[:, None]
                   for c in zip(*(hq._consts for hq, _ in live))]
         values = np.array([hq.fp.components() for hq, _ in live])[:, None]
         try:
             stems = _quotient_rule(rows, consts, values, F[n:], "f*_p")
         except SliceRegError:
-            stems = [hq.eval_many(rows, memo) for hq, _ in live]
-        for (hq, probe), stem in zip(live, stems):
-            memo[id(hq)] = (hq, stem)
-            # the verdict is set before the node leaves this function
-            object.__setattr__(hq, "unimodular_value",
-                               detect_unimodular_constant(
-                                   hq, {id(hq): (hq, stem[probe])}))
+            pass
+    if stems is None:
+        # one quotient, or a refused broadcast: each node's own stem rule,
+        # then its series
+        stems = [hq.eval_many(rows, memo) for hq, _ in live]
+    for (hq, probe), stem in zip(live, stems):
+        memo[id(hq)] = (hq, stem)
+        # the verdict is set before the node leaves this function
+        object.__setattr__(hq, "unimodular_value", detect_unimodular_constant(
+            hq, {id(hq): (hq, stem[probe])}))
     return family
 
 
