@@ -283,10 +283,9 @@ def hyperbolic_quotients(f, points, z=None, memo=None) -> list:
 
     f may be any FunctionExpr, a quotient included, or a TaylorSeries, which
     becomes a SeriesFunc leaf that reads f inside its certified radius
-    (anywhere for an exact series).  Each f(p) is judged as
-    :func:`hyperbolic_quotient` judges it: when it shows f to be a
-    unimodular constant u, that quotient is u as well; else one value of
-    the new quotient node decides (:func:`detect_unimodular_constant`).
+    (anywhere for an exact series).  When f(p) shows f to be a unimodular
+    constant u, the quotient at p is u as well; else one value of the new
+    quotient node decides (:func:`detect_unimodular_constant`).
     Raises ValueError, before f is read, when there is no point or unless
     every |p| < 1 - 1e-13; then, for the first p at which f(p) is refused
     and before any quotient is evaluated, NotSelfMap when |f(p)| > 1, and
@@ -297,13 +296,13 @@ def hyperbolic_quotients(f, points, z=None, memo=None) -> list:
     those of the n points, and the rest hold those of their probe points q0
     (by default z is just these).  The new nodes are evaluated over z[n:],
     the rows after the points: two or more in one broadcast call of the
-    stem rule on their stacked constants, and one by its own ``eval_many``,
-    which a node also takes, its rule and then its series, where that
-    broadcast raises SliceRegError.
-    The rows of the points themselves are not evaluated, so a point that
-    lies on the singular sphere of another quotient (a set of measure
-    zero) does not send that quotient to its series.  Each probe reads its
-    quotient at q0 off that pass.  ``memo``, given with z, holds the stems
+    stem rule on their stacked constants, a lone one by its own
+    ``eval_many``.  Where the broadcast raises SliceRegError, each node
+    takes its own ``eval_many`` too: its rule, then its series.  The rows
+    of the points themselves are not evaluated, so a point that lies on
+    the singular sphere of another quotient (a set of measure zero) does
+    not send that quotient to its series.  Each probe reads its quotient at
+    q0 off that pass.  ``memo``, given with z, holds the stems
     at z of nodes already evaluated there, f's among them or not (see
     :func:`~slicereg.moebius.eval_all`); on return it holds the stems at
     z[n:], every entry sliced alike, and those of the new nodes.
